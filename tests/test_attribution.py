@@ -23,6 +23,7 @@ from epxai.mlp import (
     ModelSpec,
     TrainedModel,
     TrainingHyperparams,
+    benchmark_spec,
     forward,
     init_model,
     inverse_transform,
@@ -160,6 +161,21 @@ class TestMonteCarloShapley:
         lhs = result.values.sum(axis=1)
         rhs = prediction - result.baseline
         np.testing.assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-9)
+
+    def test_efficiency_across_prediction_blocks(self, build_matrix):
+        # NP shape, 64 antithetic pairs: each walk batch is 64 * 145 = 9280
+        # rows, which predict_prices evaluates in 19 blocks.
+        features = build_matrix(n_instances=40, n_groups=6, seed=4)
+        model = train(
+            init_model(benchmark_spec("NP", seed=1)),
+            features,
+            TrainingHyperparams(batch_size=16, max_epochs=2, seed=1),
+        )
+        background = sample_background(features, size=20, seed=3)
+        x = features.values[17]
+        result = shap_mc(model, x, background, n_pairs=64, seed=5)
+        gap = result.values.sum(axis=1) - (predict_prices(model, x) - result.baseline)
+        assert np.max(np.abs(gap)) <= 1e-9
 
     def test_converges_to_exact(self, build_matrix):
         rng = np.random.default_rng(12)

@@ -16,12 +16,15 @@ from epxai.mlp import (
     SchemaVersionMismatch,
     TooFewInstances,
     TrainingHyperparams,
+    _BLOCK_ROWS,
     _activation,
     _activation_grad,
     _batch_gradients,
+    _sigmoid,
     benchmark_spec,
     count_parameters,
     forward,
+    forward_trace,
     init_model,
     load_model,
     predict_prices,
@@ -43,7 +46,40 @@ def small_spec(n_in=48, activation="softplus", dropout=0.0, l1=0.0, seed=3):
     )
 
 
+def kernel_grid():
+    """Extremes, signed zeros and 10^5 normal draws for the activation kernels."""
+    rng = np.random.default_rng(21)
+    fixed = np.array([800.0, -800.0, -50.0, 0.0, -0.0])
+    return np.concatenate([fixed, rng.normal(0.0, 5.0, 100_000)])
+
+
+def reference_sigmoid(x):
+    """Two-branch logistic function: 1/(1+e^-x) for x >= 0, e^x/(1+e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
 class TestActivations:
+    def test_softplus_matches_logaddexp(self):
+        z = kernel_grid()
+        np.testing.assert_allclose(
+            _activation("softplus", z), np.logaddexp(0.0, z), rtol=1e-15, atol=0.0
+        )
+
+    def test_softplus_leaves_input_unchanged(self):
+        z = kernel_grid()
+        before = z.copy()
+        _activation("softplus", z)
+        np.testing.assert_array_equal(z, before)
+
+    def test_sigmoid_equals_two_branch_reference(self):
+        z = kernel_grid()
+        np.testing.assert_array_equal(_sigmoid(z), reference_sigmoid(z))
+
     def test_softplus_frozen_points(self):
         z = np.array([0.0, -50.0, 800.0])
         out = _activation("softplus", z)
@@ -177,6 +213,34 @@ class TestForward:
         x[7] = np.nan
         with pytest.raises(NonFiniteInput):
             forward(model, x)
+
+    def test_masks_drop_out_activations(self):
+        model = init_model(small_spec())
+        rng = np.random.default_rng(4)
+        x = rng.normal(0.0, 1.0, (6, 48))
+        masks = [(rng.random((6, h)) >= 0.3) / 0.7 for h in (24, 16)]
+        z1, a1, z2, a2, y = forward_trace(model, x, masks)
+        w1, w2, w3 = model.weights
+        b1, b2, b3 = model.biases
+        np.testing.assert_array_equal(a1, _activation("softplus", z1) * masks[0])
+        np.testing.assert_array_equal(z2, a1 @ w2 + b2)
+        np.testing.assert_array_equal(a2, _activation("softplus", z2) * masks[1])
+        np.testing.assert_array_equal(y, a2 @ w3 + b3)
+
+    def test_predict_prices_blocks_are_independent(self, build_matrix):
+        features = build_matrix(n_instances=30, seed=5)
+        hp = TrainingHyperparams(batch_size=8, max_epochs=2, seed=2)
+        model = train(init_model(small_spec()), features, hp)
+        n = 3 * _BLOCK_ROWS + 7
+        x = np.random.default_rng(6).normal(40.0, 8.0, (n, 48))
+        whole = predict_prices(model, x)
+        by_block = np.concatenate(
+            [predict_prices(model, x[lo : lo + _BLOCK_ROWS])
+             for lo in range(0, n, _BLOCK_ROWS)]
+        )
+        assert whole.shape == (n, 24)
+        np.testing.assert_array_equal(whole, by_block)
+        np.testing.assert_array_equal(predict_prices(model, x), whole)
 
     def test_untrained_predict_rejected(self):
         with pytest.raises(ModelError):
