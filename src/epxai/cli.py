@@ -4,10 +4,8 @@ This module stays free of numpy so thread caps can be applied to the
 process environment before any numerical library starts its thread pool.
 The heavy imports happen inside :func:`main` once the caps are set.
 
-Exit codes: 0 success, 1 oracle battery failure or unclassified error,
-2 bad configuration or usage, 3 data problem, 4 training divergence,
-5 model/config mismatch, 6 incomplete run directory. Every failure prints
-one ``error: <code>: <message>`` line on stderr.
+Every failure prints one ``error: <code>: <message>`` line on stderr; the
+README's "Exit codes" section lists the codes.
 """
 
 from __future__ import annotations

@@ -23,7 +23,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import EpxaiError
+from .errors import EpxaiError, check_bool, check_int, check_str
 
 __all__ = [
     "DataError",
@@ -58,6 +58,8 @@ __all__ = [
 
 class DataError(EpxaiError):
     """Base class for data-layer errors."""
+
+    exit_code = 3
 
 
 class MalformedRow(DataError):
@@ -215,13 +217,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return len(self.columns)
-
-    @property
-    def group_labels(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for c in self.columns:
-            seen.setdefault(c.group, None)
-        return tuple(seen)
 
     def column_index(self, feature: FeatureId) -> int:
         try:
@@ -581,17 +576,19 @@ def market_config_from_dict(payload: dict) -> MarketConfig:
     try:
         svs = tuple(
             SuperVariable(
-                label=str(entry["label"]),
-                source=str(entry["source"]),
-                day_lag=int(entry["day_lag"]),
+                label=check_str(entry["label"], f"market.super_variables[{k}].label"),
+                source=entry["source"],
+                day_lag=check_int(entry["day_lag"], f"market.super_variables[{k}].day_lag"),
             )
-            for entry in payload["super_variables"]
+            for k, entry in enumerate(payload["super_variables"])
         )
         return MarketConfig(
-            market_id=str(payload["market_id"]),
-            currency=str(payload.get("currency", "EUR")),
+            market_id=check_str(payload["market_id"], "market.market_id"),
+            currency=check_str(payload.get("currency", "EUR"), "market.currency"),
             super_variables=svs,
-            include_day_of_week=bool(payload.get("include_day_of_week", False)),
+            include_day_of_week=check_bool(
+                payload.get("include_day_of_week", False), "market.include_day_of_week"
+            ),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad market config: {exc}") from exc

@@ -1,10 +1,58 @@
-"""Shared exception base for the package.
+"""Shared exception base and config value checkers for the package.
 
 Every module defines its own exception family (data errors, model errors,
 attribution errors, ...) deriving from :class:`EpxaiError`, so callers can
-catch the whole family or a single condition.
+catch the whole family or a single condition. Each family carries the CLI
+exit code its failures end with.
+
+The ``check_*`` functions validate one value read from a JSON config and
+return it; a bad value raises ``ValueError`` naming the key, which the
+config layer reports as a configuration error.
 """
 
 
 class EpxaiError(Exception):
     """Base class for all errors raised by this package."""
+
+    exit_code = 1
+
+
+def check_int(value, name: str, lo=None, hi=None) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"'{name}' must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ValueError(f"'{name}' must be >= {lo}, got {value}")
+    if hi is not None and value > hi:
+        raise ValueError(f"'{name}' must be <= {hi}, got {value}")
+    return value
+
+
+def check_float(value, name: str, lo=None, lo_open=False, below=None) -> float:
+    """A number >= ``lo`` (> with ``lo_open``) and < ``below``, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"'{name}' must be a number, got {value!r}")
+    value = float(value)
+    if lo is not None and (value <= lo if lo_open else value < lo):
+        op = ">" if lo_open else ">="
+        raise ValueError(f"'{name}' must be {op} {lo}, got {value}")
+    if below is not None and value >= below:
+        raise ValueError(f"'{name}' must be < {below}, got {value}")
+    return value
+
+
+def check_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"'{name}' must be true or false, got {value!r}")
+    return value
+
+
+def check_str(value, name: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"'{name}' must be a non-empty string, got {value!r}")
+    return value
+
+
+def check_choice(value, name: str, choices) -> str:
+    if value not in choices:
+        raise ValueError(f"'{name}' must be one of {sorted(choices)}, got {value!r}")
+    return value

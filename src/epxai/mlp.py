@@ -59,13 +59,19 @@ __all__ = [
 class ModelError(EpxaiError):
     """Base class for model-layer errors."""
 
+    exit_code = 5
+
 
 class DivergedLoss(ModelError):
     """Training or validation loss became non-finite."""
 
+    exit_code = 4
+
 
 class TooFewInstances(ModelError):
     """Not enough instances for the requested operation."""
+
+    exit_code = 3
 
 
 class SchemaVersionMismatch(ModelError):
@@ -422,12 +428,16 @@ def train(
 
         record = {"epoch": epoch, "train_loss": epoch_loss, "val_mae": None}
         if not math.isfinite(epoch_loss):
-            raise DivergedLoss(f"training loss became {epoch_loss} at epoch {epoch}")
+            raise DivergedLoss(
+                f"training diverged: training loss became {epoch_loss} at epoch {epoch}"
+            )
         if n_val:
             val_pred = forward_trace(work, x_val)[-1]
             val_mae = float(np.mean(np.abs(val_pred - y_val)))
             if not math.isfinite(val_mae):
-                raise DivergedLoss(f"validation MAE became {val_mae} at epoch {epoch}")
+                raise DivergedLoss(
+                    f"training diverged: validation MAE became {val_mae} at epoch {epoch}"
+                )
             record["val_mae"] = val_mae
             history.append(record)
             if val_mae < best_val:

@@ -419,18 +419,6 @@ def run_slope_identity() -> BatteryResult:
 
 def run_all(seed: int | None = None) -> list:
     """Run every battery; None keeps each battery's own pinned default seed."""
-    if seed is None:
-        return [
-            run_efficiency(),
-            run_exact_equivalence(),
-            run_jacobian_fd(),
-            run_linear_complexity(),
-            run_slope_identity(),
-        ]
-    return [
-        run_efficiency(seed),
-        run_exact_equivalence(seed),
-        run_jacobian_fd(seed),
-        run_linear_complexity(seed),
-        run_slope_identity(),
-    ]
+    seeded = (run_efficiency, run_exact_equivalence, run_jacobian_fd, run_linear_complexity)
+    kwargs = {} if seed is None else {"seed": seed}
+    return [run(**kwargs) for run in seeded] + [run_slope_identity()]

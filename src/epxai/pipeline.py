@@ -27,6 +27,7 @@ from .analytics import (
     complexity_metrics,
     heatmap,
     hourly_importance,
+    naive_forecast,
     performance_metrics,
 )
 from .attribution import attribution_to_csv, explain_dataset, sample_background
@@ -36,22 +37,19 @@ from .data import (
     DataError,
     MarketConfig,
     build_feature_matrix,
-    daily_price_matrix,
     market_config,
     market_config_from_dict,
     market_config_to_dict,
     parse_market_csv,
     series_to_csv,
 )
-from .errors import EpxaiError
+from .errors import EpxaiError, check_bool, check_choice, check_float, check_int
 from .figures import instance_stack, render_figure
 from .mlp import (
     ACTIVATIONS,
     INIT_SCHEMES,
-    DivergedLoss,
     ModelError,
     ModelSpec,
-    TooFewInstances,
     TrainingHyperparams,
     benchmark_spec,
     count_parameters,
@@ -99,96 +97,156 @@ class IncompleteRun(EpxaiError):
     exit_code = 6
 
 
-_TOP_KEYS = {
-    "market_id", "dataset", "out", "seed", "market", "model", "training",
-    "attribution", "partition", "lines", "instance_dates", "beeswarm_top_k",
-}
-_MODEL_KEYS = {
-    "hidden1", "hidden2", "activation", "init_scheme", "input_scaler",
-    "output_scaler", "dropout", "l1", "seed",
-}
-_TRAINING_KEYS = {
-    "learning_rate", "batch_size", "max_epochs", "early_stop_patience",
-    "validation_fraction", "seed",
-}
-_ATTRIBUTION_KEYS = {"n_pairs", "background_size", "antithetic", "max_instances", "seed"}
-_PARTITION_KEYS = {"splits", "merges"}
-_LINE_KEYS = {"bandwidth", "grid_size", "band"}
+def _object(value, where: str, allowed) -> dict:
+    """``value`` itself, if it is a mapping with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    return value
 
-_DEFAULT_MAX_INSTANCES = 256
+
+def _path(value, name: str, base_dir: Path) -> str:
+    if not isinstance(value, (str, Path)) or not str(value):
+        raise ValueError(f"'{name}' must be a non-empty path string")
+    path = Path(value)
+    return str(path if path.is_absolute() else (base_dir / path).resolve())
+
+
+def _scalar(check, nullable=False, **bounds):
+    """Table checker for a value that does not depend on the market."""
+    def checker(value, name, market):
+        return None if nullable and value is None else check(value, name, **bounds)
+    return checker
+
+
+def _splits(value, name: str, market: MarketConfig) -> list:
+    hourly = [sv.label for sv in market.super_variables]
+    splits = []
+    for k, entry in enumerate(value or []):
+        where = f"{name}[{k}]"
+        _object(entry, where, ("group", "hour"))
+        group = entry.get("group")
+        if group not in hourly:
+            raise ValueError(f"{where}.group must be one of {hourly}, got {group!r}")
+        hour = check_int(entry.get("hour"), f"{where}.hour", lo=1, hi=23)
+        splits.append({"group": group, "hour": hour})
+    return splits
+
+
+def _merges(value, name: str, market: MarketConfig) -> list:
+    groups = default_partition(market).labels
+    merges = []
+    for k, entry in enumerate(value or []):
+        where = f"{name}[{k}]"
+        _object(entry, where, ("label", "members"))
+        label = entry.get("label")
+        if not isinstance(label, str) or not label:
+            raise ValueError(f"{where}.label must be a non-empty string")
+        members = entry.get("members")
+        if not isinstance(members, list) or len(members) < 2:
+            raise ValueError(f"{where}.members must list at least two groups")
+        for member in members:
+            if member not in groups:
+                raise ValueError(f"{where} references unknown group {member!r}")
+        merges.append({"label": label, "members": list(members)})
+    return merges
+
+
+def _band(value, name: str, market: MarketConfig) -> list | None:
+    if value is None:
+        return None
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must be [low_percentile, high_percentile]")
+    lo = check_float(value[0], f"{name}[0]", lo=0.0)
+    hi = check_float(value[1], f"{name}[1]", lo=0.0)
+    if not 0.0 <= lo < hi <= 100.0:
+        raise ValueError(f"{name} must satisfy 0 <= low < high <= 100, got {value}")
+    return [lo, hi]
+
+
+def _dates(value, name: str, market: MarketConfig) -> list:
+    value = value or []
+    if not isinstance(value, list):
+        raise ValueError(f"'{name}' must be a list of YYYY-MM-DD strings")
+    for date in value:
+        try:
+            datetime.date.fromisoformat(str(date))
+        except ValueError as exc:
+            raise ValueError(f"bad instance date {date!r}: {exc}") from exc
+    return [str(date) for date in value]
+
+
+def _master_seed(echo: dict, bench: ModelSpec) -> int:
+    return echo["seed"]
+
+
+def _bench(field: str, index: int | None = None):
+    """Default read from ``benchmark_spec(market_id)``."""
+    def default(echo: dict, bench: ModelSpec):
+        value = getattr(bench, field)
+        return value if index is None else value[index]
+    return default
+
+
+# Every key of the run config except market_id, dataset, out and market:
+# (section or None for top level, key, checker, default). A checker is called
+# as checker(value, dotted_name, market) and returns the value's echo form; a
+# callable default as default(echo_so_far, benchmark_spec(market_id)). Rows
+# resolve in order, so the master seed is known before the seeds it fills.
+_KEYS = (
+    (None, "seed", _scalar(check_int, lo=0, hi=2**64 - 1), 0),
+    ("model", "hidden1", _scalar(check_int, lo=1), _bench("layer_sizes", 1)),
+    ("model", "hidden2", _scalar(check_int, lo=1), _bench("layer_sizes", 2)),
+    ("model", "activation", _scalar(check_choice, choices=ACTIVATIONS), _bench("activation")),
+    ("model", "init_scheme", _scalar(check_choice, choices=INIT_SCHEMES), _bench("init_scheme")),
+    ("model", "input_scaler", _scalar(check_choice, choices=SCALER_KINDS),
+     _bench("input_scaler_kind")),
+    ("model", "output_scaler", _scalar(check_choice, choices=SCALER_KINDS),
+     _bench("output_scaler_kind")),
+    ("model", "dropout", _scalar(check_float, lo=0.0, below=1.0), _bench("dropout_rate")),
+    ("model", "l1", _scalar(check_float, lo=0.0), _bench("l1_factor")),
+    ("model", "seed", _scalar(check_int, lo=0), _master_seed),
+    ("training", "learning_rate", _scalar(check_float, lo=0.0, lo_open=True), 1e-3),
+    ("training", "batch_size", _scalar(check_int, lo=1), 64),
+    ("training", "max_epochs", _scalar(check_int, lo=1), 300),
+    ("training", "early_stop_patience", _scalar(check_int, lo=0), 20),
+    ("training", "validation_fraction", _scalar(check_float, lo=0.0, below=1.0), 0.15),
+    ("training", "seed", _scalar(check_int, lo=0), _master_seed),
+    ("attribution", "n_pairs", _scalar(check_int, lo=1), 64),
+    ("attribution", "background_size", _scalar(check_int, lo=1), 500),
+    ("attribution", "antithetic", _scalar(check_bool), True),
+    ("attribution", "max_instances", _scalar(check_int, nullable=True, lo=1), 256),
+    ("attribution", "seed", _scalar(check_int, lo=0), _master_seed),
+    ("partition", "splits", _splits, ()),
+    ("partition", "merges", _merges, ()),
+    ("lines", "bandwidth", _scalar(check_float, lo=0.0, lo_open=True), 5.0),
+    ("lines", "grid_size", _scalar(check_int, lo=2), 200),
+    ("lines", "band", _band, None),
+    (None, "instance_dates", _dates, ()),
+    (None, "beeswarm_top_k", _scalar(check_int, lo=1), 20),
+)
+
+_TOP_KEYS = {"market_id", "dataset", "out", "market"} | {
+    section or key for section, key, _, _ in _KEYS
+}
 
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings; ``echo`` is the JSON round-trip form."""
+    """Fully resolved run settings.
 
-    market_id: str
+    ``echo`` holds every setting in its JSON form and re-resolves to the
+    same config; the other fields are the typed objects built from it.
+    """
+
     dataset: Path
     out: Path | None
-    seed: int
     market: MarketConfig
     model_spec: ModelSpec
     training: TrainingHyperparams
-    n_pairs: int
-    background_size: int
-    antithetic: bool
-    max_instances: int | None
-    attribution_seed: int
-    splits: tuple
-    merges: tuple
-    bandwidth: float
-    grid_size: int
-    band: tuple | None
-    instance_dates: tuple
-    top_k: int
     echo: dict
-
-
-def _reject_unknown(payload: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(payload) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
-
-
-def _section(raw: dict, key: str) -> dict:
-    value = raw.get(key, {})
-    if value is None:
-        return {}
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{key}' must be an object")
-    return value
-
-
-def _as_int(value, name: str, lo=None, hi=None) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"'{name}' must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"'{name}' must be >= {lo}, got {value}")
-    if hi is not None and value > hi:
-        raise ConfigError(f"'{name}' must be <= {hi}, got {value}")
-    return value
-
-
-def _as_float(value, name: str, lo=None, lo_open=False) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"'{name}' must be a number, got {value!r}")
-    value = float(value)
-    if lo is not None and (value <= lo if lo_open else value < lo):
-        op = ">" if lo_open else ">="
-        raise ConfigError(f"'{name}' must be {op} {lo}, got {value}")
-    return value
-
-
-def _as_bool(value, name: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"'{name}' must be true or false, got {value!r}")
-    return value
-
-
-def _as_choice(value, name: str, choices) -> str:
-    if value not in choices:
-        raise ConfigError(f"'{name}' must be one of {sorted(choices)}, got {value!r}")
-    return value
 
 
 def load_config(
@@ -229,258 +287,76 @@ def resolve_config(
     is what lets a manifest reproduce its run. Relative paths are taken
     against ``base_dir`` (the config file's directory).
     """
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    _reject_unknown(raw, _TOP_KEYS, "config")
-
-    market_id = raw.get("market_id")
-    if market_id not in MARKET_IDS:
-        raise ConfigError(
-            f"'market_id' must be one of {list(MARKET_IDS)}, got {market_id!r}"
-        )
-
-    dataset_raw = raw.get("dataset")
-    if not isinstance(dataset_raw, str) or not dataset_raw:
-        raise ConfigError("'dataset' must be a non-empty path string")
-    dataset = Path(dataset_raw)
-    if not dataset.is_absolute():
-        dataset = (Path(base_dir) / dataset).resolve()
+    try:
+        echo, market = _resolve_echo(raw, Path(base_dir), out_override, seed_override)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    dataset = Path(echo["dataset"])
     if check_paths and not dataset.is_file():
         raise ConfigError(f"dataset path does not exist: {dataset}")
+    model = echo["model"]
+    return RunConfig(
+        dataset=dataset,
+        out=None if echo["out"] is None else Path(echo["out"]),
+        market=market,
+        model_spec=ModelSpec(
+            layer_sizes=(market.n_features, model["hidden1"], model["hidden2"], 24),
+            activation=model["activation"],
+            dropout_rate=model["dropout"],
+            l1_factor=model["l1"],
+            init_scheme=model["init_scheme"],
+            input_scaler_kind=model["input_scaler"],
+            output_scaler_kind=model["output_scaler"],
+            seed=model["seed"],
+        ),
+        training=TrainingHyperparams(**echo["training"]),
+        echo=echo,
+    )
 
-    seed = _as_int(raw.get("seed", 0), "seed", lo=0, hi=2**64 - 1)
-    if seed_override is not None:
-        seed = _as_int(seed_override, "seed", lo=0, hi=2**64 - 1)
 
-    out_raw = out_override if out_override is not None else raw.get("out")
-    out: Path | None = None
-    if out_raw is not None:
-        if not isinstance(out_raw, (str, Path)) or not str(out_raw):
-            raise ConfigError("'out' must be a non-empty path string")
-        out = Path(out_raw)
-        if not out.is_absolute():
-            out = (Path(base_dir) / out).resolve()
-
+def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
+    """The echo and market of a raw config; a bad value raises ValueError."""
+    given = {None: _object(raw, "config", _TOP_KEYS)}
+    market_id = raw.get("market_id")
+    if market_id not in MARKET_IDS:
+        raise ValueError(f"'market_id' must be one of {list(MARKET_IDS)}, got {market_id!r}")
+    out = out_override if out_override is not None else raw.get("out")
+    echo = {
+        "market_id": market_id,
+        "dataset": _path(raw.get("dataset"), "dataset", base_dir),
+        "out": None if out is None else _path(out, "out", base_dir),
+    }
     market_raw = raw.get("market")
     if market_raw is None:
         market = market_config(market_id)
     else:
         if not isinstance(market_raw, dict):
-            raise ConfigError("'market' must be an object")
-        try:
-            market = market_config_from_dict(market_raw)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ValueError("'market' must be an object")
+        market = market_config_from_dict(market_raw)
         if market.market_id != market_id:
-            raise ConfigError(
+            raise ValueError(
                 f"market config is for {market.market_id!r}, run is {market_id!r}"
             )
+    echo["market"] = market_config_to_dict(market)
 
+    for section in dict.fromkeys(s for s, _, _, _ in _KEYS if s):
+        value = raw.get(section)
+        keys = [k for s, k, _, _ in _KEYS if s == section]
+        given[section] = _object({} if value is None else value, section, keys)
+        echo[section] = {}
     bench = benchmark_spec(market_id)
-    model_raw = _section(raw, "model")
-    _reject_unknown(model_raw, _MODEL_KEYS, "model")
-    try:
-        model_spec = ModelSpec(
-            layer_sizes=(
-                market.n_features,
-                _as_int(model_raw.get("hidden1", bench.layer_sizes[1]), "model.hidden1", lo=1),
-                _as_int(model_raw.get("hidden2", bench.layer_sizes[2]), "model.hidden2", lo=1),
-                24,
-            ),
-            activation=_as_choice(
-                model_raw.get("activation", bench.activation),
-                "model.activation", ACTIVATIONS,
-            ),
-            dropout_rate=_as_float(model_raw.get("dropout", bench.dropout_rate), "model.dropout", lo=0.0),
-            l1_factor=_as_float(model_raw.get("l1", bench.l1_factor), "model.l1", lo=0.0),
-            init_scheme=_as_choice(
-                model_raw.get("init_scheme", bench.init_scheme),
-                "model.init_scheme", INIT_SCHEMES,
-            ),
-            input_scaler_kind=_as_choice(
-                model_raw.get("input_scaler", bench.input_scaler_kind),
-                "model.input_scaler", SCALER_KINDS,
-            ),
-            output_scaler_kind=_as_choice(
-                model_raw.get("output_scaler", bench.output_scaler_kind),
-                "model.output_scaler", SCALER_KINDS,
-            ),
-            seed=_as_int(model_raw.get("seed", seed), "model.seed", lo=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad model settings: {exc}") from exc
-
-    training_raw = _section(raw, "training")
-    _reject_unknown(training_raw, _TRAINING_KEYS, "training")
-    try:
-        training = TrainingHyperparams(
-            learning_rate=_as_float(
-                training_raw.get("learning_rate", 1e-3), "training.learning_rate",
-                lo=0.0, lo_open=True,
-            ),
-            batch_size=_as_int(training_raw.get("batch_size", 64), "training.batch_size", lo=1),
-            max_epochs=_as_int(training_raw.get("max_epochs", 300), "training.max_epochs", lo=1),
-            early_stop_patience=_as_int(
-                training_raw.get("early_stop_patience", 20),
-                "training.early_stop_patience", lo=0,
-            ),
-            validation_fraction=_as_float(
-                training_raw.get("validation_fraction", 0.15),
-                "training.validation_fraction", lo=0.0,
-            ),
-            seed=_as_int(training_raw.get("seed", seed), "training.seed", lo=0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad training settings: {exc}") from exc
-
-    attribution_raw = _section(raw, "attribution")
-    _reject_unknown(attribution_raw, _ATTRIBUTION_KEYS, "attribution")
-    n_pairs = _as_int(attribution_raw.get("n_pairs", 64), "attribution.n_pairs", lo=1)
-    background_size = _as_int(
-        attribution_raw.get("background_size", 500), "attribution.background_size", lo=1
-    )
-    antithetic = _as_bool(attribution_raw.get("antithetic", True), "attribution.antithetic")
-    if "max_instances" in attribution_raw:
-        max_instances = attribution_raw["max_instances"]
-        if max_instances is not None:
-            max_instances = _as_int(max_instances, "attribution.max_instances", lo=1)
-    else:
-        max_instances = _DEFAULT_MAX_INSTANCES
-    attribution_seed = _as_int(attribution_raw.get("seed", seed), "attribution.seed", lo=0)
-
-    hourly_labels = tuple(sv.label for sv in market.super_variables)
-    group_labels = hourly_labels + (
-        ("Day of week",) if market.include_day_of_week else ()
-    )
-    partition_raw = _section(raw, "partition")
-    _reject_unknown(partition_raw, _PARTITION_KEYS, "partition")
-    splits = []
-    for k, entry in enumerate(partition_raw.get("splits") or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"partition.splits[{k}] must be an object")
-        _reject_unknown(entry, {"group", "hour"}, f"partition.splits[{k}]")
-        group = entry.get("group")
-        if group not in hourly_labels:
-            raise ConfigError(
-                f"partition.splits[{k}].group must be one of {list(hourly_labels)}, "
-                f"got {group!r}"
-            )
-        hour = _as_int(entry.get("hour"), f"partition.splits[{k}].hour", lo=1, hi=23)
-        splits.append((group, hour))
-    merges = []
-    for k, entry in enumerate(partition_raw.get("merges") or []):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"partition.merges[{k}] must be an object")
-        _reject_unknown(entry, {"label", "members"}, f"partition.merges[{k}]")
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            raise ConfigError(f"partition.merges[{k}].label must be a non-empty string")
-        members = entry.get("members")
-        if not isinstance(members, list) or len(members) < 2:
-            raise ConfigError(
-                f"partition.merges[{k}].members must list at least two groups"
-            )
-        for member in members:
-            if member not in group_labels:
-                raise ConfigError(
-                    f"partition.merges[{k}] references unknown group {member!r}"
-                )
-        merges.append((label, tuple(members)))
-
-    lines_raw = _section(raw, "lines")
-    _reject_unknown(lines_raw, _LINE_KEYS, "lines")
-    bandwidth = _as_float(lines_raw.get("bandwidth", 5.0), "lines.bandwidth", lo=0.0, lo_open=True)
-    grid_size = _as_int(lines_raw.get("grid_size", 200), "lines.grid_size", lo=2)
-    band_raw = lines_raw.get("band")
-    band: tuple | None = None
-    if band_raw is not None:
-        if not isinstance(band_raw, (list, tuple)) or len(band_raw) != 2:
-            raise ConfigError("lines.band must be [low_percentile, high_percentile]")
-        lo = _as_float(band_raw[0], "lines.band[0]", lo=0.0)
-        hi = _as_float(band_raw[1], "lines.band[1]", lo=0.0)
-        if not 0.0 <= lo < hi <= 100.0:
-            raise ConfigError(f"lines.band must satisfy 0 <= low < high <= 100, got {band_raw}")
-        band = (lo, hi)
-
-    dates_raw = raw.get("instance_dates") or []
-    if not isinstance(dates_raw, list):
-        raise ConfigError("'instance_dates' must be a list of YYYY-MM-DD strings")
-    instance_dates = []
-    for value in dates_raw:
-        try:
-            datetime.date.fromisoformat(str(value))
-        except ValueError as exc:
-            raise ConfigError(f"bad instance date {value!r}: {exc}") from exc
-        instance_dates.append(str(value))
-
-    top_k = _as_int(raw.get("beeswarm_top_k", 20), "beeswarm_top_k", lo=1)
-
-    echo = {
-        "market_id": market_id,
-        "dataset": str(dataset),
-        "out": str(out) if out is not None else None,
-        "seed": seed,
-        "market": market_config_to_dict(market),
-        "model": {
-            "hidden1": model_spec.layer_sizes[1],
-            "hidden2": model_spec.layer_sizes[2],
-            "activation": model_spec.activation,
-            "init_scheme": model_spec.init_scheme,
-            "input_scaler": model_spec.input_scaler_kind,
-            "output_scaler": model_spec.output_scaler_kind,
-            "dropout": model_spec.dropout_rate,
-            "l1": model_spec.l1_factor,
-            "seed": model_spec.seed,
-        },
-        "training": {
-            "learning_rate": training.learning_rate,
-            "batch_size": training.batch_size,
-            "max_epochs": training.max_epochs,
-            "early_stop_patience": training.early_stop_patience,
-            "validation_fraction": training.validation_fraction,
-            "seed": training.seed,
-        },
-        "attribution": {
-            "n_pairs": n_pairs,
-            "background_size": background_size,
-            "antithetic": antithetic,
-            "max_instances": max_instances,
-            "seed": attribution_seed,
-        },
-        "partition": {
-            "splits": [{"group": g, "hour": h} for g, h in splits],
-            "merges": [{"label": l, "members": list(m)} for l, m in merges],
-        },
-        "lines": {
-            "bandwidth": bandwidth,
-            "grid_size": grid_size,
-            "band": list(band) if band is not None else None,
-        },
-        "instance_dates": instance_dates,
-        "beeswarm_top_k": top_k,
-    }
-    return RunConfig(
-        market_id=market_id,
-        dataset=dataset,
-        out=out,
-        seed=seed,
-        market=market,
-        model_spec=model_spec,
-        training=training,
-        n_pairs=n_pairs,
-        background_size=background_size,
-        antithetic=antithetic,
-        max_instances=max_instances,
-        attribution_seed=attribution_seed,
-        splits=tuple(splits),
-        merges=tuple(merges),
-        bandwidth=bandwidth,
-        grid_size=grid_size,
-        band=band,
-        instance_dates=tuple(instance_dates),
-        top_k=top_k,
-        echo=echo,
-    )
+    for section, key, checker, default in _KEYS:
+        name = key if section is None else f"{section}.{key}"
+        if key in given[section]:
+            value = given[section][key]
+        else:
+            value = default(echo, bench) if callable(default) else default
+        value = checker(value, name, market)
+        if name == "seed" and seed_override is not None:
+            # the config's own seed is still checked before --seed replaces it
+            value = checker(seed_override, name, market)
+        (echo if section is None else echo[section])[key] = value
+    return echo, market
 
 
 def _canonical_json(obj) -> str:
@@ -489,10 +365,6 @@ def _canonical_json(obj) -> str:
 
 def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _write_output(out: Path, rel: str, text: str, outputs: dict) -> None:
@@ -505,6 +377,14 @@ def _write_output(out: Path, rel: str, text: str, outputs: dict) -> None:
 def _write_figure(out: Path, stem: str, figure, outputs: dict) -> None:
     _write_output(out, f"figures/{stem}.svg", figure.svg, outputs)
     _write_output(out, f"tables/{stem}.csv", figure.csv, outputs)
+
+
+def _read_run_json(path: Path) -> dict:
+    """Parse a JSON file of a run directory; a corrupt one is an IncompleteRun."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise IncompleteRun(f"unreadable run file {path}: {exc}") from exc
 
 
 def _update_manifest(
@@ -528,19 +408,16 @@ def _update_manifest(
         "config": config.echo,
         "config_digest": digest,
         "seeds": {
-            "master": config.seed,
+            "master": config.echo["seed"],
             "model": config.model_spec.seed,
             "training": config.training.seed,
-            "attribution": config.attribution_seed,
+            "attribution": config.echo["attribution"]["seed"],
         },
         "inputs": {},
         "stages": {},
     }
     if path.is_file():
-        try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise IncompleteRun(f"unreadable manifest {path}: {exc}") from exc
+        existing = _read_run_json(path)
         if existing.get("config_digest") != digest:
             raise ConfigError(
                 f"run directory {out} was produced by a different config "
@@ -589,20 +466,7 @@ def _read_dataset(config: RunConfig):
         raise DataError(f"dataset file not found: {config.dataset}") from None
     except OSError as exc:
         raise DataError(f"cannot read dataset {config.dataset}: {exc}") from exc
-    return text, parse_market_csv(text, config.market_id)
-
-
-def _naive_for_instances(series, features) -> np.ndarray:
-    """Previous-day prices aligned to the feature matrix's delivery days."""
-    dates, prices = daily_price_matrix(series)
-    index = {d: i for i, d in enumerate(dates)}
-    rows = np.empty((features.n_instances, 24))
-    for k, day in enumerate(features.instances):
-        i = index.get(day)
-        if i is None or i == 0:
-            raise DataError(f"no previous-day prices for delivery day {day}")
-        rows[k] = prices[i - 1]
-    return rows
+    return text, parse_market_csv(text, config.market.market_id)
 
 
 def _performance_csv(reports: dict) -> str:
@@ -628,7 +492,7 @@ def _report_fields(report) -> dict:
 def cmd_validate(args) -> int:
     config = _config_from_args(args, check_paths=True)
     sys.stdout.write(_canonical_json(config.echo))
-    print(f"config ok: {config.market_id}, {config.market.n_features} features")
+    print(f"config ok: {config.market.market_id}, {config.market.n_features} features")
     return 0
 
 
@@ -662,7 +526,12 @@ def cmd_train(args) -> int:
         trained = train(init_model(config.model_spec), features, config.training)
 
     predictions = predict_prices(trained, features.values)
-    naive = _naive_for_instances(series, features)
+    persistence = naive_forecast(series)
+    previous = dict(zip(persistence.days, persistence.predicted))
+    try:
+        naive = np.array([previous[day] for day in features.instances])
+    except KeyError as exc:
+        raise DataError(f"no previous-day prices for delivery day {exc.args[0]}") from None
     n = features.n_instances
     n_val = int(round(config.training.validation_fraction * n))
     n_train = n - n_val
@@ -681,14 +550,8 @@ def cmd_train(args) -> int:
     _write_output(out, "tables/performance.csv", _performance_csv(scopes), outputs)
     val_maes = [h["val_mae"] for h in trained.history if h["val_mae"] is not None]
     report_text = _merge_report(out, {
-        "market_id": config.market_id,
+        "market_id": config.market.market_id,
         "config": config.echo,
-        "seeds": {
-            "master": config.seed,
-            "model": config.model_spec.seed,
-            "training": config.training.seed,
-            "attribution": config.attribution_seed,
-        },
         "data": {
             "dataset_path": str(config.dataset),
             "dataset_sha256": _sha256_text(text),
@@ -720,16 +583,17 @@ def cmd_train(args) -> int:
 
 def _instance_subset(features, config: RunConfig) -> np.ndarray:
     n = features.n_instances
-    if config.max_instances is None or config.max_instances >= n:
+    max_instances = config.echo["attribution"]["max_instances"]
+    if max_instances is None or max_instances >= n:
         indices = np.arange(n)
     else:
         indices = np.unique(
-            np.round(np.linspace(0, n - 1, config.max_instances)).astype(np.intp)
+            np.round(np.linspace(0, n - 1, max_instances)).astype(np.intp)
         )
-    if config.instance_dates:
+    if config.echo["instance_dates"]:
         ids = features.instance_ids()
         extra = []
-        for date in config.instance_dates:
+        for date in config.echo["instance_dates"]:
             try:
                 extra.append(ids.index(date))
             except ValueError:
@@ -770,6 +634,9 @@ def cmd_explain(args) -> int:
     config = _config_from_args(args)
     out = _require_out(config)
     t0 = time.perf_counter()
+    market_id = config.market.market_id
+    attribution = config.echo["attribution"]
+    smoothing = config.echo["lines"]
     model_path = Path(args.model) if getattr(args, "model", None) else out / "model.json"
     trained = _load_model_file(model_path)
     if trained.spec != config.model_spec:
@@ -790,15 +657,15 @@ def cmd_explain(args) -> int:
 
     indices = _instance_subset(features, config)
     background = sample_background(
-        features, size=config.background_size, seed=config.attribution_seed
+        features, size=attribution["background_size"], seed=attribution["seed"]
     )
     shap_tensor, grad_tensor = explain_dataset(
         trained,
         features,
         background,
-        n_pairs=config.n_pairs,
-        seed=config.attribution_seed,
-        antithetic=config.antithetic,
+        n_pairs=attribution["n_pairs"],
+        seed=attribution["seed"],
+        antithetic=attribution["antithetic"],
         instance_indices=indices,
     )
 
@@ -806,16 +673,17 @@ def cmd_explain(args) -> int:
     _write_output(out, "tables/shap.csv", attribution_to_csv(shap_tensor), outputs)
     _write_output(out, "tables/gradient.csv", attribution_to_csv(grad_tensor), outputs)
 
+    partition = config.echo["partition"]
     partitions = {"default": default_partition(config.market)}
-    if config.splits:
+    if partition["splits"]:
         part = partitions["default"]
-        for group, hour in config.splits:
-            part = split_group(part, group, hour)
+        for split in partition["splits"]:
+            part = split_group(part, split["group"], split["hour"])
         partitions["split"] = part
-    if config.merges:
+    if partition["merges"]:
         part = partitions["default"]
-        for label, members in config.merges:
-            part = merge_groups(part, label, members)
+        for merge in partition["merges"]:
+            part = merge_groups(part, merge["label"], merge["members"])
         partitions["merged"] = part
 
     grouped = {
@@ -829,14 +697,14 @@ def cmd_explain(args) -> int:
     shap_grid = heatmap(shap_tensor, "mean_abs")
     _write_figure(
         out, "heatmap_shap",
-        render_figure(shap_grid, title=f"{config.market_id} mean |contribution|", unit=unit),
+        render_figure(shap_grid, title=f"{market_id} mean |contribution|", unit=unit),
         outputs,
     )
     _write_figure(
         out, "heatmap_gradient",
         render_figure(
             heatmap(grad_tensor, "mean"),
-            title=f"{config.market_id} mean gradient",
+            title=f"{market_id} mean gradient",
             unit=f"{unit} per normalised input",
         ),
         outputs,
@@ -845,15 +713,17 @@ def cmd_explain(args) -> int:
         out, "importance",
         render_figure(
             hourly_importance(sshap_default),
-            title=f"{config.market_id} hourly importance", unit=unit,
+            title=f"{market_id} hourly importance", unit=unit,
         ),
         outputs,
     )
     _write_figure(
         out, "beeswarm",
         render_figure(
-            beeswarm_table(shap_tensor, features.values[indices], top_k=config.top_k),
-            title=f"{config.market_id} top features", unit=unit,
+            beeswarm_table(
+                shap_tensor, features.values[indices], top_k=config.echo["beeswarm_top_k"]
+            ),
+            title=f"{market_id} top features", unit=unit,
         ),
         outputs,
     )
@@ -861,23 +731,23 @@ def cmd_explain(args) -> int:
     prices = features.targets[indices]
     pooled = prices.ravel()
     grid_lo, grid_hi = np.percentile(pooled, [1.0, 99.0])
-    grid = np.linspace(grid_lo, grid_hi, config.grid_size)
+    grid = np.linspace(grid_lo, grid_hi, smoothing["grid_size"])
     lines = [
         sshap_line(
             sshap_default, label, prices,
-            hours="pooled", bandwidth=config.bandwidth, grid=grid,
+            hours="pooled", bandwidth=smoothing["bandwidth"], grid=grid,
         )
         for label in sshap_default.partition.labels
     ]
     baseline_value = float(sshap_default.baseline.mean())
     band_abs = None
-    if config.band is not None:
-        band_abs = tuple(float(v) for v in np.percentile(pooled, config.band))
+    if smoothing["band"] is not None:
+        band_abs = tuple(float(v) for v in np.percentile(pooled, smoothing["band"]))
     check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
     _write_figure(
         out, "lines",
         render_figure(
-            lines, title=f"{config.market_id} group value vs price",
+            lines, title=f"{market_id} group value vs price",
             unit=unit, baseline=baseline_value,
         ),
         outputs,
@@ -892,7 +762,7 @@ def cmd_explain(args) -> int:
         outputs,
     )
 
-    for date in config.instance_dates:
+    for date in config.echo["instance_dates"]:
         position = sshap_default.instance_ids.index(date)
         row_index = indices[position]
         forecast = predict_prices(trained, features.values[row_index])
@@ -900,7 +770,7 @@ def cmd_explain(args) -> int:
             out, f"instance_{date}",
             render_figure(
                 instance_stack(sshap_default, date, forecast),
-                title=f"{config.market_id} contributions {date}", unit=unit,
+                title=f"{market_id} contributions {date}", unit=unit,
             ),
             outputs,
         )
@@ -908,10 +778,10 @@ def cmd_explain(args) -> int:
     report_text = _merge_report(out, {
         "explain": {
             "n_instances_explained": int(len(indices)),
-            "n_pairs": config.n_pairs,
+            "n_pairs": attribution["n_pairs"],
             "background_size": background.size,
-            "antithetic": config.antithetic,
-            "seed": config.attribution_seed,
+            "antithetic": attribution["antithetic"],
+            "seed": attribution["seed"],
             "baseline": [float(v) for v in sshap_default.baseline],
             "partitions": {
                 name: list(part.labels) for name, part in partitions.items()
@@ -921,7 +791,7 @@ def cmd_explain(args) -> int:
                 "intercept": check.intercept,
                 "max_deviation": check.max_deviation,
                 "n_points": check.n_points,
-                "band_percentiles": list(config.band) if config.band else None,
+                "band_percentiles": smoothing["band"],
                 "band_prices": list(band_abs) if band_abs else None,
             },
             "complexity": {
@@ -966,14 +836,11 @@ def cmd_report(args) -> int:
     manifest_path = out / "manifest.json"
     if not manifest_path.is_file():
         raise IncompleteRun(f"missing manifest: {manifest_path}")
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise IncompleteRun(f"unreadable manifest {manifest_path}: {exc}") from exc
+    manifest = _read_run_json(manifest_path)
     report_path = out / "report.json"
     if not report_path.is_file():
         raise IncompleteRun(f"missing report.json in {out}; run train and explain first")
-    report = json.loads(report_path.read_text(encoding="utf-8"))
+    report = _read_run_json(report_path)
 
     for stage, record in sorted(manifest.get("stages", {}).items()):
         for rel in record.get("outputs", {}):
@@ -1144,29 +1011,10 @@ _COMMANDS = {
 }
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {code}: {message}", file=sys.stderr)
-    return code
-
-
 def dispatch(args) -> int:
-    """Run one subcommand, mapping typed failures to documented exit codes."""
-    handler = _COMMANDS[args.command]
+    """Run one subcommand; a package error exits with its family's exit code."""
     try:
-        return handler(args)
-    except ConfigError as exc:
-        return _fail(2, str(exc))
-    except IncompleteRun as exc:
-        return _fail(6, str(exc))
-    except DivergedLoss as exc:
-        return _fail(4, f"training diverged: {exc}")
-    except ModelMismatch as exc:
-        return _fail(5, str(exc))
-    except TooFewInstances as exc:
-        return _fail(3, str(exc))
-    except ModelError as exc:
-        return _fail(5, str(exc))
-    except DataError as exc:
-        return _fail(3, str(exc))
+        return _COMMANDS[args.command](args)
     except EpxaiError as exc:
-        return _fail(1, str(exc))
+        print(f"error: {exc.exit_code}: {exc}", file=sys.stderr)
+        return exc.exit_code

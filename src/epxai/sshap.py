@@ -71,8 +71,6 @@ class GridMismatch(SshapError):
 # half-distance even the closest observation carries no weight.
 _UNDERFLOW = 709.0
 
-LINE_MODES = ("pooled", "daily_mean")
-
 
 @dataclass(frozen=True)
 class Partition:

@@ -4,14 +4,21 @@ import hashlib
 import io
 import json
 import os
+import shutil
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
 
 from conftest import _synthetic_market_csv
+from epxai import pipeline
 from epxai.cli import main
-from epxai.pipeline import load_config, resolve_config
+from epxai.data import DataError
+from epxai.errors import EpxaiError
+from epxai.mlp import DivergedLoss, ModelError, TooFewInstances
+from epxai.pipeline import (
+    ConfigError, IncompleteRun, ModelMismatch, load_config, resolve_config,
+)
 
 
 def base_config(dataset: Path, out: Path) -> dict:
@@ -131,6 +138,59 @@ class TestValidate:
         assert echo["attribution"]["antithetic"] is True
         assert echo["lines"]["bandwidth"] == 5.0
 
+    def test_minimal_config_echo_is_pinned(self, tmp_path):
+        """Every default, the NP benchmark model and the seed fan-out, byte for byte."""
+        dataset = tmp_path / "np.csv"
+        dataset.write_text("placeholder\n")
+        path = tmp_path / "np.json"
+        path.write_text(json.dumps({"market_id": "NP", "dataset": "np.csv"}))
+        code, out, err = run_cli("validate", "--config", str(path), "--seed", "11")
+        assert (code, err) == (0, "")
+
+        def sv(label, source, day_lag):
+            return {"label": label, "source": source, "day_lag": day_lag}
+
+        expected = {
+            "market_id": "NP",
+            "dataset": str(dataset),
+            "out": None,
+            "seed": 11,
+            "market": {
+                "market_id": "NP",
+                "currency": "EUR",
+                "include_day_of_week": False,
+                "super_variables": [
+                    sv("Price D-1", "price", 1),
+                    sv("Price D-2", "price", 2),
+                    sv("Load Forecast D", "exog1", 0),
+                    sv("Load Forecast D-1", "exog1", 1),
+                    sv("Wind Forecast D", "exog2", 0),
+                    sv("Wind Forecast D-1", "exog2", 1),
+                ],
+            },
+            "model": {
+                "hidden1": 274, "hidden2": 308, "activation": "softplus",
+                "init_scheme": "lecun_uniform", "input_scaler": "median",
+                "output_scaler": "std", "dropout": 0.154, "l1": 0.0, "seed": 11,
+            },
+            "training": {
+                "learning_rate": 0.001, "batch_size": 64, "max_epochs": 300,
+                "early_stop_patience": 20, "validation_fraction": 0.15, "seed": 11,
+            },
+            "attribution": {
+                "n_pairs": 64, "background_size": 500, "antithetic": True,
+                "max_instances": 256, "seed": 11,
+            },
+            "partition": {"splits": [], "merges": []},
+            "lines": {"bandwidth": 5.0, "grid_size": 200, "band": None},
+            "instance_dates": [],
+            "beeswarm_top_k": 20,
+        }
+        assert out == (
+            json.dumps(expected, indent=1, sort_keys=True)
+            + "\nconfig ok: NP, 144 features\n"
+        )
+
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
@@ -141,6 +201,11 @@ class TestValidate:
             (lambda c: c["model"].update(activation="tanh"), "activation"),
             (lambda c: c["training"].update(learning_rate=0), "learning_rate"),
             (lambda c: c["partition"]["merges"].append({"label": "M", "members": ["Nope", "Price D-1"]}), "Nope"),
+            (lambda c: c["market"].update(include_day_of_week="false"), "include_day_of_week"),
+            (lambda c: c["market"]["super_variables"][0].update(day_lag=1.9), "day_lag"),
+            (lambda c: c["market"].update(currency=None), "currency"),
+            (lambda c: c["model"].update(hidden1=None), "hidden1"),
+            (lambda c: c["training"].update(validation_fraction=1.0), "validation_fraction"),
         ],
     )
     def test_bad_settings_exit_2(self, workspace, tmp_path, mutate, fragment):
@@ -282,7 +347,7 @@ class TestFailureExitCodes:
         path.write_text(json.dumps(config))
         code, _, err = run_cli("train", "--config", str(path))
         assert code == 4
-        assert err.startswith("error: 4:")
+        assert err.startswith("error: 4: training diverged: ")
         assert len(err.rstrip("\n").splitlines()) == 1
 
     def test_explain_before_train_exits_5(self, completed, tmp_path):
@@ -333,6 +398,31 @@ class TestFailureExitCodes:
         (stale / "manifest.json").write_text(manifest)
         code, _, err = run_cli("report", "--out", str(stale))
         assert code == 6
+
+    @pytest.mark.parametrize(
+        "error, code",
+        [
+            (EpxaiError, 1), (ConfigError, 2), (DataError, 3), (TooFewInstances, 3),
+            (DivergedLoss, 4), (ModelError, 5), (ModelMismatch, 5), (IncompleteRun, 6),
+        ],
+    )
+    def test_error_family_sets_exit_code(self, monkeypatch, error, code):
+        def fail(args):
+            raise error("boom")
+
+        monkeypatch.setitem(pipeline._COMMANDS, "validate", fail)
+        assert run_cli("validate", "--config", "x.json") == (code, "", f"error: {code}: boom\n")
+
+    def test_report_with_corrupt_report_json_exits_6(self, completed, tmp_path):
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(completed["run"], corrupt)
+        text = (corrupt / "report.json").read_text()
+        (corrupt / "report.json").write_text(text[: len(text) // 2])
+        code, out, err = run_cli("report", "--out", str(corrupt))
+        assert code == 6
+        assert err.startswith("error: 6:")
+        assert "report.json" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
 
     def test_changed_config_same_dir_exits_2(self, completed):
         code, _, err = run_cli(
