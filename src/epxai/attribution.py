@@ -418,20 +418,29 @@ def explain_dataset(
     return shap_tensor, grad_tensor
 
 
-def attribution_to_csv(tensor: AttributionTensor) -> str:
-    """Flat CSV of a tensor: instance, output hour, feature, value.
+def tensor_csv(header: str, instance_ids, values: np.ndarray, prefixes) -> str:
+    """CSV text of an (n_instances, 24, n_columns) tensor, one row per value.
 
-    Values use shortest round-trip float formatting, so equal tensors
-    always serialize to byte-identical text.
+    Row ``(k, h, j)`` reads ``instance_ids[k],h,`` then ``prefixes[j]`` then
+    the value in shortest round-trip form, so equal tensors always serialize
+    to byte-identical text. The text is joined one instance at a time, which
+    keeps the peak memory near twice the size of the output.
     """
-    lines = ["instance_id,output_hour,group,input_hour,value"]
-    for k, instance_id in enumerate(tensor.instance_ids):
-        block = tensor.values[k]
-        for h in range(24):
-            row = block[h]
-            for j, fid in enumerate(tensor.feature_ids):
-                hour = "" if fid.hour is None else str(fid.hour)
-                lines.append(
-                    f"{instance_id},{h},{fid.group},{hour},{float(row[j])!r}"
-                )
-    return "\n".join(lines) + "\n"
+    chunks = [header + "\n"]
+    for instance_id, block in zip(instance_ids, values):
+        rows = [
+            f"{instance_id},{h},{prefix}{value!r}\n"
+            for h, row in enumerate(block.tolist())
+            for prefix, value in zip(prefixes, row)
+        ]
+        chunks.append("".join(rows))
+    return "".join(chunks)
+
+
+def attribution_to_csv(tensor: AttributionTensor) -> str:
+    """Flat CSV of a tensor: instance, output hour, feature, value."""
+    prefixes = [
+        f"{fid.group},{'' if fid.hour is None else fid.hour}," for fid in tensor.feature_ids
+    ]
+    header = "instance_id,output_hour,group,input_hour,value"
+    return tensor_csv(header, tensor.instance_ids, tensor.values, prefixes)

@@ -23,7 +23,7 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import EpxaiError, check_bool, check_int, check_str
+from .errors import EpxaiError, check_bool, check_int, check_object, check_str
 
 __all__ = [
     "DataError",
@@ -102,6 +102,7 @@ DAY_OF_WEEK_LABEL = "Day of week"
 
 # 1970-01-01 (day zero of the epoch) was a Thursday; Monday = 0.
 _EPOCH_WEEKDAY = 3
+_EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -260,14 +261,6 @@ def _parse_float(token: str, line_number: int, col: str) -> float:
         raise MalformedRow(line_number, f"bad {col} value {token!r}") from None
 
 
-def _parse_timestamp(token: str) -> datetime:
-    ts = datetime.fromisoformat(token.strip())
-    if ts.tzinfo is not None:
-        # Offsets are dropped: the series is treated as local clock time.
-        ts = ts.replace(tzinfo=None)
-    return ts
-
-
 def parse_market_csv(raw_text: str, market_id: str) -> HourlySeries:
     """Parse a market CSV into a repaired, strictly hourly series.
 
@@ -278,42 +271,44 @@ def parse_market_csv(raw_text: str, market_id: str) -> HourlySeries:
     cannot be parsed, :class:`EmptyInput` when no data rows exist, and
     :class:`NonHourlyCadence` when a timestamp is off the hourly grid.
     """
-    rows: list[tuple[datetime, float, float, float]] = []
+    hours: list[int] = []
+    cells: list[float] = []
     reader = csv.reader(io.StringIO(raw_text))
     for line_number, fields in enumerate(reader, start=1):
-        if not fields or all(not f.strip() for f in fields):
+        if not "".join(fields).strip():
             continue
         if len(fields) != 4:
             raise MalformedRow(line_number, f"expected 4 columns, got {len(fields)}")
+        stamp, price, exog1, exog2 = fields
         try:
-            ts = _parse_timestamp(fields[0])
+            ts = datetime.fromisoformat(stamp.strip())
         except ValueError:
-            if line_number == 1 and not rows:
+            if line_number == 1:
                 continue  # header row
-            raise MalformedRow(
-                line_number, f"bad timestamp {fields[0].strip()!r}"
-            ) from None
+            raise MalformedRow(line_number, f"bad timestamp {stamp.strip()!r}") from None
         if ts.minute or ts.second or ts.microsecond:
-            raise NonHourlyCadence(f"line {line_number}: {ts} is not on the hour")
-        rows.append(
-            (
-                ts,
-                _parse_float(fields[1], line_number, "price"),
-                _parse_float(fields[2], line_number, "exog1"),
-                _parse_float(fields[3], line_number, "exog2"),
+            raise NonHourlyCadence(
+                f"line {line_number}: {ts.replace(tzinfo=None)} is not on the hour"
             )
-        )
-    if not rows:
+        # Hours since the epoch from the clock fields alone: an offset is
+        # dropped, so the series is treated as local clock time.
+        hours.append((ts.toordinal() - _EPOCH_ORDINAL) * 24 + ts.hour)
+        try:
+            cells += (float(price), float(exog1), float(exog2))
+        except ValueError:
+            cells += (
+                _parse_float(price, line_number, "price"),
+                _parse_float(exog1, line_number, "exog1"),
+                _parse_float(exog2, line_number, "exog2"),
+            )
+    if not hours:
         raise EmptyInput("no data rows in CSV")
 
-    rows.sort(key=lambda r: r[0])
-    hours = np.array(
-        [np.datetime64(r[0]) for r in rows], dtype="datetime64[h]"
-    ).astype(np.int64)
-    raw = np.array([r[1:] for r in rows], dtype=np.float64)
+    raw = np.array(cells, dtype=np.float64).reshape(-1, 3)
 
-    # Average duplicated hours (fall transition repeats one local hour).
-    uniq, inverse, counts = np.unique(hours, return_inverse=True, return_counts=True)
+    # Average duplicated hours (fall transition repeats one local hour); each
+    # hour's values are summed in input order.
+    uniq, inverse = np.unique(np.array(hours, dtype=np.int64), return_inverse=True)
     summed = np.zeros((len(uniq), 3))
     mask = np.zeros((len(uniq), 3))
     finite = np.isfinite(raw)
@@ -344,20 +339,14 @@ def parse_market_csv(raw_text: str, market_id: str) -> HourlySeries:
 
 def series_to_csv(series: HourlySeries) -> str:
     """Render a repaired series back to canonical CSV text."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["timestamp", "price", "exog1", "exog2"])
-    stamps = series.timestamps.astype("datetime64[s]")
-    for i in range(series.n_hours):
-        writer.writerow(
-            [
-                str(stamps[i]).replace("T", " "),
-                repr(float(series.price[i])),
-                repr(float(series.exog1[i])),
-                repr(float(series.exog2[i])),
-            ]
-        )
-    return out.getvalue()
+    stamps = np.datetime_as_string(series.timestamps.astype("datetime64[s]"))
+    rows = zip(
+        stamps.tolist(), series.price.tolist(), series.exog1.tolist(), series.exog2.tolist()
+    )
+    return "timestamp,price,exog1,exog2\n" + "".join(
+        f"{stamp.replace('T', ' ')},{price!r},{exog1!r},{exog2!r}\n"
+        for stamp, price, exog1, exog2 in rows
+    )
 
 
 def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureMatrix:
@@ -573,19 +562,24 @@ def market_config_to_dict(config: MarketConfig) -> dict:
 
 def market_config_from_dict(payload: dict) -> MarketConfig:
     """Build a MarketConfig from its JSON form; raises ValueError on bad shape."""
+    keys = ("market_id", "currency", "include_day_of_week", "super_variables")
+    check_object(payload, "market", keys)
     try:
-        svs = tuple(
-            SuperVariable(
-                label=check_str(entry["label"], f"market.super_variables[{k}].label"),
-                source=entry["source"],
-                day_lag=check_int(entry["day_lag"], f"market.super_variables[{k}].day_lag"),
+        svs = []
+        for k, entry in enumerate(payload["super_variables"]):
+            where = f"market.super_variables[{k}]"
+            check_object(entry, where, ("label", "source", "day_lag"))
+            svs.append(
+                SuperVariable(
+                    label=check_str(entry["label"], f"{where}.label"),
+                    source=entry["source"],
+                    day_lag=check_int(entry["day_lag"], f"{where}.day_lag"),
+                )
             )
-            for k, entry in enumerate(payload["super_variables"])
-        )
         return MarketConfig(
             market_id=check_str(payload["market_id"], "market.market_id"),
             currency=check_str(payload.get("currency", "EUR"), "market.currency"),
-            super_variables=svs,
+            super_variables=tuple(svs),
             include_day_of_week=check_bool(
                 payload.get("include_day_of_week", False), "market.include_day_of_week"
             ),

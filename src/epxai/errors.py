@@ -17,6 +17,16 @@ class EpxaiError(Exception):
     exit_code = 1
 
 
+def check_object(value, where: str, allowed) -> dict:
+    """``value`` itself, if it is a mapping with no keys outside ``allowed``."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{where} must be an object")
+    unknown = sorted(set(value) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
+    return value
+
+
 def check_int(value, name: str, lo=None, hi=None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"'{name}' must be an integer, got {value!r}")

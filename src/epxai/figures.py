@@ -154,26 +154,27 @@ def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
         f'<g data-scale-min="{_val(vmin)}" data-scale-max="{_val(vmax)}">'
     )
     csv_lines = ["block,output_hour,input_hour,value,scale_min,scale_max"]
-    for b, label in enumerate(grid.blocks):
+    scale_text = f"{_val(vmin)},{_val(vmax)}"
+    for b, (label, block) in enumerate(zip(grid.blocks, grid.values.tolist())):
         x0 = left + b * (block_w + gap)
+        label_text = _esc(label)
         parts.append(
             f'<text x="{_f(x0)}" y="{_f(top - 8)}" font-size="10" '
-            f'fill="#222">{_esc(label)}</text>'
+            f'fill="#222">{label_text}</text>'
         )
-        block = grid.values[b]
-        for out_h in range(24):
-            for in_h in range(24):
-                v = float(block[out_h, in_h])
+        xs = [_f(x0 + in_h * cell) for in_h in range(24)]
+        for out_h, row in enumerate(block):
+            y_text = _f(top + out_h * cell)
+            for in_h, v in enumerate(row):
                 t = 0.5 if vmax == vmin else (v - vmin) / (vmax - vmin)
+                v_text = repr(v)
                 parts.append(
-                    f'<rect x="{_f(x0 + in_h * cell)}" y="{_f(top + out_h * cell)}" '
+                    f'<rect x="{xs[in_h]}" y="{y_text}" '
                     f'width="{_f(cell)}" height="{_f(cell)}" fill="{color(t)}" '
-                    f'data-block="{_esc(label)}" data-output-hour="{out_h}" '
-                    f'data-input-hour="{in_h}" data-value="{_val(v)}"/>'
+                    f'data-block="{label_text}" data-output-hour="{out_h}" '
+                    f'data-input-hour="{in_h}" data-value="{v_text}"/>'
                 )
-                csv_lines.append(
-                    f"{label},{out_h},{in_h},{_val(v)},{_val(vmin)},{_val(vmax)}"
-                )
+                csv_lines.append(f"{label},{out_h},{in_h},{v_text},{scale_text}")
         for h in (0, 6, 12, 18, 23):
             parts.append(
                 f'<text x="{_f(x0 + h * cell + 1)}" y="{_f(top + block_w + 12)}" '
@@ -421,23 +422,25 @@ def _render_beeswarm(table: BeeswarmTable, title: str, unit: str) -> RenderedFig
         fv = row.feature_values
         flo, fhi = float(fv.min()), float(fv.max())
         span = fhi - flo or 1.0
-        for i, instance_id in enumerate(table.instance_ids):
+        feature = str(row.feature)
+        for i, (instance_id, values) in enumerate(
+            zip(table.instance_ids, row.shap_values.tolist())
+        ):
             fv_text = _val(fv[i])
-            color = _diverging((fv[i] - flo) / span)
-            for h in range(24):
-                v = float(row.shap_values[i, h])
+            attrs = (
+                f'r="1.6" fill="{_diverging((fv[i] - flo) / span)}" fill-opacity="0.75" '
+                f'data-feature="{_esc(feature)}" data-instance="{_esc(instance_id)}"'
+            )
+            for h, v in enumerate(values):
                 jitter = ((point * _GOLDEN) % 1.0 - 0.5) * row_h * 0.7
                 point += 1
+                v_text = repr(v)
                 parts.append(
-                    f'<circle cx="{_f(axes.x(v))}" cy="{_f(cy + jitter)}" r="1.6" '
-                    f'fill="{color}" fill-opacity="0.75" '
-                    f'data-feature="{_esc(row.feature)}" '
-                    f'data-instance="{_esc(instance_id)}" data-output-hour="{h}" '
-                    f'data-feature-value="{fv_text}" data-value="{_val(v)}"/>'
+                    f'<circle cx="{_f(axes.x(v))}" cy="{_f(cy + jitter)}" {attrs} '
+                    f'data-output-hour="{h}" '
+                    f'data-feature-value="{fv_text}" data-value="{v_text}"/>'
                 )
-                csv_lines.append(
-                    f"{row.feature},{instance_id},{h},{fv_text},{_val(v)}"
-                )
+                csv_lines.append(f"{feature},{instance_id},{h},{fv_text},{v_text}")
     y_axis = top + row_h * len(table.rows)
     for v in _ticks(-vmax, vmax):
         px = axes.x(v)

@@ -30,7 +30,7 @@ from .analytics import (
     naive_forecast,
     performance_metrics,
 )
-from .attribution import attribution_to_csv, explain_dataset, sample_background
+from .attribution import attribution_to_csv, explain_dataset, sample_background, tensor_csv
 from .data import (
     MARKET_IDS,
     SCALER_KINDS,
@@ -43,7 +43,9 @@ from .data import (
     parse_market_csv,
     series_to_csv,
 )
-from .errors import EpxaiError, check_bool, check_choice, check_float, check_int
+from .errors import (
+    EpxaiError, check_bool, check_choice, check_float, check_int, check_object,
+)
 from .figures import instance_stack, render_figure
 from .mlp import (
     ACTIVATIONS,
@@ -97,16 +99,6 @@ class IncompleteRun(EpxaiError):
     exit_code = 6
 
 
-def _object(value, where: str, allowed) -> dict:
-    """``value`` itself, if it is a mapping with no keys outside ``allowed``."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{where} must be an object")
-    unknown = sorted(set(value) - set(allowed))
-    if unknown:
-        raise ValueError(f"unknown {where} keys: {', '.join(unknown)}")
-    return value
-
-
 def _path(value, name: str, base_dir: Path) -> str:
     if not isinstance(value, (str, Path)) or not str(value):
         raise ValueError(f"'{name}' must be a non-empty path string")
@@ -126,7 +118,7 @@ def _splits(value, name: str, market: MarketConfig) -> list:
     splits = []
     for k, entry in enumerate(value or []):
         where = f"{name}[{k}]"
-        _object(entry, where, ("group", "hour"))
+        check_object(entry, where, ("group", "hour"))
         group = entry.get("group")
         if group not in hourly:
             raise ValueError(f"{where}.group must be one of {hourly}, got {group!r}")
@@ -140,7 +132,7 @@ def _merges(value, name: str, market: MarketConfig) -> list:
     merges = []
     for k, entry in enumerate(value or []):
         where = f"{name}[{k}]"
-        _object(entry, where, ("label", "members"))
+        check_object(entry, where, ("label", "members"))
         label = entry.get("label")
         if not isinstance(label, str) or not label:
             raise ValueError(f"{where}.label must be a non-empty string")
@@ -316,7 +308,7 @@ def resolve_config(
 
 def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
     """The echo and market of a raw config; a bad value raises ValueError."""
-    given = {None: _object(raw, "config", _TOP_KEYS)}
+    given = {None: check_object(raw, "config", _TOP_KEYS)}
     market_id = raw.get("market_id")
     if market_id not in MARKET_IDS:
         raise ValueError(f"'market_id' must be one of {list(MARKET_IDS)}, got {market_id!r}")
@@ -330,8 +322,6 @@ def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
     if market_raw is None:
         market = market_config(market_id)
     else:
-        if not isinstance(market_raw, dict):
-            raise ValueError("'market' must be an object")
         market = market_config_from_dict(market_raw)
         if market.market_id != market_id:
             raise ValueError(
@@ -342,7 +332,7 @@ def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
     for section in dict.fromkeys(s for s, _, _, _ in _KEYS if s):
         value = raw.get(section)
         keys = [k for s, k, _, _ in _KEYS if s == section]
-        given[section] = _object({} if value is None else value, section, keys)
+        given[section] = check_object({} if value is None else value, section, keys)
         echo[section] = {}
     bench = benchmark_spec(market_id)
     for section, key, checker, default in _KEYS:
@@ -380,11 +370,14 @@ def _write_figure(out: Path, stem: str, figure, outputs: dict) -> None:
 
 
 def _read_run_json(path: Path) -> dict:
-    """Parse a JSON file of a run directory; a corrupt one is an IncompleteRun."""
+    """Parse a JSON object file of a run directory; a corrupt one is an IncompleteRun."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        payload = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise IncompleteRun(f"unreadable run file {path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise IncompleteRun(f"unreadable run file {path}: not a JSON object")
+    return payload
 
 
 def _update_manifest(
@@ -439,12 +432,7 @@ def _update_manifest(
 def _merge_report(out: Path, updates: dict) -> str:
     """Fold new sections into report.json, keeping other stages' sections."""
     path = out / "report.json"
-    report = {}
-    if path.is_file():
-        try:
-            report = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError):
-            report = {}
+    report = _read_run_json(path) if path.is_file() else {}
     report.update(updates)
     text = _canonical_json(report)
     path.write_text(text, encoding="utf-8")
@@ -606,15 +594,9 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
 
 
 def _sshap_csv(tensor) -> str:
-    lines = ["instance_id,output_hour,group,value"]
-    labels = tensor.partition.labels
-    for i, instance_id in enumerate(tensor.instance_ids):
-        for h in range(24):
-            for g, label in enumerate(labels):
-                lines.append(
-                    f"{instance_id},{h},{label},{float(tensor.values[i, h, g])!r}"
-                )
-    return "\n".join(lines) + "\n"
+    prefixes = [f"{label}," for label in tensor.partition.labels]
+    header = "instance_id,output_hour,group,value"
+    return tensor_csv(header, tensor.instance_ids, tensor.values, prefixes)
 
 
 def _load_model_file(path: Path):

@@ -206,6 +206,9 @@ class TestValidate:
             (lambda c: c["market"].update(currency=None), "currency"),
             (lambda c: c["model"].update(hidden1=None), "hidden1"),
             (lambda c: c["training"].update(validation_fraction=1.0), "validation_fraction"),
+            (lambda c: c["market"].update(curency="USD"), "curency"),
+            (lambda c: c["market"]["super_variables"][0].update(lagg=2), "lagg"),
+            (lambda c: c.update(market=[]), "market must be an object"),
         ],
     )
     def test_bad_settings_exit_2(self, workspace, tmp_path, mutate, fragment):
@@ -423,6 +426,34 @@ class TestFailureExitCodes:
         assert err.startswith("error: 6:")
         assert "report.json" in err
         assert len(err.rstrip("\n").splitlines()) == 1
+
+    @pytest.mark.parametrize("name", ["report.json", "manifest.json"])
+    def test_report_with_non_object_run_file_exits_6(self, completed, tmp_path, name):
+        corrupt = tmp_path / "corrupt"
+        shutil.copytree(completed["run"], corrupt)
+        (corrupt / name).write_text("[]\n")
+        code, _, err = run_cli("report", "--out", str(corrupt))
+        assert code == 6
+        assert err.startswith("error: 6: unreadable run file ")
+        assert err.rstrip("\n").endswith(f"{name}: not a JSON object")
+
+    def test_explain_with_corrupt_report_json_exits_6(self, workspace, tmp_path):
+        # explain merges its section into report.json; a truncated file must
+        # not be replaced by a report that has lost the train section.
+        root, dataset = workspace
+        run = tmp_path / "run"
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, run)))
+        for stage in ("ingest", "train"):
+            assert run_cli(stage, "--config", str(config))[0] == 0
+        text = (run / "report.json").read_text()
+        (run / "report.json").write_text(text[: len(text) // 2])
+        code, _, err = run_cli("explain", "--config", str(config))
+        assert code == 6
+        assert err.startswith("error: 6: unreadable run file ")
+        assert "report.json" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert (run / "report.json").read_text() == text[: len(text) // 2]
 
     def test_changed_config_same_dir_exits_2(self, completed):
         code, _, err = run_cli(

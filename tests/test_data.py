@@ -114,6 +114,79 @@ class TestParseMarketCsv:
         np.testing.assert_array_equal(series.price, again.price)
         np.testing.assert_array_equal(series.timestamps, again.timestamps)
 
+    def test_blank_and_comma_only_rows_skipped(self):
+        text = hourly_csv(n_hours=24)
+        lines = text.strip().split("\n")
+        padded = lines[:3] + [",,,", "   ", " , ,\t, "] + lines[3:] + [",,,"]
+        series = parse_market_csv("\n".join(padded) + "\n", "DE")
+        reference = parse_market_csv(text, "DE")
+        np.testing.assert_array_equal(series.price, reference.price)
+        np.testing.assert_array_equal(series.timestamps, reference.timestamps)
+
+    @pytest.mark.parametrize("first", ["timestamp,price,exog1,exog2",
+                                       "2012-12-31 23:00:00,1.0,2.0,3.0"])
+    def test_non_timestamp_on_line_2_is_malformed(self, first):
+        # Only line 1 may be a header; the same text on line 2 is an error.
+        lines = hourly_csv(n_hours=24).strip().split("\n")
+        text = "\n".join([first, "timestamp,price,exog1,exog2"] + lines[1:])
+        with pytest.raises(MalformedRow) as exc:
+            parse_market_csv(text, "DE")
+        assert exc.value.line_number == 2
+        assert "bad timestamp 'timestamp'" in str(exc.value)
+
+    def test_bad_exog2_cell_names_column_and_line(self):
+        text = hourly_csv(n_hours=24).replace("306.0", " 3o6 ")
+        with pytest.raises(MalformedRow) as exc:
+            parse_market_csv(text, "DE")
+        assert exc.value.line_number == 8  # header + hours 0..5 precede it
+        assert str(exc.value) == "line 8: bad exog2 value '3o6'"
+
+    def test_na_nan_and_inf_cells_are_missing(self):
+        text = (
+            hourly_csv(n_hours=24)
+            .replace("103.0", " NA ")
+            .replace("205.0", "-nan")
+            .replace("307.0", "inf")
+        )
+        series = parse_market_csv(text, "DE")
+        assert series.price[3] == (102.0 + 104.0) / 2
+        assert series.exog1[5] == (204.0 + 206.0) / 2
+        assert series.exog2[7] == (306.0 + 308.0) / 2
+
+    def test_utc_offset_dropped(self):
+        text = hourly_csv(n_hours=24)
+        shifted = text.replace("01 05:00:00", "01 05:00:00+01:00").replace(
+            "01 06:00:00", "01 06:00:00-05:30"
+        )
+        series = parse_market_csv(shifted, "DE")
+        reference = parse_market_csv(text, "DE")
+        np.testing.assert_array_equal(series.timestamps, reference.timestamps)
+        np.testing.assert_array_equal(series.price, reference.price)
+
+    def test_off_hour_message_has_no_offset(self):
+        text = hourly_csv(n_hours=24).replace("01 05:00:00", "01 05:30:00+01:00")
+        with pytest.raises(NonHourlyCadence) as exc:
+            parse_market_csv(text, "DE")
+        assert str(exc.value) == "line 7: 2013-01-01 05:30:00 is not on the hour"
+
+    def test_pre_1970_timestamps(self):
+        series = parse_market_csv(hourly_csv(start="1969-12-31 20:00", n_hours=8), "DE")
+        expected = np.arange(-4, 4).astype("datetime64[h]")
+        np.testing.assert_array_equal(series.timestamps, expected)
+        np.testing.assert_array_equal(series.price, 100.0 + np.arange(8))
+
+    def test_repeated_hour_averaged_in_place(self):
+        # The repeated hour follows its twin, as at a fall transition; a
+        # missing cell in one copy leaves the other copy's value.
+        lines = hourly_csv(n_hours=24).strip().split("\n")
+        lines.insert(1 + 3, "2013-01-01 02:00:00,110.0,NA,302.5")
+        series = parse_market_csv("\n".join(lines), "DE")
+        assert series.n_hours == 24
+        assert series.price[2] == (102.0 + 110.0) / 2
+        assert series.exog1[2] == 202.0
+        assert series.exog2[2] == (302.0 + 302.5) / 2
+        assert series.price[3] == 103.0
+
 
 class TestHourlySeries:
     def test_gap_rejected_on_direct_construction(self):
