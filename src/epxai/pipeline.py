@@ -5,7 +5,7 @@ directory: ``model.json``, ``report.json``, ``manifest.json``,
 ``tables/*.csv``, ``figures/*.svg``, and ``summary.md``. Every artifact is
 deterministic for a fixed config, dataset, and thread count; the manifest
 records sha256 hashes so two runs can be compared file by file. Wall-clock
-timings live only in the manifest's stage entries, never in hashed outputs.
+timings and absolute paths live only in the manifest, never in hashed outputs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -357,18 +357,6 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_output(out: Path, rel: str, text: str, outputs: dict) -> None:
-    path = out / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
-    outputs[rel] = _sha256_text(text)
-
-
-def _write_figure(out: Path, stem: str, figure, outputs: dict) -> None:
-    _write_output(out, f"figures/{stem}.svg", figure.svg, outputs)
-    _write_output(out, f"tables/{stem}.csv", figure.csv, outputs)
-
-
 def _read_run_json(path: Path) -> dict:
     """Parse a JSON object file of a run directory; a corrupt one is an IncompleteRun."""
     try:
@@ -380,101 +368,108 @@ def _read_run_json(path: Path) -> dict:
     return payload
 
 
-def _update_manifest(
-    out: Path,
-    config: RunConfig,
-    stage: str,
-    seconds: float,
-    outputs: dict,
-    inputs: dict | None = None,
-) -> None:
-    """Merge one stage's record into the run manifest.
+class _Stage:
+    """The run-directory side of one ``ingest``, ``train`` or ``explain`` command.
 
-    A run directory belongs to one config: a second config writing into it
-    is refused rather than silently mixed.
+    Construction resolves the config and the run directory and reads,
+    hashes and parses the dataset once. It refuses a directory made by
+    another config or from another dataset, or one with an unreadable run
+    file, before anything is written. ``write`` and ``figure`` write each
+    artifact as soon as it exists and record its hash; ``finish`` merges the
+    report section, records the stage in ``manifest.json`` and prints the
+    stage line.
     """
-    digest = _sha256_text(_canonical_json(config.echo))
-    path = out / "manifest.json"
-    manifest = {
-        "tool": "epxai",
-        "version": __version__,
-        "config": config.echo,
-        "config_digest": digest,
-        "seeds": {
-            "master": config.echo["seed"],
-            "model": config.model_spec.seed,
-            "training": config.training.seed,
-            "attribution": config.echo["attribution"]["seed"],
-        },
-        "inputs": {},
-        "stages": {},
-    }
-    if path.is_file():
-        existing = _read_run_json(path)
-        if existing.get("config_digest") != digest:
+
+    def __init__(self, args, name: str):
+        self.config = config = _config_from_args(args)
+        if config.out is None:
             raise ConfigError(
-                f"run directory {out} was produced by a different config "
-                f"(manifest digest {existing.get('config_digest')!r}); "
+                'no output directory: pass --out, set EPXAI_OUT, or set "out" in the config'
+            )
+        self.name, self.out, self.outputs = name, config.out, {}
+        self.t0 = time.perf_counter()
+        digest = _sha256_text(_canonical_json(config.echo))
+        self.manifest = {
+            "tool": "epxai",
+            "version": __version__,
+            "config": config.echo,
+            "config_digest": digest,
+            "seeds": {
+                "master": config.echo["seed"],
+                "model": config.model_spec.seed,
+                "training": config.training.seed,
+                "attribution": config.echo["attribution"]["seed"],
+            },
+            "inputs": {},
+            "stages": {},
+        }
+        path = self.out / "manifest.json"
+        if path.is_file():
+            existing = _read_run_json(path)
+            if existing.get("config_digest") != digest:
+                raise ConfigError(
+                    f"run directory {self.out} was produced by a different config "
+                    f"(manifest digest {existing.get('config_digest')!r}); "
+                    f"use a fresh directory"
+                )
+            self.manifest["inputs"] = existing.get("inputs", {})
+            self.manifest["stages"] = existing.get("stages", {})
+        path = self.out / "report.json"
+        self.report = _read_run_json(path) if path.is_file() else {}
+
+        try:
+            text = config.dataset.read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise DataError(f"dataset file not found: {config.dataset}") from None
+        except OSError as exc:
+            raise DataError(f"cannot read dataset {config.dataset}: {exc}") from exc
+        self.dataset_sha256 = _sha256_text(text)
+        recorded = self.manifest["inputs"].get("dataset", {}).get("sha256")
+        if recorded not in (None, self.dataset_sha256):
+            raise DataError(
+                f"dataset {config.dataset} changed since this run directory recorded "
+                f"it (sha256 {recorded[:16]}..., now {self.dataset_sha256[:16]}...); "
                 f"use a fresh directory"
             )
-        manifest["inputs"] = existing.get("inputs", {})
-        manifest["stages"] = existing.get("stages", {})
-    if inputs:
-        manifest["inputs"].update(inputs)
-    manifest["stages"][stage] = {
-        "seconds": round(seconds, 3),
-        "outputs": dict(sorted(outputs.items())),
-    }
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(_canonical_json(manifest), encoding="utf-8")
+        self.manifest["inputs"]["dataset"] = {
+            "path": str(config.dataset), "sha256": self.dataset_sha256,
+        }
+        self.series = parse_market_csv(text, config.market.market_id)
 
+    def write(self, rel: str, text: str) -> None:
+        data = text.encode("utf-8")
+        path = self.out / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(data)
+        self.outputs[rel] = hashlib.sha256(data).hexdigest()
 
-def _merge_report(out: Path, updates: dict) -> str:
-    """Fold new sections into report.json, keeping other stages' sections."""
-    path = out / "report.json"
-    report = _read_run_json(path) if path.is_file() else {}
-    report.update(updates)
-    text = _canonical_json(report)
-    path.write_text(text, encoding="utf-8")
-    return text
-
-
-def _require_out(config: RunConfig) -> Path:
-    if config.out is None:
-        raise ConfigError(
-            'no output directory: pass --out, set EPXAI_OUT, or set "out" in the config'
+    def figure(self, stem: str, artifact, title: str, unit: str, baseline=None) -> None:
+        rendered = render_figure(
+            artifact, title=f"{self.config.market.market_id} {title}", unit=unit,
+            baseline=baseline,
         )
-    return config.out
+        self.write(f"figures/{stem}.svg", rendered.svg)
+        self.write(f"tables/{stem}.csv", rendered.csv)
 
-
-def _read_dataset(config: RunConfig):
-    try:
-        text = config.dataset.read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise DataError(f"dataset file not found: {config.dataset}") from None
-    except OSError as exc:
-        raise DataError(f"cannot read dataset {config.dataset}: {exc}") from exc
-    return text, parse_market_csv(text, config.market.market_id)
-
-
-def _performance_csv(reports: dict) -> str:
-    lines = ["scope,mae,rmae,smape,rmse,n_observations"]
-    for scope, report in reports.items():
-        lines.append(
-            f"{scope},{float(report.mae)!r},{float(report.rmae)!r},"
-            f"{float(report.smape)!r},{float(report.rmse)!r},{report.n_observations}"
+    def finish(self, section: dict | None, message: str) -> int:
+        if section:
+            self.report.update(section)
+            self.write("report.json", _canonical_json(self.report))
+        stages = self.manifest["stages"]
+        # a file is listed only by the stage that wrote it last, so every
+        # recorded hash matches the file on disk
+        for record in stages.values():
+            for rel in self.outputs:
+                record.get("outputs", {}).pop(rel, None)
+        stages[self.name] = {
+            "seconds": round(time.perf_counter() - self.t0, 3),
+            "outputs": dict(sorted(self.outputs.items())),
+        }
+        (self.out / "manifest.json").write_text(
+            _canonical_json(self.manifest), encoding="utf-8"
         )
-    return "\n".join(lines) + "\n"
-
-
-def _report_fields(report) -> dict:
-    return {
-        "mae": report.mae,
-        "rmae": report.rmae,
-        "smape": report.smape,
-        "rmse": report.rmse,
-        "n_observations": report.n_observations,
-    }
+        print(f"{self.name}: {message}")
+        return 0
 
 
 def cmd_validate(args) -> int:
@@ -485,28 +480,18 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    config = _config_from_args(args)
-    out = _require_out(config)
-    t0 = time.perf_counter()
-    text, series = _read_dataset(config)
-    outputs: dict = {}
-    _write_output(out, "tables/dataset.csv", series_to_csv(series), outputs)
-    _update_manifest(
-        out, config, "ingest", time.perf_counter() - t0, outputs,
-        inputs={"dataset": {"path": str(config.dataset), "sha256": _sha256_text(text)}},
-    )
-    print(
-        f"ingest: {series.n_hours} hourly rows "
-        f"({series.timestamps[0]} .. {series.timestamps[-1]}) -> {out / 'tables/dataset.csv'}"
-    )
-    return 0
+    stage = _Stage(args, "ingest")
+    series = stage.series
+    stage.write("tables/dataset.csv", series_to_csv(series))
+    return stage.finish(None, (
+        f"{series.n_hours} hourly rows ({series.timestamps[0]} .. "
+        f"{series.timestamps[-1]}) -> {stage.out / 'tables/dataset.csv'}"
+    ))
 
 
 def cmd_train(args) -> int:
-    config = _config_from_args(args)
-    out = _require_out(config)
-    t0 = time.perf_counter()
-    text, series = _read_dataset(config)
+    stage = _Stage(args, "train")
+    config, series = stage.config, stage.series
     features = build_feature_matrix(series, config.market)
     # overflow on a diverging run ends as a non-finite loss, which train
     # reports itself; keep the CLI's stderr to the single error line
@@ -521,52 +506,43 @@ def cmd_train(args) -> int:
     except KeyError as exc:
         raise DataError(f"no previous-day prices for delivery day {exc.args[0]}") from None
     n = features.n_instances
-    n_val = int(round(config.training.validation_fraction * n))
-    n_train = n - n_val
+    n_train = n - int(round(config.training.validation_fraction * n))
+    ranges = {"train": slice(0, n_train)}
+    if n_train < n:
+        ranges["validation"] = slice(n_train, n)
     scopes = {
-        "train": performance_metrics(
-            predictions[:n_train], features.targets[:n_train], naive[:n_train]
-        )
+        scope: asdict(performance_metrics(predictions[r], features.targets[r], naive[r]))
+        for scope, r in ranges.items()
     }
-    if n_val:
-        scopes["validation"] = performance_metrics(
-            predictions[n_train:], features.targets[n_train:], naive[n_train:]
-        )
 
-    outputs: dict = {}
-    _write_output(out, "model.json", save_model(trained), outputs)
-    _write_output(out, "tables/performance.csv", _performance_csv(scopes), outputs)
+    stage.write("model.json", save_model(trained))
+    rows = [["scope", *scopes["train"]]]
+    rows += [[scope, *map(repr, m.values())] for scope, m in scopes.items()]
+    stage.write("tables/performance.csv", "".join(",".join(row) + "\n" for row in rows))
     val_maes = [h["val_mae"] for h in trained.history if h["val_mae"] is not None]
-    report_text = _merge_report(out, {
+    fit = scopes["train"]
+    return stage.finish({
         "market_id": config.market.market_id,
-        "config": config.echo,
+        # the absolute dataset and run paths stay in manifest.json, so the
+        # report hashes the same wherever the run directory lives
+        "config": {k: v for k, v in config.echo.items() if k not in ("dataset", "out")},
         "data": {
-            "dataset_path": str(config.dataset),
-            "dataset_sha256": _sha256_text(text),
+            "dataset_sha256": stage.dataset_sha256,
             "n_hours": series.n_hours,
             "n_instances": n,
             "first_day": str(features.instances[0]),
             "last_day": str(features.instances[-1]),
         },
-        "performance": {k: _report_fields(v) for k, v in scopes.items()},
+        "performance": scopes,
         "training": {
             "epochs_run": len(trained.history),
             "best_val_mae": min(val_maes) if val_maes else None,
             "n_parameters": count_parameters(trained),
         },
-    })
-    outputs["report.json"] = _sha256_text(report_text)
-    _update_manifest(
-        out, config, "train", time.perf_counter() - t0, outputs,
-        inputs={"dataset": {"path": str(config.dataset), "sha256": _sha256_text(text)}},
-    )
-    report = scopes["train"]
-    print(
-        f"train: {len(trained.history)} epochs, train MAE "
-        f"{report.mae:.3f} {config.market.currency}/MWh (rMAE {report.rmae:.3f}) "
-        f"-> {out / 'model.json'}"
-    )
-    return 0
+    }, (
+        f"{len(trained.history)} epochs, train MAE {fit['mae']:.3f} "
+        f"{config.market.currency}/MWh (rMAE {fit['rmae']:.3f}) -> {stage.out / 'model.json'}"
+    ))
 
 
 def _instance_subset(features, config: RunConfig) -> np.ndarray:
@@ -593,6 +569,23 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
     return indices
 
 
+def _partitions(config: RunConfig) -> dict:
+    """The default grouping, plus the configured splits and merges of it."""
+    partition = config.echo["partition"]
+    partitions = {"default": default_partition(config.market)}
+    if partition["splits"]:
+        part = partitions["default"]
+        for split in partition["splits"]:
+            part = split_group(part, split["group"], split["hour"])
+        partitions["split"] = part
+    if partition["merges"]:
+        part = partitions["default"]
+        for merge in partition["merges"]:
+            part = merge_groups(part, merge["label"], merge["members"])
+        partitions["merged"] = part
+    return partitions
+
+
 def _sshap_csv(tensor) -> str:
     prefixes = [f"{label}," for label in tensor.partition.labels]
     header = "instance_id,output_hour,group,value"
@@ -613,13 +606,11 @@ def _load_model_file(path: Path):
 
 
 def cmd_explain(args) -> int:
-    config = _config_from_args(args)
-    out = _require_out(config)
-    t0 = time.perf_counter()
-    market_id = config.market.market_id
+    stage = _Stage(args, "explain")
+    config = stage.config
     attribution = config.echo["attribution"]
     smoothing = config.echo["lines"]
-    model_path = Path(args.model) if getattr(args, "model", None) else out / "model.json"
+    model_path = Path(args.model) if getattr(args, "model", None) else stage.out / "model.json"
     trained = _load_model_file(model_path)
     if trained.spec != config.model_spec:
         raise ModelMismatch(
@@ -629,8 +620,7 @@ def cmd_explain(args) -> int:
     if not trained.is_trained:
         raise ModelMismatch(f"model file {model_path} carries no fitted scalers")
 
-    text, series = _read_dataset(config)
-    features = build_feature_matrix(series, config.market)
+    features = build_feature_matrix(stage.series, config.market)
     if features.n_features != trained.spec.n_inputs:
         raise ModelMismatch(
             f"model expects {trained.spec.n_inputs} inputs, dataset produces "
@@ -650,64 +640,31 @@ def cmd_explain(args) -> int:
         antithetic=attribution["antithetic"],
         instance_indices=indices,
     )
+    stage.write("tables/shap.csv", attribution_to_csv(shap_tensor))
+    stage.write("tables/gradient.csv", attribution_to_csv(grad_tensor))
 
-    outputs: dict = {}
-    _write_output(out, "tables/shap.csv", attribution_to_csv(shap_tensor), outputs)
-    _write_output(out, "tables/gradient.csv", attribution_to_csv(grad_tensor), outputs)
-
-    partition = config.echo["partition"]
-    partitions = {"default": default_partition(config.market)}
-    if partition["splits"]:
-        part = partitions["default"]
-        for split in partition["splits"]:
-            part = split_group(part, split["group"], split["hour"])
-        partitions["split"] = part
-    if partition["merges"]:
-        part = partitions["default"]
-        for merge in partition["merges"]:
-            part = merge_groups(part, merge["label"], merge["members"])
-        partitions["merged"] = part
-
+    partitions = _partitions(config)
     grouped = {
         name: aggregate(shap_tensor, part) for name, part in partitions.items()
     }
     for name, tensor in grouped.items():
-        _write_output(out, f"tables/sshap_{name}.csv", _sshap_csv(tensor), outputs)
+        stage.write(f"tables/sshap_{name}.csv", _sshap_csv(tensor))
 
     unit = f"{config.market.currency}/MWh"
     sshap_default = grouped["default"]
     shap_grid = heatmap(shap_tensor, "mean_abs")
-    _write_figure(
-        out, "heatmap_shap",
-        render_figure(shap_grid, title=f"{market_id} mean |contribution|", unit=unit),
-        outputs,
+    stage.figure("heatmap_shap", shap_grid, "mean |contribution|", unit)
+    stage.figure(
+        "heatmap_gradient", heatmap(grad_tensor, "mean"), "mean gradient",
+        f"{unit} per normalised input",
     )
-    _write_figure(
-        out, "heatmap_gradient",
-        render_figure(
-            heatmap(grad_tensor, "mean"),
-            title=f"{market_id} mean gradient",
-            unit=f"{unit} per normalised input",
+    stage.figure("importance", hourly_importance(sshap_default), "hourly importance", unit)
+    stage.figure(
+        "beeswarm",
+        beeswarm_table(
+            shap_tensor, features.values[indices], top_k=config.echo["beeswarm_top_k"]
         ),
-        outputs,
-    )
-    _write_figure(
-        out, "importance",
-        render_figure(
-            hourly_importance(sshap_default),
-            title=f"{market_id} hourly importance", unit=unit,
-        ),
-        outputs,
-    )
-    _write_figure(
-        out, "beeswarm",
-        render_figure(
-            beeswarm_table(
-                shap_tensor, features.values[indices], top_k=config.echo["beeswarm_top_k"]
-            ),
-            title=f"{market_id} top features", unit=unit,
-        ),
-        outputs,
+        "top features", unit,
     )
 
     prices = features.targets[indices]
@@ -726,38 +683,25 @@ def cmd_explain(args) -> int:
     if smoothing["band"] is not None:
         band_abs = tuple(float(v) for v in np.percentile(pooled, smoothing["band"]))
     check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
-    _write_figure(
-        out, "lines",
-        render_figure(
-            lines, title=f"{market_id} group value vs price",
-            unit=unit, baseline=baseline_value,
-        ),
-        outputs,
-    )
+    stage.figure("lines", lines, "group value vs price", unit, baseline=baseline_value)
 
     complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
-    _write_output(
-        out, "tables/complexity.csv",
+    stage.write(
+        "tables/complexity.csv",
         "non_linearity,non_homogeneity,important_vars_per_hour,threshold\n"
         f"{float(complexity.non_linearity)!r},{float(complexity.non_homogeneity)!r},"
         f"{float(complexity.important_vars_per_hour)!r},0.5\n",
-        outputs,
     )
 
     for date in config.echo["instance_dates"]:
-        position = sshap_default.instance_ids.index(date)
-        row_index = indices[position]
+        row_index = indices[sshap_default.instance_ids.index(date)]
         forecast = predict_prices(trained, features.values[row_index])
-        _write_figure(
-            out, f"instance_{date}",
-            render_figure(
-                instance_stack(sshap_default, date, forecast),
-                title=f"{market_id} contributions {date}", unit=unit,
-            ),
-            outputs,
+        stage.figure(
+            f"instance_{date}", instance_stack(sshap_default, date, forecast),
+            f"contributions {date}", unit,
         )
 
-    report_text = _merge_report(out, {
+    return stage.finish({
         "explain": {
             "n_instances_explained": int(len(indices)),
             "n_pairs": attribution["n_pairs"],
@@ -783,17 +727,10 @@ def cmd_explain(args) -> int:
                 "threshold": 0.5,
             },
         },
-    })
-    outputs["report.json"] = _sha256_text(report_text)
-    _update_manifest(
-        out, config, "explain", time.perf_counter() - t0, outputs,
-        inputs={"dataset": {"path": str(config.dataset), "sha256": _sha256_text(text)}},
-    )
-    print(
-        f"explain: {len(indices)} instances, slope {check.slope:.3f}, "
-        f"non-linearity {complexity.non_linearity:.3f} -> {out}"
-    )
-    return 0
+    }, (
+        f"{len(indices)} instances, slope {check.slope:.3f}, "
+        f"non-linearity {complexity.non_linearity:.3f} -> {stage.out}"
+    ))
 
 
 def _markdown_table(header: list, rows: list) -> list:
@@ -825,17 +762,20 @@ def cmd_report(args) -> int:
     report = _read_run_json(report_path)
 
     for stage, record in sorted(manifest.get("stages", {}).items()):
-        for rel in record.get("outputs", {}):
+        for rel, digest in record.get("outputs", {}).items():
             if not (out / rel).is_file():
                 raise IncompleteRun(f"stage {stage} output missing from run directory: {rel}")
+            if hashlib.sha256((out / rel).read_bytes()).hexdigest() != digest:
+                raise IncompleteRun(
+                    f"stage {stage} output {rel} does not match its manifest hash"
+                )
 
     market = report.get("market_id", manifest.get("config", {}).get("market_id", "?"))
     currency = manifest.get("config", {}).get("market", {}).get("currency", "EUR")
     lines = [
         f"# {market} run summary",
         "",
-        f"Produced by epxai {manifest.get('version', '?')}. "
-        f"Config digest `{manifest.get('config_digest', '?')}`.",
+        f"Produced by epxai {manifest.get('version', '?')}.",
         "",
     ]
 
@@ -844,7 +784,7 @@ def cmd_report(args) -> int:
         lines += [
             "## Data",
             "",
-            f"- dataset: `{data['dataset_path']}` (sha256 `{data['dataset_sha256'][:16]}...`)",
+            f"- dataset sha256: `{data['dataset_sha256'][:16]}...`",
             f"- hourly rows: {data['n_hours']}, delivery days modelled: {data['n_instances']}",
             f"- span: {data['first_day']} to {data['last_day']}",
             "",
@@ -932,10 +872,7 @@ def cmd_report(args) -> int:
     for name, record in sorted(manifest.get("inputs", {}).items()):
         lines.append(f"- input {name}: sha256 `{record['sha256'][:16]}...`")
     for stage, record in sorted(manifest.get("stages", {}).items()):
-        lines.append(
-            f"- stage {stage}: {record['seconds']:.1f}s, "
-            f"{len(record.get('outputs', {}))} files"
-        )
+        lines.append(f"- stage {stage}: {len(record.get('outputs', {}))} files")
     lines.append("")
 
     summary = "\n".join(lines)

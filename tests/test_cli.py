@@ -264,8 +264,6 @@ class TestRunPipeline:
         for stage, record in manifest["stages"].items():
             for rel, digest in record["outputs"].items():
                 assert (run / rel).is_file(), f"{stage}: {rel}"
-                if rel == "report.json" and stage == "train":
-                    continue  # explain merges its section in afterwards
                 assert sha(run / rel) == digest, f"{stage}: {rel}"
 
     def test_config_digest_is_canonical_echo_hash(self, completed):
@@ -322,6 +320,28 @@ class TestRunPipeline:
         ]
         for rel in compare:
             assert sha(completed["run"] / rel) == sha(run2 / rel), rel
+
+    def test_relative_config_hashes_alike_in_two_directories(self, workspace, tmp_path):
+        # report.json and summary.md carry neither absolute paths nor times,
+        # so the same relative config gives the same bytes wherever it runs
+        config = base_config(Path("syn.csv"), Path("run"))
+        runs = []
+        for name in ("a", "deeper/b"):
+            where = tmp_path / name
+            where.mkdir(parents=True)
+            shutil.copy(workspace[1], where / "syn.csv")
+            (where / "run.json").write_text(json.dumps(config))
+            for stage in ("ingest", "train", "explain", "report"):
+                assert run_cli(stage, "--config", str(where / "run.json"))[0] == 0, stage
+            runs.append(where / "run")
+        manifests = [json.loads((run / "manifest.json").read_text()) for run in runs]
+        outputs = [
+            {stage: record["outputs"] for stage, record in m["stages"].items()}
+            for m in manifests
+        ]
+        assert outputs[0] == outputs[1]
+        assert (runs[0] / "summary.md").read_bytes() == (runs[1] / "summary.md").read_bytes()
+        assert manifests[0]["config"]["dataset"] != manifests[1]["config"]["dataset"]
 
     def test_out_env_variable_supplies_run_dir(self, completed, monkeypatch, tmp_path):
         config = base_config(completed["dataset"], tmp_path / "ignored")
@@ -454,6 +474,49 @@ class TestFailureExitCodes:
         assert "report.json" in err
         assert len(err.rstrip("\n").splitlines()) == 1
         assert (run / "report.json").read_text() == text[: len(text) // 2]
+        assert not (run / "tables/shap.csv").exists()
+
+    def test_refused_run_writes_nothing(self, completed, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        code, _, err = run_cli(
+            "train", "--config", str(completed["config"]), "--out", str(copy),
+            "--seed", "8",
+        )
+        assert code == 2
+        assert err.startswith("error: 2:") and "different config" in err
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+    def test_changed_dataset_exits_3(self, workspace, tmp_path):
+        dataset = tmp_path / "syn.csv"
+        shutil.copy(workspace[1], dataset)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        assert run_cli("ingest", "--config", str(config))[0] == 0
+        manifest = (tmp_path / "run" / "manifest.json").read_bytes()
+        rows = dataset.read_text().splitlines(keepends=True)
+        cells = rows[1].split(",")
+        cells[1] = repr(float(cells[1]) + 1.0)
+        rows[1] = ",".join(cells)
+        dataset.write_text("".join(rows))
+        code, _, err = run_cli("train", "--config", str(config))
+        assert code == 3
+        assert err.startswith("error: 3: dataset ") and "changed" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert (tmp_path / "run" / "manifest.json").read_bytes() == manifest
+        assert not (tmp_path / "run" / "model.json").exists()
+
+    def test_report_with_changed_output_exits_6(self, completed, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        data = bytearray((copy / "tables/shap.csv").read_bytes())
+        data[-2] = ord("1") if data[-2] != ord("1") else ord("2")
+        (copy / "tables/shap.csv").write_bytes(bytes(data))
+        code, _, err = run_cli("report", "--out", str(copy))
+        assert code == 6
+        assert err.startswith("error: 6:") and "tables/shap.csv" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
 
     def test_changed_config_same_dir_exits_2(self, completed):
         code, _, err = run_cli(
