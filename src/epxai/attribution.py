@@ -24,14 +24,21 @@ Shapley artefacts share the unit of the target price.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import factorial
 
 import numpy as np
 
-from .data import FeatureId, FeatureMatrix
+from .data import FeatureMatrix, inverse_transform
 from .errors import EpxaiError
-from .mlp import ModelError, TrainedModel, forward_trace, predict_prices, transform
+from .mlp import (
+    ModelError,
+    TrainedModel,
+    forward_blocks,
+    forward_trace,
+    predict_prices,
+    transform,
+)
 
 __all__ = [
     "AttributionError",
@@ -227,18 +234,53 @@ def jacobian(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     return jacobian_batch(model, x_raw)
 
 
-def _walk_predictions(fn, x, zs, perms):
+def _walk_predictions(interior, ends, x, zs, perms):
     """Predictions along permutation walks: (n_pairs, n_features+1, 24).
 
     Row k of a walk has the first k features (in permutation order) switched
-    from the background row to the instance values.
+    from the background row to the instance values. Rows 0 and n_features
+    are the endpoints ``ends = (p(zs), p(x))``, which every walk of an
+    instance shares; only rows 1..n_features-1 are built, from ``x`` and
+    ``zs``, and passed to ``interior``.
     """
     n_pairs, n_f = perms.shape
-    positions = np.argsort(perms, axis=1)  # positions[p, j]: step feature j switches
-    mask = positions[:, None, :] < np.arange(n_f + 1)[None, :, None]
-    states = np.where(mask, x[None, None, :], zs[:, None, :])
-    preds = _predict_checked(fn, states.reshape(-1, n_f))
-    return preds.reshape(n_pairs, n_f + 1, 24)
+    preds = np.empty((n_pairs, n_f + 1, 24))
+    preds[:, 0], preds[:, n_f] = ends
+    if n_f > 1:
+        positions = np.argsort(perms, axis=1)  # positions[p, j]: step feature j switches
+        mask = positions[:, None, :] < np.arange(1, n_f)[None, :, None]
+        states = np.where(mask, x[None, None, :], zs[:, None, :])
+        interior_preds = _predict_checked(interior, states.reshape(-1, n_f))
+        preds[:, 1:n_f] = interior_preds.reshape(n_pairs, n_f - 1, 24)
+    return preds
+
+
+def _mixed_interior(model: TrainedModel, x_raw: np.ndarray, zs: np.ndarray):
+    """Float32 walk inputs and interior predictor for a trained model.
+
+    Returns ``(interior, x, zs)`` with ``x`` and ``zs`` in normalized units
+    as float32. ``transform`` acts on each element of a column on its own,
+    so a walk state built from the normalized rows is the normalized walk
+    state, bit for bit, and the rows are normalized once rather than once
+    per state. ``interior`` runs the states through a float32 copy of the
+    network and denormalizes the outputs in float64.
+    """
+    x32 = transform(model.input_scaler, x_raw).astype(np.float32)
+    zs32 = transform(model.input_scaler, zs).astype(np.float32)
+    model32 = replace(
+        model,
+        weights=[w.astype(np.float32) for w in model.weights],
+        biases=[b.astype(np.float32) for b in model.biases],
+    )
+
+    def interior(states):
+        # a float32 overflow ends as a non-finite output, which the caller
+        # reports as NonFiniteModelOutput
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = forward_blocks(model32, states)
+        return inverse_transform(model.output_scaler, y)
+
+    return interior, x32, zs32
 
 
 def _walk_contributions(preds, perms):
@@ -269,6 +311,12 @@ def shap_mc(
     permutations still come from ``seed``. Draw order is fixed: background
     indices first, then permutations, so a given seed always produces the
     same walks.
+
+    With a :class:`TrainedModel` the interior rows of each walk are
+    evaluated in float32 and the two endpoints in float64 through
+    :func:`predict_prices`; the differences are taken in float64, so the
+    values still sum to the float64 prediction minus the baseline. A bare
+    callable is evaluated on float64 raw rows throughout.
     """
     fn = _predict_fn(model)
     x_raw = np.asarray(x_raw, dtype=np.float64)
@@ -289,10 +337,17 @@ def shap_mc(
     zs = background.rows[draws]
     perms = np.stack([rng.permutation(n_f) for _ in range(n_pairs)])
 
-    preds = _walk_predictions(fn, x_raw, zs, perms)
+    # float64 endpoints; with a trained model the interior rows run in
+    # float32, which leaves the telescoped sum p(x) - p(z) untouched
+    ends = (_predict_checked(fn, zs), _predict_checked(fn, x_raw[None, :])[0])
+    if isinstance(model, TrainedModel):
+        interior, x_walk, zs_walk = _mixed_interior(model, x_raw, zs)
+    else:
+        interior, x_walk, zs_walk = fn, x_raw, zs
+    preds = _walk_predictions(interior, ends, x_walk, zs_walk, perms)
     estimates = _walk_contributions(preds, perms)
     if antithetic:
-        preds_rev = _walk_predictions(fn, x_raw, zs, perms[:, ::-1])
+        preds_rev = _walk_predictions(interior, ends, x_walk, zs_walk, perms[:, ::-1])
         estimates = 0.5 * (estimates + _walk_contributions(preds_rev, perms[:, ::-1]))
 
     values = estimates.mean(axis=0).T  # (24, n_f)

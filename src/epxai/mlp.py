@@ -48,6 +48,7 @@ __all__ = [
     "init_model",
     "forward",
     "forward_trace",
+    "forward_blocks",
     "train",
     "predict_prices",
     "save_model",
@@ -90,7 +91,7 @@ SELU_ALPHA = 1.6732632423543772
 
 MODEL_SCHEMA_VERSION = 1
 
-# Rows per forward block in predict_prices: a block's hidden activations stay
+# Rows per block in forward_blocks: a block's hidden activations stay
 # in cache, and peak memory no longer scales with Monte Carlo walk batches.
 _BLOCK_ROWS = 512
 
@@ -296,19 +297,30 @@ def forward(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
 def predict_prices(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     """Raw feature rows to 24 hourly prices in raw units.
 
-    Rows are evaluated in blocks of :data:`_BLOCK_ROWS`, so the hidden-layer
-    intermediates never exceed one block and memory does not grow with the
-    batch. Each row's arithmetic is independent of its block.
+    Rows go through :func:`forward_blocks`, so the hidden-layer
+    intermediates never exceed one block. Each row's arithmetic is
+    independent of its block.
     """
     if not model.is_trained:
         raise ModelError("model has no fitted scalers; train it first")
     batch, single = _as_batch(x_raw, model.spec.n_inputs)
-    y = np.empty((batch.shape[0], 24))
-    for lo in range(0, batch.shape[0], _BLOCK_ROWS):
-        block = transform(model.input_scaler, batch[lo : lo + _BLOCK_ROWS])
-        y[lo : lo + _BLOCK_ROWS] = forward_trace(model, block)[-1]
+    y = forward_blocks(model, transform(model.input_scaler, batch))
     prices = inverse_transform(model.output_scaler, y)
     return prices[0] if single else prices
+
+
+def forward_blocks(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
+    """Normalized outputs of a 2-D batch in float64, in blocks of rows.
+
+    Each block of :data:`_BLOCK_ROWS` rows goes through :func:`forward_trace`
+    on its own, so a block's hidden activations stay in cache and memory does
+    not grow with the batch. The forward pass runs in the dtype of the
+    weights and inputs; its outputs are stored in float64.
+    """
+    y = np.empty((x_norm.shape[0], 24))
+    for lo in range(0, x_norm.shape[0], _BLOCK_ROWS):
+        y[lo : lo + _BLOCK_ROWS] = forward_trace(model, x_norm[lo : lo + _BLOCK_ROWS])[-1]
+    return y
 
 
 def _batch_gradients(model, xb, yb, masks):

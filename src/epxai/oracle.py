@@ -171,6 +171,12 @@ def run_efficiency(seed: int = 0, n_triples: int = 1000) -> BatteryResult:
     )
 
 
+def _chi2_upper_quantile(dof: int, z: float = 3.090) -> float:
+    """Wilson-Hilferty approximation of a chi^2 quantile; z = 3.090 is 0.999."""
+    c = 2.0 / (9.0 * dof)
+    return dof * (1.0 - c + z * c**0.5) ** 3
+
+
 def run_exact_equivalence(
     seed: int = 13, n_models: int = 20, n_pairs: int = 2000
 ) -> BatteryResult:
@@ -185,10 +191,18 @@ def run_exact_equivalence(
     Any fixed passing draw is equally valid evidence. Exact values on
     linear predictors must match coefficient * (x - background mean) to
     1e-9 relative to the largest closed-form value.
+
+    The seed-independent check is the mean of z^2, z = (sampled - exact) /
+    stderr, over every value whose tolerance is not the 1e-6 floor. With a
+    calibrated standard error it is near 1 at any seed. It must stay below
+    the 0.999 quantile of chi^2_k / k, with k the number of (model, feature)
+    pairs scored: the 24 hours of one feature share their walks, so they
+    count as one degree of freedom, which can only widen the quantile.
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
+    z2_sum, n_scored, dof = 0.0, 0, 0
     for k in range(n_models):
         n_f = int(rng.integers(2, 11))
         model = _random_model(
@@ -210,6 +224,11 @@ def run_exact_equivalence(
         worst_ratio = max(
             worst_ratio, float(np.max(np.abs(sampled.values - exact) / tolerance))
         )
+        scored = 3.0 * sampled.stderr > 1e-6
+        z = (sampled.values - exact)[scored] / sampled.stderr[scored]
+        z2_sum += float(np.sum(z * z))
+        n_scored += int(scored.sum())
+        dof += int(scored.any(axis=0).sum())
 
     worst_linear = 0.0
     for _ in range(5):
@@ -228,13 +247,16 @@ def run_exact_equivalence(
         worst_linear = max(
             worst_linear, float(np.max(np.abs(phi - closed))) / scale
         )
-    passed = worst_ratio <= 1.0 and worst_linear <= 1e-9
+    mean_z2 = z2_sum / n_scored
+    z2_bound = _chi2_upper_quantile(dof) / dof
+    passed = worst_ratio <= 1.0 and mean_z2 <= z2_bound and worst_linear <= 1e-9
     return BatteryResult(
         name="exact-equivalence",
         passed=passed,
         detail=(
             f"worst |sampled-exact| at {worst_ratio:.3f} of tolerance over "
-            f"{n_models} models; linear closed-form gap {worst_linear:.3g} "
+            f"{n_models} models; mean z^2 {mean_z2:.3f} over {n_scored} values "
+            f"(bound {z2_bound:.3f}); linear closed-form gap {worst_linear:.3g} "
             f"(tolerance 1e-9)"
         ),
         seconds=time.perf_counter() - t0,
@@ -242,6 +264,9 @@ def run_exact_equivalence(
             "n_models": n_models,
             "n_pairs": n_pairs,
             "worst_tolerance_ratio": worst_ratio,
+            "mean_z2": mean_z2,
+            "mean_z2_bound": z2_bound,
+            "n_z2_values": n_scored,
             "worst_linear_gap": worst_linear,
         },
     )

@@ -240,6 +240,16 @@ class RunConfig:
     training: TrainingHyperparams
     echo: dict
 
+    @property
+    def settings(self) -> dict:
+        """The echo without the absolute ``dataset`` and ``out`` paths.
+
+        These are the settings the artifacts depend on; the dataset itself
+        is pinned by its sha256, so a run directory can be copied or moved
+        and continued from its new place.
+        """
+        return {k: v for k, v in self.echo.items() if k not in ("dataset", "out")}
+
 
 def load_config(
     path: Path,
@@ -357,6 +367,23 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` through a temp file in the same directory.
+
+    ``os.replace`` swaps the complete file in at once, so a write that fails
+    or is interrupted leaves the earlier file whole and no partial file.
+    """
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise EpxaiError(f"cannot write {path}: {exc}") from exc
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def _read_run_json(path: Path) -> dict:
     """Parse a JSON object file of a run directory; a corrupt one is an IncompleteRun."""
     try:
@@ -374,10 +401,12 @@ class _Stage:
     Construction resolves the config and the run directory and reads,
     hashes and parses the dataset once. It refuses a directory made by
     another config or from another dataset, or one with an unreadable run
-    file, before anything is written. ``write`` and ``figure`` write each
-    artifact as soon as it exists and record its hash; ``finish`` merges the
-    report section, records the stage in ``manifest.json`` and prints the
-    stage line.
+    file, before anything is written. The config check leaves out the
+    ``dataset`` and ``out`` paths, so a copied or moved run directory can be
+    continued. ``write`` and ``figure`` write each artifact as soon as it
+    exists and record its hash; ``finish`` merges the report section,
+    records the stage in ``manifest.json`` and prints the stage line. Every
+    file goes through :func:`_write_atomic`.
     """
 
     def __init__(self, args, name: str):
@@ -388,7 +417,7 @@ class _Stage:
             )
         self.name, self.out, self.outputs = name, config.out, {}
         self.t0 = time.perf_counter()
-        digest = _sha256_text(_canonical_json(config.echo))
+        digest = _sha256_text(_canonical_json(config.settings))
         self.manifest = {
             "tool": "epxai",
             "version": __version__,
@@ -438,9 +467,7 @@ class _Stage:
 
     def write(self, rel: str, text: str) -> None:
         data = text.encode("utf-8")
-        path = self.out / rel
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        _write_atomic(self.out / rel, data)
         self.outputs[rel] = hashlib.sha256(data).hexdigest()
 
     def figure(self, stem: str, artifact, title: str, unit: str, baseline=None) -> None:
@@ -465,9 +492,7 @@ class _Stage:
             "seconds": round(time.perf_counter() - self.t0, 3),
             "outputs": dict(sorted(self.outputs.items())),
         }
-        (self.out / "manifest.json").write_text(
-            _canonical_json(self.manifest), encoding="utf-8"
-        )
+        _write_atomic(self.out / "manifest.json", _canonical_json(self.manifest).encode("utf-8"))
         print(f"{self.name}: {message}")
         return 0
 
@@ -525,7 +550,7 @@ def cmd_train(args) -> int:
         "market_id": config.market.market_id,
         # the absolute dataset and run paths stay in manifest.json, so the
         # report hashes the same wherever the run directory lives
-        "config": {k: v for k, v in config.echo.items() if k not in ("dataset", "out")},
+        "config": config.settings,
         "data": {
             "dataset_sha256": stage.dataset_sha256,
             "n_hours": series.n_hours,

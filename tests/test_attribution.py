@@ -1,5 +1,7 @@
 """Attribution layer: Jacobians, sampled and exact Shapley values, tensors."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from epxai.attribution import (
     shap_exact,
     shap_mc,
 )
-from epxai.data import FeatureId, ScalerParams, fit_scaler, transform
+from epxai.data import FeatureId, NonFiniteInput, ScalerParams, fit_scaler, transform
 from epxai.mlp import (
     SELU_LAMBDA,
     ModelSpec,
@@ -176,6 +178,58 @@ class TestMonteCarloShapley:
         result = shap_mc(model, x, background, n_pairs=64, seed=5)
         gap = result.values.sum(axis=1) - (predict_prices(model, x) - result.baseline)
         assert np.max(np.abs(gap)) <= 1e-9
+
+    @pytest.mark.parametrize("market, n_groups", [("NP", 6), ("PJM", 5)])
+    def test_mixed_precision_walk_matches_float64(self, build_matrix, market, n_groups):
+        # A trained model walks its interior rows in float32; the callable
+        # path stays float64 throughout and serves as the reference. PJM
+        # covers selu with arcsinh scalers, NP softplus.
+        features = build_matrix(n_instances=40, n_groups=n_groups, seed=4)
+        model = train(
+            init_model(benchmark_spec(market, seed=1)),
+            features,
+            TrainingHyperparams(batch_size=16, max_epochs=2, seed=1),
+        )
+        background = sample_background(features, size=20, seed=3)
+        x = features.values[17]
+        mixed = shap_mc(model, x, background, n_pairs=64, seed=5)
+        reference = shap_mc(
+            lambda b: predict_prices(model, b), x, background, n_pairs=64, seed=5
+        )
+        assert np.max(np.abs(mixed.values - reference.values) / reference.stderr) < 1e-2
+        np.testing.assert_array_equal(mixed.baseline, reference.baseline)
+        gap = mixed.values.sum(axis=1) - (predict_prices(model, x) - mixed.baseline)
+        assert np.max(np.abs(gap)) <= 1e-9
+        again = shap_mc(model, x, background, n_pairs=64, seed=5)
+        np.testing.assert_array_equal(again.values, mixed.values)
+
+    def test_non_finite_instance_is_refused(self, build_matrix):
+        model, features = small_trained(build_matrix)
+        background = sample_background(features, size=10, seed=2)
+        x = features.values[3].copy()
+        x[5] = np.nan
+        with pytest.raises(NonFiniteInput):
+            shap_mc(model, x, background, n_pairs=2)
+
+    def test_non_finite_trained_model_output(self, build_matrix):
+        model, features = small_trained(build_matrix)
+        model.biases[2][0] = np.nan
+        background = sample_background(features, size=10, seed=2)
+        with pytest.raises(NonFiniteModelOutput):
+            shap_mc(model, features.values[3], background, n_pairs=2)
+
+    def test_float32_overflow_is_non_finite_output(self, build_matrix):
+        # finite in float64, beyond the float32 range in the walk interior
+        model, features = small_trained(build_matrix)
+        model.weights[0] *= 1e20
+        model.weights[1] *= 1e20
+        x = features.values[3]
+        assert np.all(np.isfinite(predict_prices(model, x)))
+        background = sample_background(features, size=10, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteModelOutput):
+                shap_mc(model, x, background, n_pairs=2)
 
     def test_converges_to_exact(self, build_matrix):
         rng = np.random.default_rng(12)

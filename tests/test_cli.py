@@ -267,8 +267,10 @@ class TestRunPipeline:
                 assert sha(run / rel) == digest, f"{stage}: {rel}"
 
     def test_config_digest_is_canonical_echo_hash(self, completed):
+        # the absolute dataset and run paths are left out of the digest
         manifest = json.loads((completed["run"] / "manifest.json").read_text())
-        text = json.dumps(manifest["config"], indent=1, sort_keys=True) + "\n"
+        settings = {k: v for k, v in manifest["config"].items() if k not in ("dataset", "out")}
+        text = json.dumps(settings, indent=1, sort_keys=True) + "\n"
         assert manifest["config_digest"] == hashlib.sha256(text.encode()).hexdigest()
 
     def test_report_sections(self, completed):
@@ -486,6 +488,39 @@ class TestFailureExitCodes:
         )
         assert code == 2
         assert err.startswith("error: 2:") and "different config" in err
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+    def test_copied_run_can_be_continued(self, completed, tmp_path):
+        copy = tmp_path / "moved" / "copy"
+        shutil.copytree(completed["run"], copy)
+        config = str(completed["config"])
+        for stage in ("explain", "report"):
+            code, _, err = run_cli(stage, "--config", config, "--out", str(copy))
+            assert (code, err) == (0, ""), stage
+        assert sha(copy / "tables/shap.csv") == sha(completed["run"] / "tables/shap.csv")
+
+    @pytest.mark.parametrize("name", ["tables/shap.csv", "manifest.json"])
+    def test_failed_write_keeps_earlier_file(self, completed, tmp_path, monkeypatch, name):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        real_write = Path.write_bytes
+
+        def write_half_then_fail(path, data):
+            if path.name.startswith(Path(name).name):
+                real_write(path, data[: len(data) // 2])
+                raise OSError(28, "No space left on device")
+            return real_write(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        code, _, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy)
+        )
+        assert code == 1
+        assert err.startswith("error: 1: cannot write ") and name in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        # explain rewrites the same bytes before the failure, so the whole
+        # directory is as it was, with no temp file left behind
         assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
     def test_changed_dataset_exits_3(self, workspace, tmp_path):
