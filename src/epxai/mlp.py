@@ -1,15 +1,18 @@
 """Feed-forward forecaster: two hidden layers mapping lagged inputs to 24 prices.
 
-The network is plain numpy end to end so that training, prediction, and the
-analytic input gradients elsewhere in the package share one arithmetic path
-and stay reproducible bit for bit under a fixed seed. Inputs and targets are
-normalized with the scalers from :mod:`epxai.data`; prediction undoes the
-output scaling, so callers only ever see raw price units.
+The network is plain numpy end to end, and one forward pass serves training,
+prediction and the analytic input gradients elsewhere in the package; it runs
+in the dtype of the weights it is given. Everything is reproducible bit for
+bit under a fixed seed. Inputs and targets are normalized with the scalers
+from :mod:`epxai.data`; prediction undoes the output scaling, so callers only
+ever see raw price units.
 
 Training follows the benchmark recipe: Adam on mean absolute error with
 optional L1 weight penalty, inverted dropout on both hidden layers, a
 chronological validation split, and early stopping that restores the best
-validation weights.
+validation weights. The minibatch steps and the Adam moments are float32, as
+in the Keras original; the validation MAE behind early stopping and the
+returned model are float64, holding float32-exact weights.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ __all__ = [
     "TrainingHyperparams",
     "TrainedModel",
     "benchmark_spec",
+    "n_train_instances",
     "init_model",
     "forward",
     "forward_trace",
@@ -191,13 +195,17 @@ def _activation(name: str, z: np.ndarray) -> np.ndarray:
         np.log1p(out, out=out)
         out += np.maximum(z, 0.0)
         return out
-    return np.where(z > 0.0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(z))
+    # the exponential only sees z <= 0: the branch np.where discards must not
+    # overflow either
+    neg = np.minimum(z, 0.0)
+    return np.where(z > 0.0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(neg))
 
 
 def _activation_grad(name: str, z: np.ndarray) -> np.ndarray:
     if name == "softplus":
         return _sigmoid(z)
-    return np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(z))
+    neg = np.minimum(z, 0.0)
+    return np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(neg))
 
 
 def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:
@@ -324,7 +332,10 @@ def forward_blocks(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
 
 
 def _batch_gradients(model, xb, yb, masks):
-    """Loss and parameter gradients for one dropped-out minibatch."""
+    """Loss and parameter gradients for one dropped-out minibatch.
+
+    Runs in the dtype of the weights and the batch; the loss is a float64 mean.
+    """
     w1, w2, w3 = model.weights
     act = model.spec.activation
     l1 = model.spec.l1_factor
@@ -332,7 +343,7 @@ def _batch_gradients(model, xb, yb, masks):
     z1, a1, z2, a2, y = forward_trace(model, xb, masks)
 
     resid = y - yb
-    loss = float(np.mean(np.abs(resid)))
+    loss = float(np.mean(np.abs(resid), dtype=np.float64))
     if l1 > 0.0:
         loss += l1 * float(sum(np.sum(np.abs(w)) for w in model.weights))
 
@@ -359,6 +370,11 @@ def _batch_gradients(model, xb, yb, masks):
     return loss, [dw1, dw2, dw3], [db1, db2, db3]
 
 
+def n_train_instances(n: int, validation_fraction: float) -> int:
+    """How many of ``n`` chronological instances train; the trailing rest validate."""
+    return n - round(validation_fraction * n)
+
+
 def train(
     model: TrainedModel,
     features: FeatureMatrix,
@@ -370,6 +386,9 @@ def train(
     ``validation_fraction`` of days is held out for early stopping, and the
     weights that achieved the best validation MAE are restored at the end.
     With ``validation_fraction`` 0 the model simply runs all epochs.
+    Minibatch steps and Adam run in float32; each epoch's validation MAE is
+    computed in float64 on the float32 weights, and the returned weights are
+    those float64 values.
     Raises :class:`DivergedLoss` if any loss turns non-finite and
     :class:`TooFewInstances` when the split leaves fewer than 2 training days.
     """
@@ -380,8 +399,8 @@ def train(
             f"model expects {spec.n_inputs} features, matrix has {features.n_features}"
         )
     n = features.n_instances
-    n_val = int(round(hp.validation_fraction * n)) if hp.validation_fraction else 0
-    n_train = n - n_val
+    n_train = n_train_instances(n, hp.validation_fraction)
+    n_val = n - n_train
     if n_train < 2:
         raise TooFewInstances(
             f"{n} instances leave {n_train} for training after the split"
@@ -391,24 +410,26 @@ def train(
     output_scaler = fit_scaler(spec.output_scaler_kind, features.targets[:n_train])
     x_all = transform(input_scaler, features.values)
     y_all = transform(output_scaler, features.targets)
-    x_train, y_train = x_all[:n_train], y_all[:n_train]
+    x_train = x_all[:n_train].astype(np.float32)
+    y_train = y_all[:n_train].astype(np.float32)
     x_val, y_val = x_all[n_train:], y_all[n_train:]
 
     rng = np.random.default_rng(hp.seed)
-    weights = [w.copy() for w in model.weights]
-    biases = [b.copy() for b in model.biases]
-    work = TrainedModel(spec=spec, weights=weights, biases=biases)
-
-    params = weights + biases
+    work = TrainedModel(
+        spec=spec,
+        weights=[w.astype(np.float32) for w in model.weights],
+        biases=[b.astype(np.float32) for b in model.biases],
+    )
+    params = work.weights + work.biases
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
     t = 0
     dropout = spec.dropout_rate
+    keep = np.float32(1.0 / (1.0 - dropout))
     hidden_sizes = (spec.layer_sizes[1], spec.layer_sizes[2])
 
     best_val = math.inf
-    best_weights = [w.copy() for w in weights]
-    best_biases = [b.copy() for b in biases]
+    best = None  # float64 copy of the best epoch's weights; set by the first epoch
     stall = 0
     history: list[dict] = []
 
@@ -420,9 +441,8 @@ def train(
             xb, yb = x_train[idx], y_train[idx]
             masks = None
             if dropout > 0.0:
-                keep = 1.0 - dropout
                 masks = [
-                    (rng.random((len(idx), h)) >= dropout) / keep
+                    np.where(rng.random((len(idx), h)) >= dropout, keep, np.float32(0))
                     for h in hidden_sizes
                 ]
             loss, dws, dbs = _batch_gradients(work, xb, yb, masks)
@@ -438,43 +458,38 @@ def train(
                 p -= hp.learning_rate * (m / c1) / (np.sqrt(v / c2) + hp.adam_epsilon)
         epoch_loss /= n_train
 
-        record = {"epoch": epoch, "train_loss": epoch_loss, "val_mae": None}
         if not math.isfinite(epoch_loss):
             raise DivergedLoss(
                 f"training diverged: training loss became {epoch_loss} at epoch {epoch}"
             )
-        if n_val:
-            val_pred = forward_trace(work, x_val)[-1]
-            val_mae = float(np.mean(np.abs(val_pred - y_val)))
-            if not math.isfinite(val_mae):
-                raise DivergedLoss(
-                    f"training diverged: validation MAE became {val_mae} at epoch {epoch}"
-                )
-            record["val_mae"] = val_mae
-            history.append(record)
-            if val_mae < best_val:
-                best_val = val_mae
-                best_weights = [w.copy() for w in weights]
-                best_biases = [b.copy() for b in biases]
-                stall = 0
-            else:
-                stall += 1
-                if stall > hp.early_stop_patience:
-                    break
+        record = {"epoch": epoch, "train_loss": epoch_loss, "val_mae": None}
+        history.append(record)
+        # validation and the returned model see exactly the float64 values of
+        # the float32 weights, so early stopping judges the model it saves
+        current = TrainedModel(
+            spec=spec,
+            weights=[w.astype(np.float64) for w in work.weights],
+            biases=[b.astype(np.float64) for b in work.biases],
+        )
+        if not n_val:
+            best = current
+            continue
+        val_pred = forward_trace(current, x_val)[-1]
+        val_mae = float(np.mean(np.abs(val_pred - y_val)))
+        if not math.isfinite(val_mae):
+            raise DivergedLoss(
+                f"training diverged: validation MAE became {val_mae} at epoch {epoch}"
+            )
+        record["val_mae"] = val_mae
+        if val_mae < best_val:
+            best_val, best, stall = val_mae, current, 0
         else:
-            history.append(record)
+            stall += 1
+            if stall > hp.early_stop_patience:
+                break
 
-    if n_val:
-        final_weights, final_biases = best_weights, best_biases
-    else:
-        final_weights, final_biases = weights, biases
-    return TrainedModel(
-        spec=spec,
-        weights=final_weights,
-        biases=final_biases,
-        input_scaler=input_scaler,
-        output_scaler=output_scaler,
-        history=history,
+    return replace(
+        best, input_scaler=input_scaler, output_scaler=output_scaler, history=history
     )
 
 

@@ -57,6 +57,7 @@ from .mlp import (
     count_parameters,
     init_model,
     load_model,
+    n_train_instances,
     predict_prices,
     save_model,
     train,
@@ -531,13 +532,12 @@ def cmd_train(args) -> int:
     except KeyError as exc:
         raise DataError(f"no previous-day prices for delivery day {exc.args[0]}") from None
     n = features.n_instances
-    n_train = n - int(round(config.training.validation_fraction * n))
-    ranges = {"train": slice(0, n_train)}
-    if n_train < n:
-        ranges["validation"] = slice(n_train, n)
+    n_train = n_train_instances(n, config.training.validation_fraction)
+    ranges = {"train": slice(0, n_train), "validation": slice(n_train, n)}
     scopes = {
         scope: asdict(performance_metrics(predictions[r], features.targets[r], naive[r]))
         for scope, r in ranges.items()
+        if r.start < r.stop
     }
 
     stage.write("model.json", save_model(trained))

@@ -102,6 +102,33 @@ class TestActivations:
         )
         assert out[2] == 0.0
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selu_large_input_does_not_overflow(self, dtype):
+        # exp(1e3) overflows both dtypes; the positive branch must not compute it
+        z = np.array([1e3, -1e3], dtype=dtype)
+        with np.errstate(over="raise"):
+            out = _activation("selu", z)
+            grad = _activation_grad("selu", z)
+        assert out.dtype == grad.dtype == dtype
+        np.testing.assert_array_equal(out[0], SELU_LAMBDA * z[0])
+        np.testing.assert_array_equal(grad[0], dtype(SELU_LAMBDA))
+        np.testing.assert_array_equal(out[1], dtype(-SELU_LAMBDA * SELU_ALPHA))
+        assert grad[1] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selu_equals_unclamped_formula(self, dtype):
+        # on a range where exp(z) is finite, clamping the exponent to z <= 0
+        # changes no bit
+        z = np.linspace(-50.0, 50.0, 100_001).astype(dtype)
+        np.testing.assert_array_equal(
+            _activation("selu", z),
+            np.where(z > 0.0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(z)),
+        )
+        np.testing.assert_array_equal(
+            _activation_grad("selu", z),
+            np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(z)),
+        )
+
     def test_activation_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
         z = rng.normal(0.0, 2.0, 200)
@@ -355,9 +382,45 @@ class TestTraining:
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert a.history == b.history
+        assert save_model(a) == save_model(b)
         c = train(init_model(spec), features, TrainingHyperparams(
             batch_size=8, max_epochs=5, seed=8))
         assert any((wa != wc).any() for wa, wc in zip(a.weights, c.weights))
+
+    @pytest.mark.parametrize("validation_fraction", [0.0, 0.2])
+    def test_weights_are_float64_holding_float32_values(
+        self, build_matrix, validation_fraction
+    ):
+        # the steps run in float32; the returned model is float64
+        features = build_matrix(n_instances=40, seed=9)
+        hp = TrainingHyperparams(
+            batch_size=8, max_epochs=3, validation_fraction=validation_fraction, seed=7
+        )
+        fitted = train(init_model(small_spec(dropout=0.3)), features, hp)
+        for p in fitted.weights + fitted.biases:
+            assert p.dtype == np.float64
+            np.testing.assert_array_equal(p.astype(np.float32).astype(np.float64), p)
+
+    def test_selu_l1_dropout_recipe_learns(self, build_matrix):
+        # the PJM recipe (selu, lecun_uniform, arcsinh scalers, L1, dropout)
+        # at a small shape
+        features = build_matrix(n_instances=120, seed=4)
+        spec = ModelSpec(
+            layer_sizes=(48, 30, 38, 24),
+            activation="selu",
+            dropout_rate=0.0079,
+            l1_factor=0.000306,
+            init_scheme="lecun_uniform",
+            input_scaler_kind="arcsinh",
+            output_scaler_kind="arcsinh",
+            seed=5,
+        )
+        hp = TrainingHyperparams(batch_size=16, max_epochs=30, seed=3)
+        fitted = train(init_model(spec), features, hp)
+        losses = [h["train_loss"] for h in fitted.history]
+        assert all(math.isfinite(v) for v in losses)
+        assert losses[-1] < 0.7 * losses[0]
+        assert all(math.isfinite(h["val_mae"]) for h in fitted.history)
 
     def test_dropout_training_still_learns(self, build_matrix):
         features = build_matrix(n_instances=120, seed=4)
