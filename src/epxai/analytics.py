@@ -147,6 +147,19 @@ def _hourly_blocks(tensor: AttributionTensor):
     return blocks
 
 
+def _instance_index(tensor, instance) -> int:
+    """Position of one instance of a tensor, given by instance id or position."""
+    if isinstance(instance, str):
+        try:
+            return tensor.instance_ids.index(instance)
+        except ValueError:
+            raise KeyError(f"no instance {instance!r}") from None
+    idx = int(instance)
+    if not -tensor.n_instances <= idx < tensor.n_instances:
+        raise KeyError(f"instance index {idx} out of range")
+    return idx
+
+
 def heatmap(
     tensor: AttributionTensor, aggregation: str = "mean_abs", instance=None
 ) -> HeatmapGrid:
@@ -165,16 +178,7 @@ def heatmap(
     if aggregation == "single":
         if instance is None:
             raise ValueError("aggregation 'single' needs an instance")
-        if isinstance(instance, str):
-            try:
-                idx = tensor.instance_ids.index(instance)
-            except ValueError:
-                raise KeyError(f"no instance {instance!r}") from None
-        else:
-            idx = int(instance)
-            if not -tensor.n_instances <= idx < tensor.n_instances:
-                raise KeyError(f"instance index {idx} out of range")
-        source = tensor.values[idx]
+        source = tensor.values[_instance_index(tensor, instance)]
     else:
         if tensor.n_instances == 0:
             raise EmptyTensor(f"cannot take {aggregation} over zero instances")

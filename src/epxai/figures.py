@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable
+from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable, _instance_index
 from .sshap import SshapLine, SshapTensor
 
 __all__ = [
@@ -52,15 +52,7 @@ class InstanceStack:
 
 def instance_stack(sshap: SshapTensor, instance, forecast: np.ndarray) -> InstanceStack:
     """Slice one instance out of a grouped tensor for rendering."""
-    if isinstance(instance, str):
-        try:
-            idx = sshap.instance_ids.index(instance)
-        except ValueError:
-            raise KeyError(f"no instance {instance!r}") from None
-    else:
-        idx = int(instance)
-        if not -sshap.n_instances <= idx < sshap.n_instances:
-            raise KeyError(f"instance index {idx} out of range")
+    idx = _instance_index(sshap, instance)
     forecast = np.asarray(forecast, dtype=np.float64)
     if forecast.shape != (24,):
         raise ValueError("forecast must be 24 hourly prices")
@@ -87,6 +79,10 @@ def _f(x: float) -> str:
 def _val(x: float) -> str:
     """Exact value text for data attributes and CSV cells."""
     return repr(float(x))
+
+
+def _color(k: int) -> str:
+    return _CATEGORICAL[k % len(_CATEGORICAL)]
 
 
 def _hex_to_rgb(color: str):
@@ -119,6 +115,30 @@ def _tick_text(v: float) -> str:
     return f"{v:.4g}"
 
 
+_MIDDLE, _END = ' text-anchor="middle"', ' text-anchor="end"'
+
+
+def _text(x, y, body, size: int, fill: str, extra: str = "") -> str:
+    """One escaped ``<text>``; int coordinates print as written, floats via ``_f``."""
+    x, y = (str(v) if isinstance(v, int) else _f(v) for v in (x, y))
+    return (
+        f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{extra}>'
+        f"{_esc(body)}</text>"
+    )
+
+
+def _line(x1, y1, x2, y2, stroke: str = "#999") -> str:
+    return (
+        f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
+        f'stroke="{stroke}"/>'
+    )
+
+
+def _polyline(points: str, stroke: str, style: str = 'stroke-width="1.5"',
+              data: str = "") -> str:
+    return f'<polyline fill="none" stroke="{stroke}" {style} points="{points}"{data}/>'
+
+
 def _svg_open(width: float, height: float, title: str) -> list:
     return [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
@@ -126,8 +146,13 @@ def _svg_open(width: float, height: float, title: str) -> list:
         f'font-family="sans-serif">',
         f"<title>{_esc(title)}</title>",
         f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="white"/>',
-        f'<text x="12" y="20" font-size="14" fill="#222">{_esc(title)}</text>',
+        _text(12, 20, title, 14, "#222"),
     ]
+
+
+def _done(parts: list, csv_lines: list) -> RenderedFigure:
+    parts.append("</svg>")
+    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
 
 
 def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
@@ -158,10 +183,7 @@ def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
     for b, (label, block) in enumerate(zip(grid.blocks, grid.values.tolist())):
         x0 = left + b * (block_w + gap)
         label_text = _esc(label)
-        parts.append(
-            f'<text x="{_f(x0)}" y="{_f(top - 8)}" font-size="10" '
-            f'fill="#222">{label_text}</text>'
-        )
+        parts.append(_text(x0, top - 8, label, 10, "#222"))
         xs = [_f(x0 + in_h * cell) for in_h in range(24)]
         for out_h, row in enumerate(block):
             y_text = _f(top + out_h * cell)
@@ -175,25 +197,19 @@ def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
                     f'data-input-hour="{in_h}" data-value="{v_text}"/>'
                 )
                 csv_lines.append(f"{label},{out_h},{in_h},{v_text},{scale_text}")
-        for h in (0, 6, 12, 18, 23):
-            parts.append(
-                f'<text x="{_f(x0 + h * cell + 1)}" y="{_f(top + block_w + 12)}" '
-                f'font-size="8" fill="#555">{h}</text>'
-            )
-        parts.append(
-            f'<text x="{_f(x0)}" y="{_f(top + block_w + 26)}" font-size="9" '
-            f'fill="#555">input hour</text>'
+        parts.extend(
+            _text(x0 + h * cell + 1, top + block_w + 12, h, 8, "#555")
+            for h in (0, 6, 12, 18, 23)
         )
-    for h in (0, 6, 12, 18, 23):
-        parts.append(
-            f'<text x="{_f(left - 18)}" y="{_f(top + h * cell + 7)}" '
-            f'font-size="8" fill="#555">{h}</text>'
-        )
-    parts.append(
-        f'<text x="{_f(12)}" y="{_f(top + block_w / 2)}" font-size="9" fill="#555" '
-        f'transform="rotate(-90 12 {_f(top + block_w / 2)})" '
-        f'text-anchor="middle">output hour</text>'
+        parts.append(_text(x0, top + block_w + 26, "input hour", 9, "#555"))
+    parts.extend(
+        _text(left - 18, top + h * cell + 7, h, 8, "#555") for h in (0, 6, 12, 18, 23)
     )
+    mid = top + block_w / 2
+    parts.append(_text(
+        12.0, mid, "output hour", 9, "#555",
+        f' transform="rotate(-90 12 {_f(mid)})"{_MIDDLE}',
+    ))
 
     # Legend: vertical colour ramp with end labels.
     lx = width - legend_w
@@ -205,17 +221,10 @@ def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
             f'height="{_f(block_w / steps + 0.5)}" fill="{color(t)}"/>'
         )
     for frac, v in ((0.0, vmax), (0.5, (vmin + vmax) / 2.0), (1.0, vmin)):
-        parts.append(
-            f'<text x="{_f(lx + 16)}" y="{_f(top + frac * block_w + 4)}" '
-            f'font-size="9" fill="#222">{_tick_text(v)}</text>'
-        )
-    parts.append(
-        f'<text x="{_f(lx)}" y="{_f(top - 8)}" font-size="9" '
-        f'fill="#222">{_esc(unit)}</text>'
-    )
+        parts.append(_text(lx + 16, top + frac * block_w + 4, _tick_text(v), 9, "#222"))
+    parts.append(_text(lx, top - 8, unit, 9, "#222"))
     parts.append("</g>")
-    parts.append("</svg>")
-    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
+    return _done(parts, csv_lines)
 
 
 def _split_finite_runs(xs, ys):
@@ -250,43 +259,46 @@ class _Axes:
     def y(self, v: float) -> float:
         return self.top + self.height - (v - self.y0) / (self.y1 - self.y0) * self.height
 
+    def points(self, xs, ys) -> str:
+        """Pixel ``x,y`` pairs for a polyline."""
+        return " ".join(f"{_f(self.x(x))},{_f(self.y(y))}" for x, y in zip(xs, ys))
+
+    def x_ticks(self) -> list:
+        """Tick marks and labels along the bottom edge of the box."""
+        base = self.top + self.height
+        parts = []
+        for v in _ticks(self.x0, self.x1):
+            px = self.x(v)
+            parts.append(_line(px, base, px, base + 4))
+            parts.append(_text(px, base + 16, _tick_text(v), 9, "#555", _MIDDLE))
+        return parts
+
     def frame(self, x_label: str, y_label: str) -> list:
         parts = [
             f'<rect x="{_f(self.left)}" y="{_f(self.top)}" width="{_f(self.width)}" '
-            f'height="{_f(self.height)}" fill="none" stroke="#999"/>'
+            f'height="{_f(self.height)}" fill="none" stroke="#999"/>',
+            *self.x_ticks(),
         ]
-        for v in _ticks(self.x0, self.x1):
-            px = self.x(v)
-            parts.append(
-                f'<line x1="{_f(px)}" y1="{_f(self.top + self.height)}" '
-                f'x2="{_f(px)}" y2="{_f(self.top + self.height + 4)}" stroke="#999"/>'
-            )
-            parts.append(
-                f'<text x="{_f(px)}" y="{_f(self.top + self.height + 16)}" '
-                f'font-size="9" fill="#555" text-anchor="middle">{_tick_text(v)}</text>'
-            )
         for v in _ticks(self.y0, self.y1):
             py = self.y(v)
-            parts.append(
-                f'<line x1="{_f(self.left - 4)}" y1="{_f(py)}" x2="{_f(self.left)}" '
-                f'y2="{_f(py)}" stroke="#999"/>'
-            )
-            parts.append(
-                f'<text x="{_f(self.left - 7)}" y="{_f(py + 3)}" font-size="9" '
-                f'fill="#555" text-anchor="end">{_tick_text(v)}</text>'
-            )
-        parts.append(
-            f'<text x="{_f(self.left + self.width / 2)}" '
-            f'y="{_f(self.top + self.height + 32)}" font-size="10" fill="#222" '
-            f'text-anchor="middle">{_esc(x_label)}</text>'
-        )
-        parts.append(
-            f'<text x="14" y="{_f(self.top + self.height / 2)}" font-size="10" '
-            f'fill="#222" text-anchor="middle" '
-            f'transform="rotate(-90 14 {_f(self.top + self.height / 2)})">'
-            f"{_esc(y_label)}</text>"
-        )
+            parts.append(_line(self.left - 4, py, self.left, py))
+            parts.append(_text(self.left - 7, py + 3, _tick_text(v), 9, "#555", _END))
+        mid = self.top + self.height / 2
+        parts.append(_text(
+            self.left + self.width / 2, self.top + self.height + 32, x_label, 10,
+            "#222", _MIDDLE,
+        ))
+        parts.append(_text(
+            14, mid, y_label, 10, "#222", f'{_MIDDLE} transform="rotate(-90 14 {_f(mid)})"'
+        ))
         return parts
+
+
+def _plot(width: float, height: float, right: float, title: str,
+          x_range, y_range, x_label: str, y_label: str):
+    """Open a figure with one framed plot box, ``right`` pixels clear of the edge."""
+    axes = _Axes(x_range, y_range, (64.0, 40.0, width - 64 - right, height - 40 - 56))
+    return _svg_open(width, height, title) + axes.frame(x_label, y_label), axes
 
 
 def _legend(parts, entries, x, y):
@@ -296,16 +308,11 @@ def _legend(parts, entries, x, y):
             f'<rect x="{_f(x)}" y="{_f(ly - 8)}" width="10" height="10" '
             f'fill="{color}"/>'
         )
-        parts.append(
-            f'<text x="{_f(x + 14)}" y="{_f(ly)}" font-size="9" '
-            f'fill="#222">{_esc(label)}</text>'
-        )
+        parts.append(_text(x + 14, ly, label, 9, "#222"))
 
 
 def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
     lines = list(lines)
-    width, height = 760.0, 420.0
-    box = (64.0, 40.0, width - 64 - 190, height - 40 - 56)
     grid = lines[0].grid
     finite = [line.values[np.isfinite(line.values)] for line in lines]
     lo = min((v.min() for v in finite if v.size), default=0.0)
@@ -315,28 +322,23 @@ def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
         lo = min(lo, identity.min())
         hi = max(hi, identity.max())
     pad = 0.05 * (hi - lo or 1.0)
-    axes = _Axes((float(grid.min()), float(grid.max())), (lo - pad, hi + pad), box)
-
-    parts = _svg_open(width, height, title)
-    parts.extend(axes.frame(f"actual price [{unit}]", f"group value [{unit}]"))
+    parts, axes = _plot(
+        760.0, 420.0, 190, title, (float(grid.min()), float(grid.max())),
+        (lo - pad, hi + pad), f"actual price [{unit}]", f"group value [{unit}]",
+    )
     csv_lines = ["group,mode,grid_price,value"]
     if baseline is not None:
-        parts.append(
-            f'<polyline fill="none" stroke="#888" stroke-dasharray="5,4" points="'
-            f'{_f(axes.x(grid[0]))},{_f(axes.y(grid[0] - baseline))} '
-            f'{_f(axes.x(grid[-1]))},{_f(axes.y(grid[-1] - baseline))}" '
-            f'data-series="identity" data-baseline="{_val(baseline)}"/>'
-        )
+        ends = grid[[0, -1]]
+        parts.append(_polyline(
+            axes.points(ends, ends - baseline), "#888", 'stroke-dasharray="5,4"',
+            f' data-series="identity" data-baseline="{_val(baseline)}"',
+        ))
     entries = []
     for k, line in enumerate(lines):
-        color = _CATEGORICAL[k % len(_CATEGORICAL)]
+        color = _color(k)
         entries.append((line.group, color))
         for xs, ys in _split_finite_runs(line.grid, line.values):
-            pts = " ".join(f"{_f(axes.x(x))},{_f(axes.y(y))}" for x, y in zip(xs, ys))
-            parts.append(
-                f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-                f'points="{pts}"/>'
-            )
+            parts.append(_polyline(axes.points(xs, ys), color))
         for x, y in zip(line.grid, line.values):
             csv_lines.append(
                 f"{line.group},{line.mode},{_val(x)},"
@@ -350,32 +352,24 @@ def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
                 )
     if baseline is not None:
         entries.append(("price - baseline", "#888"))
-    _legend(parts, entries, width - 180, 56.0)
-    parts.append("</svg>")
-    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
+    _legend(parts, entries, 760.0 - 180, 56.0)
+    return _done(parts, csv_lines)
 
 
 def _render_importance(table: ImportanceTable, title: str, unit: str) -> RenderedFigure:
-    width, height = 720.0, 400.0
-    box = (64.0, 40.0, width - 64 - 210, height - 40 - 56)
     vmax = float(table.values.max()) if table.values.size else 1.0
-    axes = _Axes((0.0, 23.0), (0.0, vmax * 1.05 or 1.0), box)
-    parts = _svg_open(width, height, title)
-    parts.extend(axes.frame("output hour", f"mean |value| [{unit}]"))
+    parts, axes = _plot(
+        720.0, 400.0, 210, title, (0.0, 23.0), (0.0, vmax * 1.05 or 1.0),
+        "output hour", f"mean |value| [{unit}]",
+    )
     csv_lines = ["group,output_hour,value"]
     entries = []
     hours = np.arange(24)
     for k, group in enumerate(table.groups):
-        color = _CATEGORICAL[k % len(_CATEGORICAL)]
+        color = _color(k)
         entries.append((group, color))
         ys = table.values[:, k]
-        pts = " ".join(
-            f"{_f(axes.x(h))},{_f(axes.y(v))}" for h, v in zip(hours, ys)
-        )
-        parts.append(
-            f'<polyline fill="none" stroke="{color}" stroke-width="1.5" '
-            f'points="{pts}"/>'
-        )
+        parts.append(_polyline(axes.points(hours, ys), color))
         for h, v in zip(hours, ys):
             parts.append(
                 f'<circle cx="{_f(axes.x(h))}" cy="{_f(axes.y(v))}" r="1.8" '
@@ -383,42 +377,30 @@ def _render_importance(table: ImportanceTable, title: str, unit: str) -> Rendere
                 f'data-value="{_val(v)}"/>'
             )
             csv_lines.append(f"{group},{h},{_val(v)}")
-    _legend(parts, entries, width - 200, 56.0)
-    parts.append("</svg>")
-    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
+    _legend(parts, entries, 720.0 - 200, 56.0)
+    return _done(parts, csv_lines)
 
 
 def _render_beeswarm(table: BeeswarmTable, title: str, unit: str) -> RenderedFigure:
     row_h = 30.0
     left, top = 230.0, 48.0
     plot_w = 430.0
-    height = top + row_h * len(table.rows) + 60.0
+    plot_h = row_h * len(table.rows)
+    height = top + plot_h + 60.0
     width = left + plot_w + 120.0
 
     vmax = max(
         (float(np.max(np.abs(r.shap_values))) for r in table.rows), default=1.0
     ) or 1.0
-    axes = _Axes(
-        (-vmax, vmax), (0.0, 1.0), (left, top, plot_w, row_h * len(table.rows))
-    )
+    axes = _Axes((-vmax, vmax), (0.0, 1.0), (left, top, plot_w, plot_h))
     parts = _svg_open(width, height, title)
-    zero_x = axes.x(0.0)
-    parts.append(
-        f'<line x1="{_f(zero_x)}" y1="{_f(top)}" x2="{_f(zero_x)}" '
-        f'y2="{_f(top + row_h * len(table.rows))}" stroke="#bbb"/>'
-    )
+    parts.append(_line(axes.x(0.0), top, axes.x(0.0), top + plot_h, "#bbb"))
     csv_lines = ["feature,instance_id,output_hour,feature_value,shap_value"]
     point = 0
     for r, row in enumerate(table.rows):
         cy = top + row_h * (r + 0.5)
-        parts.append(
-            f'<text x="{_f(left - 8)}" y="{_f(cy + 3)}" font-size="9" fill="#222" '
-            f'text-anchor="end">{_esc(row.feature)}</text>'
-        )
-        parts.append(
-            f'<text x="{_f(left + plot_w + 8)}" y="{_f(cy + 3)}" font-size="9" '
-            f'fill="#555">{_tick_text(row.score)}</text>'
-        )
+        parts.append(_text(left - 8, cy + 3, row.feature, 9, "#222", _END))
+        parts.append(_text(left + plot_w + 8, cy + 3, _tick_text(row.score), 9, "#555"))
         fv = row.feature_values
         flo, fhi = float(fv.min()), float(fv.max())
         span = fhi - flo or 1.0
@@ -441,50 +423,29 @@ def _render_beeswarm(table: BeeswarmTable, title: str, unit: str) -> RenderedFig
                     f'data-feature-value="{fv_text}" data-value="{v_text}"/>'
                 )
                 csv_lines.append(f"{feature},{instance_id},{h},{fv_text},{v_text}")
-    y_axis = top + row_h * len(table.rows)
-    for v in _ticks(-vmax, vmax):
-        px = axes.x(v)
-        parts.append(
-            f'<line x1="{_f(px)}" y1="{_f(y_axis)}" x2="{_f(px)}" '
-            f'y2="{_f(y_axis + 4)}" stroke="#999"/>'
-        )
-        parts.append(
-            f'<text x="{_f(px)}" y="{_f(y_axis + 16)}" font-size="9" fill="#555" '
-            f'text-anchor="middle">{_tick_text(v)}</text>'
-        )
-    parts.append(
-        f'<text x="{_f(left + plot_w / 2)}" y="{_f(y_axis + 34)}" font-size="10" '
-        f'fill="#222" text-anchor="middle">contribution [{_esc(unit)}] '
-        f"(colour: feature value low to high)</text>"
-    )
-    parts.append("</svg>")
-    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
+    parts.extend(axes.x_ticks())
+    parts.append(_text(
+        left + plot_w / 2, top + plot_h + 34,
+        f"contribution [{unit}] (colour: feature value low to high)", 10, "#222",
+        _MIDDLE,
+    ))
+    return _done(parts, csv_lines)
 
 
 def _render_stack(stack: InstanceStack, title: str, unit: str) -> RenderedFigure:
-    width, height = 820.0, 440.0
-    box = (64.0, 40.0, width - 64 - 230, height - 40 - 56)
     pos = np.clip(stack.contributions, 0.0, None).sum(axis=1)
     neg = np.clip(stack.contributions, None, 0.0).sum(axis=1)
     net = stack.forecast - stack.baseline
     lo = min(float(neg.min()), float(net.min()), 0.0)
     hi = max(float(pos.max()), float(net.max()), 0.0)
     pad = 0.05 * (hi - lo or 1.0)
-    axes = _Axes((-0.5, 23.5), (lo - pad, hi + pad), box)
-
-    parts = _svg_open(width, height, title)
-    parts.extend(axes.frame("output hour", f"contribution [{unit}]"))
-    zero_y = axes.y(0.0)
-    parts.append(
-        f'<line x1="{_f(axes.left)}" y1="{_f(zero_y)}" '
-        f'x2="{_f(axes.left + axes.width)}" y2="{_f(zero_y)}" stroke="#bbb"/>'
+    parts, axes = _plot(
+        820.0, 440.0, 230, title, (-0.5, 23.5), (lo - pad, hi + pad),
+        "output hour", f"contribution [{unit}]",
     )
-    csv_lines = ["series,output_hour,value"]
+    zero_y = axes.y(0.0)
+    parts.append(_line(axes.left, zero_y, axes.left + axes.width, zero_y, "#bbb"))
     bar_w = axes.width / 24.0 * 0.72
-    entries = []
-    for g, group in enumerate(stack.groups):
-        color = _CATEGORICAL[g % len(_CATEGORICAL)]
-        entries.append((group, color))
     for h in range(24):
         cx = axes.x(float(h))
         up = 0.0
@@ -500,21 +461,16 @@ def _render_stack(stack: InstanceStack, title: str, unit: str) -> RenderedFigure
             parts.append(
                 f'<rect x="{_f(cx - bar_w / 2)}" y="{_f(y_top)}" '
                 f'width="{_f(bar_w)}" height="{_f(max(y_bot - y_top, 0.0))}" '
-                f'fill="{_CATEGORICAL[g % len(_CATEGORICAL)]}" fill-opacity="0.85" '
+                f'fill="{_color(g)}" fill-opacity="0.85" '
                 f'data-series="{_esc(group)}" data-output-hour="{h}" '
                 f'data-value="{_val(v)}"/>'
             )
-    for g, group in enumerate(stack.groups):
-        for h in range(24):
-            csv_lines.append(
-                f"{group},{h},{_val(stack.contributions[h, g])}"
-            )
-    pts = " ".join(
-        f"{_f(axes.x(float(h)))},{_f(axes.y(float(net[h])))}" for h in range(24)
-    )
-    parts.append(
-        f'<polyline fill="none" stroke="#222" stroke-width="1.5" points="{pts}"/>'
-    )
+    csv_lines = ["series,output_hour,value"] + [
+        f"{group},{h},{_val(stack.contributions[h, g])}"
+        for g, group in enumerate(stack.groups)
+        for h in range(24)
+    ]
+    parts.append(_polyline(axes.points(range(24), net), "#222"))
     for h in range(24):
         parts.append(
             f'<circle cx="{_f(axes.x(float(h)))}" cy="{_f(axes.y(float(net[h])))}" '
@@ -522,10 +478,10 @@ def _render_stack(stack: InstanceStack, title: str, unit: str) -> RenderedFigure
             f'data-output-hour="{h}" data-value="{_val(net[h])}"/>'
         )
         csv_lines.append(f"forecast_minus_baseline,{h},{_val(net[h])}")
+    entries = [(group, _color(g)) for g, group in enumerate(stack.groups)]
     entries.append(("forecast - baseline", "#222"))
-    _legend(parts, entries, width - 218, 56.0)
-    parts.append("</svg>")
-    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
+    _legend(parts, entries, 820.0 - 218, 56.0)
+    return _done(parts, csv_lines)
 
 
 def render_figure(artifact, title: str = "", unit: str = "EUR/MWh",

@@ -10,6 +10,7 @@ timings and absolute paths live only in the manifest, never in hashed outputs.
 
 from __future__ import annotations
 
+import contextlib
 import datetime
 import hashlib
 import json
@@ -382,7 +383,15 @@ def _write_atomic(path: Path, data: bytes) -> None:
     except OSError as exc:
         raise EpxaiError(f"cannot write {path}: {exc}") from exc
     finally:
-        tmp.unlink(missing_ok=True)
+        # the temp path itself is unusable when the parent is not a directory
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+
+
+def _csv(rows: list) -> str:
+    """CSV of dicts that share their keys: a header line, then one line per dict."""
+    lines = [rows[0].keys(), *(row.values() for row in rows)]
+    return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
 def _read_run_json(path: Path) -> dict:
@@ -541,9 +550,7 @@ def cmd_train(args) -> int:
     }
 
     stage.write("model.json", save_model(trained))
-    rows = [["scope", *scopes["train"]]]
-    rows += [[scope, *map(repr, m.values())] for scope, m in scopes.items()]
-    stage.write("tables/performance.csv", "".join(",".join(row) + "\n" for row in rows))
+    stage.write("tables/performance.csv", _csv([{"scope": s, **m} for s, m in scopes.items()]))
     val_maes = [h["val_mae"] for h in trained.history if h["val_mae"] is not None]
     fit = scopes["train"]
     return stage.finish({
@@ -693,30 +700,22 @@ def cmd_explain(args) -> int:
     )
 
     prices = features.targets[indices]
-    pooled = prices.ravel()
-    grid_lo, grid_hi = np.percentile(pooled, [1.0, 99.0])
-    grid = np.linspace(grid_lo, grid_hi, smoothing["grid_size"])
     lines = [
         sshap_line(
-            sshap_default, label, prices,
-            hours="pooled", bandwidth=smoothing["bandwidth"], grid=grid,
+            sshap_default, label, prices, hours="pooled",
+            bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
         )
         for label in sshap_default.partition.labels
     ]
     baseline_value = float(sshap_default.baseline.mean())
     band_abs = None
     if smoothing["band"] is not None:
-        band_abs = tuple(float(v) for v in np.percentile(pooled, smoothing["band"]))
+        band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
     check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
     stage.figure("lines", lines, "group value vs price", unit, baseline=baseline_value)
 
     complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
-    stage.write(
-        "tables/complexity.csv",
-        "non_linearity,non_homogeneity,important_vars_per_hour,threshold\n"
-        f"{float(complexity.non_linearity)!r},{float(complexity.non_homogeneity)!r},"
-        f"{float(complexity.important_vars_per_hour)!r},0.5\n",
-    )
+    stage.write("tables/complexity.csv", _csv([asdict(complexity)]))
 
     for date in config.echo["instance_dates"]:
         row_index = indices[sshap_default.instance_ids.index(date)]
@@ -738,19 +737,11 @@ def cmd_explain(args) -> int:
                 name: list(part.labels) for name, part in partitions.items()
             },
             "slope_check": {
-                "slope": check.slope,
-                "intercept": check.intercept,
-                "max_deviation": check.max_deviation,
-                "n_points": check.n_points,
+                **asdict(check),
                 "band_percentiles": smoothing["band"],
                 "band_prices": list(band_abs) if band_abs else None,
             },
-            "complexity": {
-                "non_linearity": complexity.non_linearity,
-                "non_homogeneity": complexity.non_homogeneity,
-                "important_vars_per_hour": complexity.important_vars_per_hour,
-                "threshold": 0.5,
-            },
+            "complexity": asdict(complexity),
         },
     }, (
         f"{len(indices)} instances, slope {check.slope:.3f}, "
@@ -900,8 +891,7 @@ def cmd_report(args) -> int:
         lines.append(f"- stage {stage}: {len(record.get('outputs', {}))} files")
     lines.append("")
 
-    summary = "\n".join(lines)
-    (out / "summary.md").write_text(summary, encoding="utf-8")
+    _write_atomic(out / "summary.md", "\n".join(lines).encode("utf-8"))
     print(f"report: {len(figures)} figures, {len(tables)} tables -> {out / 'summary.md'}")
     return 0
 
@@ -914,7 +904,6 @@ def cmd_oracle(args) -> int:
         print(result.line)
     if args.out:
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         payload = {
             "seed": args.seed,
             "results": [
@@ -928,7 +917,7 @@ def cmd_oracle(args) -> int:
                 for r in results
             ],
         }
-        (out / "oracle.json").write_text(_canonical_json(payload), encoding="utf-8")
+        _write_atomic(out / "oracle.json", _canonical_json(payload).encode("utf-8"))
         print(f"wrote {out / 'oracle.json'}")
     return 0 if all(r.passed for r in results) else 1
 

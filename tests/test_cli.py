@@ -523,6 +523,32 @@ class TestFailureExitCodes:
         # directory is as it was, with no temp file left behind
         assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
+    def test_failed_summary_write_is_one_error_line(self, completed, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        (copy / "summary.md").unlink()
+        (copy / "summary.md").mkdir()
+        code, _, err = run_cli("report", "--out", str(copy))
+        assert code == 1
+        assert err.startswith("error: 1: cannot write ") and "summary.md" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+
+    def test_failed_oracle_write_is_one_error_line(self, tmp_path, monkeypatch):
+        import epxai.oracle
+        from epxai.oracle import BatteryResult
+
+        monkeypatch.setattr(
+            epxai.oracle, "run_all",
+            lambda seed: [BatteryResult("alpha", True, "fine", 0.1, {})],
+        )
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        code, _, err = run_cli("oracle", "--out", str(taken))
+        assert code == 1
+        assert err.startswith("error: 1: cannot write ") and "oracle.json" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert taken.read_text() == "a file, not a directory"
+
     def test_changed_dataset_exits_3(self, workspace, tmp_path):
         dataset = tmp_path / "syn.csv"
         shutil.copy(workspace[1], dataset)

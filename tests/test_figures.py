@@ -1,5 +1,6 @@
 """SVG/CSV rendering checks: determinism, value mirroring, NaN handling."""
 
+import hashlib
 import re
 
 import numpy as np
@@ -60,12 +61,12 @@ def _lines(rng, n_lines=2, with_nan=False):
     return out
 
 
-def _beeswarm(rng, n_rows=3, n_instances=4):
+def _beeswarm(rng, n_rows=3, n_instances=4, group="Price D-1"):
     rows = []
     for k in range(n_rows):
         rows.append(
             BeeswarmRow(
-                feature=FeatureId(group="Price D-1", hour=k),
+                feature=FeatureId(group=group, hour=k),
                 score=float(n_rows - k),
                 feature_values=rng.normal(size=n_instances),
                 shap_values=rng.normal(size=(n_instances, 24)),
@@ -333,3 +334,74 @@ class TestSvgHygiene:
         fig = render_figure(_heatmap(np.random.default_rng(29)))
         assert 'viewBox="0 0 ' in fig.svg
         assert 'font-family="sans-serif"' in fig.svg
+
+
+def _pinned_artifacts():
+    """Fixed artefacts for the byte pins, one per renderer path."""
+    swarm = _beeswarm(
+        np.random.default_rng(105), n_rows=2, n_instances=3,
+        group="Load <MW> & Price",
+    )
+    tensor, forecast = _stack(np.random.default_rng(106))
+    return {
+        "heatmap-signed": (_heatmap(np.random.default_rng(101)), None),
+        "heatmap-magnitude": (
+            _heatmap(np.random.default_rng(102), n_blocks=1, signed=False), None,
+        ),
+        "lines-gap-baseline": (
+            _lines(np.random.default_rng(103), with_nan=True), 12.5,
+        ),
+        "importance": (
+            ImportanceTable(
+                groups=("Price D-1", "Load Forecast D", "Day of week"),
+                values=np.abs(np.random.default_rng(104).normal(size=(24, 3))),
+            ),
+            None,
+        ),
+        "beeswarm-escaped": (swarm, None),
+        "stack-negative": (instance_stack(tensor, 1, forecast), None),
+    }
+
+
+# sha256 of (svg, csv) per renderer path. A change here changes the bytes of
+# every figure in every run directory, so it must be deliberate.
+_PINNED = {
+    "beeswarm-escaped": (
+        "dcee37c44ca731f9d471ab52f95a8debad57024f847adcca909141c3a89313c1",
+        "9858a84921e4d630ae38b3bfb6750536c072fb49bc5af7df493eec19148f0d1f",
+    ),
+    "heatmap-magnitude": (
+        "f9ce6232184ecb539d7cf420228e10b43b6f88e8fd42bcbf38ea3c177b7da8e7",
+        "2ada41c8f351e5d5a7f8bd8711a97a4008ceb26089c62ee014b5850a1fd888c5",
+    ),
+    "heatmap-signed": (
+        "cf9301e4fcbee00304f049f350cea27133524d71b6bfc1ba0de16d49bb0341a1",
+        "537a6ba79af0d5bc9b062f641520942d8c9003d5622d64b37d8813a2c3434a23",
+    ),
+    "importance": (
+        "dbb36c73e4c2c7267423db78e6c27981fdbdb12c36a953a73fa68c2c72347150",
+        "87a81f3b60bb5fcc329f90f8cb554cab79bd5af773c6b5fe23c30a733b302ac6",
+    ),
+    "lines-gap-baseline": (
+        "be75a9120f88f9abc2f8c8e11683586ef93d5cd705488b23baaaa142e2e80fb0",
+        "4b425a08224a07403f7a7406995cf88e4cfdd90f1547a262a1883d4744e89664",
+    ),
+    "stack-negative": (
+        "68502fdbbec257fbfbdff05a93a0b8a6e6b960dc54db936e5849d990a76adfb7",
+        "07332006bf93deb4a09df9f8bd9411fc1d79e4b7708f21c6bfad7607d14c3fe1",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_rendered_bytes_are_pinned(case):
+    artifact, baseline = _pinned_artifacts()[case]
+    fig = render_figure(artifact, baseline=baseline)
+    if case == "stack-negative":
+        assert (artifact.contributions < 0).any()
+    if case == "beeswarm-escaped":
+        assert "&lt;MW&gt; &amp; Price" in fig.svg
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (fig.svg, fig.csv)
+    )
+    assert digests == _PINNED[case]
