@@ -6,9 +6,10 @@ analytic gradients, sampled and exact Shapley values, and grouped (super
 variable) Shapley summaries rendered as heatmaps, rankings, and smoothed
 price-response curves.
 
-Submodules holding the numeric stack are imported on first attribute access,
-so importing :mod:`epxai` itself stays free of numpy. The command-line entry
-point relies on this to pin BLAS thread counts before numpy loads.
+Submodules are imported on first attribute access, so importing :mod:`epxai`
+itself stays free of numpy; the command-line entry point relies on this to pin
+BLAS thread counts before numpy loads. The names served by :mod:`epxai.markets`
+(the market and model settings and their presets) never load numpy at all.
 """
 
 import importlib
@@ -18,11 +19,16 @@ from .errors import EpxaiError
 __version__ = "0.1.0"
 
 _EXPORTS = {
+    # markets
+    "MARKET_IDS": "markets",
+    "MarketConfig": "markets",
+    "SuperVariable": "markets",
+    "FeatureId": "markets",
+    "market_config": "markets",
+    "ModelSpec": "markets",
+    "TrainingHyperparams": "markets",
+    "benchmark_spec": "markets",
     # data
-    "MARKET_IDS": "data",
-    "MarketConfig": "data",
-    "SuperVariable": "data",
-    "FeatureId": "data",
     "HourlySeries": "data",
     "FeatureMatrix": "data",
     "ScalerParams": "data",
@@ -30,15 +36,11 @@ _EXPORTS = {
     "series_to_csv": "data",
     "build_feature_matrix": "data",
     "daily_price_matrix": "data",
-    "market_config": "data",
     "fit_scaler": "data",
     "transform": "data",
     "inverse_transform": "data",
     # mlp
-    "ModelSpec": "mlp",
-    "TrainingHyperparams": "mlp",
     "TrainedModel": "mlp",
-    "benchmark_spec": "mlp",
     "init_model": "mlp",
     "train": "mlp",
     "forward": "mlp",

@@ -11,14 +11,17 @@ hour-inhomogeneous a trained forecaster is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .attribution import AttributionTensor
 from .data import HourlySeries, InsufficientHistory, NonFiniteInput, daily_price_matrix
 from .errors import EpxaiError
 from .mlp import TooFewInstances
-from .sshap import SshapTensor
+
+if TYPE_CHECKING:  # annotations only; train runs analytics without these layers
+    from .attribution import AttributionTensor
+    from .sshap import SshapTensor
 
 __all__ = [
     "AnalyticsError",

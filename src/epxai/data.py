@@ -23,7 +23,11 @@ from datetime import datetime
 
 import numpy as np
 
-from .errors import EpxaiError, check_bool, check_int, check_object, check_str
+from .errors import EpxaiError
+from .markets import (  # the settings names stay importable from here
+    DAY_OF_WEEK_LABEL, MARKET_IDS, SCALER_KINDS, SOURCES, FeatureId, MarketConfig,
+    SuperVariable, market_config, market_config_from_dict, market_config_to_dict,
+)
 
 __all__ = [
     "DataError",
@@ -94,74 +98,9 @@ class NonFiniteInput(DataError):
     """NaN or infinity where a finite value is required."""
 
 
-SOURCES = ("price", "exog1", "exog2")
-SCALER_KINDS = ("std", "median", "arcsinh")
-MARKET_IDS = ("DE", "FR", "BE", "NP", "PJM")
-
-DAY_OF_WEEK_LABEL = "Day of week"
-
 # 1970-01-01 (day zero of the epoch) was a Thursday; Monday = 0.
 _EPOCH_WEEKDAY = 3
 _EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
-
-
-@dataclass(frozen=True)
-class SuperVariable:
-    """One named input series at a fixed day lag.
-
-    ``source`` is one of :data:`SOURCES`; ``day_lag`` counts days back from
-    the delivery day (0 means the delivery day itself, which is valid for
-    day-ahead forecasts published before delivery).
-    """
-
-    label: str
-    source: str
-    day_lag: int
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.day_lag < 0:
-            raise ValueError("day_lag must be >= 0")
-
-
-@dataclass(frozen=True)
-class MarketConfig:
-    """Which super-variables (and optionally day-of-week) feed the model."""
-
-    market_id: str
-    currency: str
-    super_variables: tuple[SuperVariable, ...]
-    include_day_of_week: bool = False
-
-    def __post_init__(self):
-        labels = [sv.label for sv in self.super_variables]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate super-variable labels")
-        if not self.super_variables:
-            raise ValueError("at least one super-variable required")
-
-    @property
-    def n_features(self) -> int:
-        return 24 * len(self.super_variables) + (1 if self.include_day_of_week else 0)
-
-    @property
-    def max_day_lag(self) -> int:
-        return max(sv.day_lag for sv in self.super_variables)
-
-
-@dataclass(frozen=True, order=True)
-class FeatureId:
-    """A single model input: a super-variable at one hour, or day-of-week.
-
-    ``hour`` is None only for the day-of-week column.
-    """
-
-    group: str
-    hour: int | None
-
-    def __str__(self) -> str:
-        return self.group if self.hour is None else f"{self.group} H{self.hour}"
 
 
 @dataclass(frozen=True)
@@ -379,22 +318,19 @@ def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureM
         "datetime64[D]"
     )
 
-    columns: list[FeatureId] = []
     parts: list[np.ndarray] = []
     for sv in config.super_variables:
         offset = max_lag - sv.day_lag
         parts.append(day_blocks[sv.source][offset : offset + n_inst])
-        columns.extend(FeatureId(sv.label, h) for h in range(24))
     if config.include_day_of_week:
         day_index = day_stamps[max_lag:].astype(np.int64)
         weekday = ((day_index + _EPOCH_WEEKDAY) % 7).astype(np.float64)
         parts.append(weekday[:, None])
-        columns.append(FeatureId(DAY_OF_WEEK_LABEL, None))
 
     return FeatureMatrix(
         market_id=config.market_id,
         instances=day_stamps[max_lag:],
-        columns=tuple(columns),
+        columns=tuple(fid for _, members in config.groups for fid in members),
         values=np.hstack(parts),
         targets=day_blocks["price"][max_lag:].copy(),
     )
@@ -462,127 +398,3 @@ def inverse_transform(params: ScalerParams, values: np.ndarray) -> np.ndarray:
     if params.kind == "arcsinh":
         values = np.sinh(values)
     return values * params.scale + params.location
-
-
-def _sv(label: str, source: str, day_lag: int) -> SuperVariable:
-    return SuperVariable(label=label, source=source, day_lag=day_lag)
-
-
-_MARKET_PRESETS: dict[str, MarketConfig] = {
-    # exog1/exog2 meanings follow the benchmark datasets for each market.
-    "DE": MarketConfig(
-        market_id="DE",
-        currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("Price D-2", "price", 2),
-            _sv("Price D-3", "price", 3),
-            _sv("Price D-7", "price", 7),
-            _sv("Load Forecast D", "exog1", 0),
-            _sv("Load Forecast D-1", "exog1", 1),
-            _sv("Load Forecast D-7", "exog1", 7),
-            _sv("Renewable Forecast D", "exog2", 0),
-            _sv("Renewable Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=True,
-    ),
-    "FR": MarketConfig(
-        market_id="FR",
-        currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("Price D-3", "price", 3),
-            _sv("Load Forecast D", "exog1", 0),
-            _sv("Generation Forecast D", "exog2", 0),
-            _sv("Generation Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=False,
-    ),
-    "BE": MarketConfig(
-        market_id="BE",
-        currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("French Load Forecast D", "exog1", 0),
-            _sv("French Load Forecast D-7", "exog1", 7),
-            _sv("French Generation Forecast D", "exog2", 0),
-            _sv("French Generation Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=True,
-    ),
-    "NP": MarketConfig(
-        market_id="NP",
-        currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("Price D-2", "price", 2),
-            _sv("Load Forecast D", "exog1", 0),
-            _sv("Load Forecast D-1", "exog1", 1),
-            _sv("Wind Forecast D", "exog2", 0),
-            _sv("Wind Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=False,
-    ),
-    "PJM": MarketConfig(
-        market_id="PJM",
-        currency="USD",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("PJM Load Forecast D", "exog1", 0),
-            _sv("PJM Load Forecast D-1", "exog1", 1),
-            _sv("ComEd Load Forecast D", "exog2", 0),
-            _sv("ComEd Load Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=False,
-    ),
-}
-
-
-def market_config(market_id: str) -> MarketConfig:
-    """Built-in configuration for one of the five benchmark markets."""
-    try:
-        return _MARKET_PRESETS[market_id]
-    except KeyError:
-        raise ValueError(
-            f"unknown market {market_id!r}; expected one of {MARKET_IDS}"
-        ) from None
-
-
-def market_config_to_dict(config: MarketConfig) -> dict:
-    return {
-        "market_id": config.market_id,
-        "currency": config.currency,
-        "include_day_of_week": config.include_day_of_week,
-        "super_variables": [
-            {"label": sv.label, "source": sv.source, "day_lag": sv.day_lag}
-            for sv in config.super_variables
-        ],
-    }
-
-
-def market_config_from_dict(payload: dict) -> MarketConfig:
-    """Build a MarketConfig from its JSON form; raises ValueError on bad shape."""
-    keys = ("market_id", "currency", "include_day_of_week", "super_variables")
-    check_object(payload, "market", keys)
-    try:
-        svs = []
-        for k, entry in enumerate(payload["super_variables"]):
-            where = f"market.super_variables[{k}]"
-            check_object(entry, where, ("label", "source", "day_lag"))
-            svs.append(
-                SuperVariable(
-                    label=check_str(entry["label"], f"{where}.label"),
-                    source=entry["source"],
-                    day_lag=check_int(entry["day_lag"], f"{where}.day_lag"),
-                )
-            )
-        return MarketConfig(
-            market_id=check_str(payload["market_id"], "market.market_id"),
-            currency=check_str(payload.get("currency", "EUR"), "market.currency"),
-            super_variables=tuple(svs),
-            include_day_of_week=check_bool(
-                payload.get("include_day_of_week", False), "market.include_day_of_week"
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad market config: {exc}") from exc

@@ -10,6 +10,8 @@ return it; a bad value raises ``ValueError`` naming the key, which the
 config layer reports as a configuration error.
 """
 
+import math
+
 
 class EpxaiError(Exception):
     """Base class for all errors raised by this package."""
@@ -38,10 +40,16 @@ def check_int(value, name: str, lo=None, hi=None) -> int:
 
 
 def check_float(value, name: str, lo=None, lo_open=False, below=None) -> float:
-    """A number >= ``lo`` (> with ``lo_open``) and < ``below``, as a float."""
+    """A finite number >= ``lo`` (> with ``lo_open``) and < ``below``, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"'{name}' must be a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    # JSON reads NaN, Infinity and -Infinity, and NaN fails every comparison
+    if not math.isfinite(value):
+        raise ValueError(f"'{name}' must be a finite number, got {value}")
     if lo is not None and (value <= lo if lo_open else value < lo):
         op = ">" if lo_open else ">="
         raise ValueError(f"'{name}' must be {op} {lo}, got {value}")

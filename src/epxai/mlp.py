@@ -32,6 +32,7 @@ from .data import (
     transform,
 )
 from .errors import EpxaiError
+from .markets import ACTIVATIONS, INIT_SCHEMES, ModelSpec, TrainingHyperparams, benchmark_spec
 
 __all__ = [
     "ModelError",
@@ -87,9 +88,6 @@ class CorruptPayload(ModelError):
     """Persisted model cannot be decoded into a consistent network."""
 
 
-ACTIVATIONS = ("softplus", "selu")
-INIT_SCHEMES = ("glorot_uniform", "he_normal", "lecun_uniform", "lecun_normal")
-
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
@@ -98,57 +96,6 @@ MODEL_SCHEMA_VERSION = 1
 # Rows per block in forward_blocks: a block's hidden activations stay
 # in cache, and peak memory no longer scales with Monte Carlo walk batches.
 _BLOCK_ROWS = 512
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    """Architecture and scaling choices for one forecaster."""
-
-    layer_sizes: tuple[int, int, int, int]  # (n_inputs, hidden1, hidden2, 24)
-    activation: str
-    dropout_rate: float
-    l1_factor: float
-    init_scheme: str
-    input_scaler_kind: str
-    output_scaler_kind: str
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.layer_sizes) != 4 or any(s < 1 for s in self.layer_sizes):
-            raise ValueError("layer_sizes must be four positive integers")
-        if self.layer_sizes[-1] != 24:
-            raise ValueError("output layer must have 24 units (one per hour)")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.init_scheme not in INIT_SCHEMES:
-            raise ValueError(f"unknown init scheme {self.init_scheme!r}")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
-        if self.l1_factor < 0.0:
-            raise ValueError("l1_factor must be >= 0")
-
-    @property
-    def n_inputs(self) -> int:
-        return self.layer_sizes[0]
-
-
-@dataclass(frozen=True)
-class TrainingHyperparams:
-    learning_rate: float = 1e-3
-    batch_size: int = 64
-    max_epochs: int = 300
-    early_stop_patience: int = 20
-    validation_fraction: float = 0.15
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("validation_fraction must be in [0, 1)")
-        if self.batch_size < 1 or self.max_epochs < 1:
-            raise ValueError("batch_size and max_epochs must be positive")
 
 
 @dataclass
@@ -206,36 +153,6 @@ def _activation_grad(name: str, z: np.ndarray) -> np.ndarray:
         return _sigmoid(z)
     neg = np.minimum(z, 0.0)
     return np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(neg))
-
-
-def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:
-    """Tuned architecture for one of the five benchmark markets."""
-    table = {
-        "DE": ((217, 329, 379, 24), "softplus", 0.455, 0.0,
-               "glorot_uniform", "std", "median"),
-        "FR": ((120, 233, 206, 24), "softplus", 0.193, 0.0,
-               "glorot_uniform", "arcsinh", "std"),
-        "BE": ((121, 205, 308, 24), "softplus", 0.253, 0.0,
-               "he_normal", "arcsinh", "arcsinh"),
-        "NP": ((144, 274, 308, 24), "softplus", 0.154, 0.0,
-               "lecun_uniform", "median", "std"),
-        "PJM": ((120, 299, 376, 24), "selu", 0.0079, 0.000306,
-                "lecun_uniform", "arcsinh", "arcsinh"),
-    }
-    try:
-        sizes, act, dropout, l1, init, sin, sout = table[market_id]
-    except KeyError:
-        raise ValueError(f"unknown market {market_id!r}") from None
-    return ModelSpec(
-        layer_sizes=sizes,
-        activation=act,
-        dropout_rate=dropout,
-        l1_factor=l1,
-        init_scheme=init,
-        input_scaler_kind=sin,
-        output_scaler_kind=sout,
-        seed=seed,
-    )
 
 
 def init_model(spec: ModelSpec) -> TrainedModel:

@@ -6,6 +6,10 @@ directory: ``model.json``, ``report.json``, ``manifest.json``,
 deterministic for a fixed config, dataset, and thread count; the manifest
 records sha256 hashes so two runs can be compared file by file. Wall-clock
 timings and absolute paths live only in the manifest, never in hashed outputs.
+
+Loading this module loads the config layer only (:mod:`epxai.markets`);
+each command imports the numeric layers it runs at its start, so
+``validate`` and ``report`` never load numpy.
 """
 
 from __future__ import annotations
@@ -20,56 +24,12 @@ import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .analytics import (
-    beeswarm_table,
-    complexity_metrics,
-    heatmap,
-    hourly_importance,
-    naive_forecast,
-    performance_metrics,
-)
-from .attribution import attribution_to_csv, explain_dataset, sample_background, tensor_csv
-from .data import (
-    MARKET_IDS,
-    SCALER_KINDS,
-    DataError,
-    MarketConfig,
-    build_feature_matrix,
-    market_config,
-    market_config_from_dict,
+from .errors import EpxaiError, check_bool, check_choice, check_float, check_int, check_object
+from .markets import (
+    ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, MarketConfig, ModelSpec,
+    TrainingHyperparams, benchmark_spec, market_config, market_config_from_dict,
     market_config_to_dict,
-    parse_market_csv,
-    series_to_csv,
-)
-from .errors import (
-    EpxaiError, check_bool, check_choice, check_float, check_int, check_object,
-)
-from .figures import instance_stack, render_figure
-from .mlp import (
-    ACTIVATIONS,
-    INIT_SCHEMES,
-    ModelError,
-    ModelSpec,
-    TrainingHyperparams,
-    benchmark_spec,
-    count_parameters,
-    init_model,
-    load_model,
-    n_train_instances,
-    predict_prices,
-    save_model,
-    train,
-)
-from .sshap import (
-    aggregate,
-    default_partition,
-    merge_groups,
-    slope_check,
-    split_group,
-    sshap_line,
 )
 
 __all__ = [
@@ -130,7 +90,7 @@ def _splits(value, name: str, market: MarketConfig) -> list:
 
 
 def _merges(value, name: str, market: MarketConfig) -> list:
-    groups = default_partition(market).labels
+    groups = [label for label, _ in market.groups]
     merges = []
     for k, entry in enumerate(value or []):
         where = f"{name}[{k}]"
@@ -293,17 +253,8 @@ def resolve_config(
     """
     try:
         echo, market = _resolve_echo(raw, Path(base_dir), out_override, seed_override)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    dataset = Path(echo["dataset"])
-    if check_paths and not dataset.is_file():
-        raise ConfigError(f"dataset path does not exist: {dataset}")
-    model = echo["model"]
-    return RunConfig(
-        dataset=dataset,
-        out=None if echo["out"] is None else Path(echo["out"]),
-        market=market,
-        model_spec=ModelSpec(
+        model = echo["model"]
+        model_spec = ModelSpec(
             layer_sizes=(market.n_features, model["hidden1"], model["hidden2"], 24),
             activation=model["activation"],
             dropout_rate=model["dropout"],
@@ -312,8 +263,19 @@ def resolve_config(
             input_scaler_kind=model["input_scaler"],
             output_scaler_kind=model["output_scaler"],
             seed=model["seed"],
-        ),
-        training=TrainingHyperparams(**echo["training"]),
+        )
+        training = TrainingHyperparams(**echo["training"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    dataset = Path(echo["dataset"])
+    if check_paths and not dataset.is_file():
+        raise ConfigError(f"dataset path does not exist: {dataset}")
+    return RunConfig(
+        dataset=dataset,
+        out=None if echo["out"] is None else Path(echo["out"]),
+        market=market,
+        model_spec=model_spec,
+        training=training,
         echo=echo,
     )
 
@@ -420,6 +382,8 @@ class _Stage:
     """
 
     def __init__(self, args, name: str):
+        from .data import DataError, parse_market_csv
+
         self.config = config = _config_from_args(args)
         if config.out is None:
             raise ConfigError(
@@ -481,6 +445,8 @@ class _Stage:
         self.outputs[rel] = hashlib.sha256(data).hexdigest()
 
     def figure(self, stem: str, artifact, title: str, unit: str, baseline=None) -> None:
+        from .figures import render_figure
+
         rendered = render_figure(
             artifact, title=f"{self.config.market.market_id} {title}", unit=unit,
             baseline=baseline,
@@ -515,6 +481,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
+    from .data import series_to_csv
+
     stage = _Stage(args, "ingest")
     series = stage.series
     stage.write("tables/dataset.csv", series_to_csv(series))
@@ -525,6 +493,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    import numpy as np
+
+    from .analytics import naive_forecast, performance_metrics
+    from .data import DataError, build_feature_matrix
+    from .mlp import (
+        count_parameters, init_model, n_train_instances, predict_prices, save_model, train,
+    )
+
     stage = _Stage(args, "train")
     config, series = stage.config, stage.series
     features = build_feature_matrix(series, config.market)
@@ -578,6 +554,10 @@ def cmd_train(args) -> int:
 
 
 def _instance_subset(features, config: RunConfig) -> np.ndarray:
+    import numpy as np
+
+    from .data import DataError
+
     n = features.n_instances
     max_instances = config.echo["attribution"]["max_instances"]
     if max_instances is None or max_instances >= n:
@@ -603,6 +583,8 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
 
 def _partitions(config: RunConfig) -> dict:
     """The default grouping, plus the configured splits and merges of it."""
+    from .sshap import default_partition, merge_groups, split_group
+
     partition = config.echo["partition"]
     partitions = {"default": default_partition(config.market)}
     if partition["splits"]:
@@ -619,12 +601,16 @@ def _partitions(config: RunConfig) -> dict:
 
 
 def _sshap_csv(tensor) -> str:
+    from .attribution import tensor_csv
+
     prefixes = [f"{label}," for label in tensor.partition.labels]
     header = "instance_id,output_hour,group,value"
     return tensor_csv(header, tensor.instance_ids, tensor.values, prefixes)
 
 
 def _load_model_file(path: Path):
+    from .mlp import ModelError, load_model
+
     try:
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -638,6 +624,15 @@ def _load_model_file(path: Path):
 
 
 def cmd_explain(args) -> int:
+    import numpy as np
+
+    from .analytics import beeswarm_table, complexity_metrics, heatmap, hourly_importance
+    from .attribution import attribution_to_csv, explain_dataset, sample_background
+    from .data import build_feature_matrix
+    from .figures import instance_stack
+    from .mlp import predict_prices
+    from .sshap import aggregate, slope_check, sshap_line
+
     stage = _Stage(args, "explain")
     config = stage.config
     attribution = config.echo["attribution"]

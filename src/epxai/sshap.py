@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionTensor
-from .data import DAY_OF_WEEK_LABEL, FeatureId, MarketConfig
 from .errors import EpxaiError
+from .markets import FeatureId, MarketConfig
 
 __all__ = [
     "SshapError",
@@ -161,13 +161,7 @@ class SlopeCheck:
 
 def default_partition(config: MarketConfig) -> Partition:
     """One group per super-variable, day-of-week as its own singleton."""
-    groups = [
-        (sv.label, tuple(FeatureId(sv.label, h) for h in range(24)))
-        for sv in config.super_variables
-    ]
-    if config.include_day_of_week:
-        groups.append((DAY_OF_WEEK_LABEL, (FeatureId(DAY_OF_WEEK_LABEL, None),)))
-    return Partition(groups=tuple(groups))
+    return Partition(groups=config.groups)
 
 
 def merge_groups(partition: Partition, new_label: str, labels) -> Partition:

@@ -5,6 +5,8 @@ import io
 import json
 import os
 import shutil
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -209,6 +211,14 @@ class TestValidate:
             (lambda c: c["market"].update(curency="USD"), "curency"),
             (lambda c: c["market"]["super_variables"][0].update(lagg=2), "lagg"),
             (lambda c: c.update(market=[]), "market must be an object"),
+            # json.dumps writes these as the NaN and Infinity tokens json reads
+            (lambda c: c["model"].update(dropout=float("nan")), "model.dropout"),
+            (lambda c: c["training"].update(validation_fraction=float("nan")),
+             "training.validation_fraction"),
+            (lambda c: c["training"].update(learning_rate=float("nan")), "training.learning_rate"),
+            (lambda c: c["model"].update(l1=float("nan")), "model.l1"),
+            (lambda c: c["lines"].update(bandwidth=float("inf")), "lines.bandwidth"),
+            (lambda c: c["model"].update(l1=10**400), "model.l1"),  # beyond the float range
         ],
     )
     def test_bad_settings_exit_2(self, workspace, tmp_path, mutate, fragment):
@@ -220,6 +230,7 @@ class TestValidate:
         code, _, err = run_cli("validate", "--config", str(path))
         assert code == 2
         assert err.startswith("error: 2:")
+        assert err.count("\n") == 1
         assert fragment in err
 
     def test_missing_dataset_exits_2(self, tmp_path):
@@ -585,6 +596,54 @@ class TestFailureExitCodes:
         )
         assert code == 2
         assert "different config" in err
+
+
+def _fresh_modules(code: str, *argv) -> set:
+    """Modules a fresh interpreter holds after running ``code`` with ``argv``."""
+    src = Path(pipeline.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(json.loads(result.stdout.splitlines()[-1]))
+
+
+class TestImportGraph:
+    """Each command loads only the layers it runs, in a fresh interpreter."""
+
+    NOT_LOADED = {
+        "validate": ("numpy",),
+        "ingest": (
+            "epxai.mlp", "epxai.attribution", "epxai.sshap", "epxai.analytics", "epxai.figures",
+        ),
+        "train": ("epxai.attribution", "epxai.sshap", "epxai.figures"),
+        "report": ("numpy",),
+    }
+
+    @pytest.fixture(scope="class")
+    def loaded(self, workspace):
+        root, dataset = workspace
+        config = root / "imports.json"
+        config.write_text(json.dumps(base_config(dataset, root / "imports_run")))
+        run = "import sys\nfrom epxai.cli import main\nassert main(sys.argv[1:]) == 0"
+        return {
+            command: _fresh_modules(run, command, "--config", str(config))
+            for command in self.NOT_LOADED  # in pipeline order: report reads train's run
+        }
+
+    @pytest.mark.parametrize("command", list(NOT_LOADED))
+    def test_command_skips_unused_layers(self, loaded, command):
+        assert "epxai.pipeline" in loaded[command]
+        assert not loaded[command] & set(self.NOT_LOADED[command])
+
+    def test_package_settings_leave_numpy_unloaded(self):
+        modules = _fresh_modules(
+            "import epxai\nepxai.market_config('NP')\nepxai.benchmark_spec('NP')"
+        )
+        assert "numpy" not in modules
+        assert "epxai.markets" in modules
 
 
 class TestOracleCommand:
