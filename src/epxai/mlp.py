@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -434,16 +434,7 @@ def save_model(model: TrainedModel) -> str:
     """Serialize a model to versioned JSON text; exact float round-trip."""
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
-        "spec": {
-            "layer_sizes": list(model.spec.layer_sizes),
-            "activation": model.spec.activation,
-            "dropout_rate": model.spec.dropout_rate,
-            "l1_factor": model.spec.l1_factor,
-            "init_scheme": model.spec.init_scheme,
-            "input_scaler_kind": model.spec.input_scaler_kind,
-            "output_scaler_kind": model.spec.output_scaler_kind,
-            "seed": model.spec.seed,
-        },
+        "spec": asdict(model.spec),
         "input_scaler": _scaler_to_dict(model.input_scaler),
         "output_scaler": _scaler_to_dict(model.output_scaler),
         "layers": [
@@ -480,16 +471,11 @@ def load_model(text: str) -> TrainedModel:
         )
     try:
         sp = payload["spec"]
-        spec = ModelSpec(
-            layer_sizes=tuple(sp["layer_sizes"]),
-            activation=sp["activation"],
-            dropout_rate=sp["dropout_rate"],
-            l1_factor=sp["l1_factor"],
-            init_scheme=sp["init_scheme"],
-            input_scaler_kind=sp["input_scaler_kind"],
-            output_scaler_kind=sp["output_scaler_kind"],
-            seed=sp["seed"],
-        )
+        # every field is required: a missing seed must not fall back to its default
+        names = [f.name for f in fields(ModelSpec)]
+        if sorted(sp) != sorted(names):
+            raise CorruptPayload(f"spec keys {sorted(sp)} are not the ModelSpec fields {names}")
+        spec = ModelSpec(**{**sp, "layer_sizes": tuple(sp["layer_sizes"])})
         weights, biases = [], []
         for layer in payload["layers"]:
             rows, cols = int(layer["rows"]), int(layer["cols"])

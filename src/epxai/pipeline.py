@@ -223,7 +223,7 @@ def load_config(
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         raw = json.loads(text)
@@ -360,11 +360,64 @@ def _read_run_json(path: Path) -> dict:
     """Parse a JSON object file of a run directory; a corrupt one is an IncompleteRun."""
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IncompleteRun(f"unreadable run file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise IncompleteRun(f"unreadable run file {path}: not a JSON object")
     return payload
+
+
+def _read_manifest(out: Path) -> dict | None:
+    """The ``manifest.json`` of run directory ``out``, or None when there is none.
+
+    The fields commands index into are checked here, so a manifest of
+    another shape is an :class:`IncompleteRun` raised before anything is
+    written.
+    """
+    path = out / "manifest.json"
+    if not path.is_file():
+        return None
+    manifest = _read_run_json(path)
+    stages, inputs = manifest.get("stages"), manifest.get("inputs")
+    if not (
+        isinstance(stages, dict) and isinstance(inputs, dict)
+        and isinstance(manifest.get("seeds"), dict)
+        and all(
+            isinstance(record, dict) and isinstance(record.get("outputs"), dict)
+            and all(isinstance(digest, str) for digest in record["outputs"].values())
+            for record in stages.values()
+        )
+        and all(
+            isinstance(record, dict) and isinstance(record.get("sha256"), str)
+            for record in inputs.values()
+        )
+    ):
+        raise IncompleteRun(
+            f"malformed run file {path}: 'stages' must map each stage to its output hashes, "
+            f"'inputs' each input to its sha256, and 'seeds' must be an object"
+        )
+    return manifest
+
+
+def _records(manifest: dict, rel: str) -> bool:
+    """Whether a stage of the checked manifest lists ``rel`` among its outputs."""
+    return any(rel in record["outputs"] for record in manifest["stages"].values())
+
+
+def _verified_outputs(out: Path, manifest: dict) -> list:
+    """The sorted output paths a checked manifest records; a file that is
+    missing, unreadable or changed is an IncompleteRun."""
+    verified = []
+    for stage, record in sorted(manifest["stages"].items()):
+        for rel, digest in record["outputs"].items():
+            try:
+                data = (out / rel).read_bytes()
+            except OSError as exc:
+                raise IncompleteRun(f"stage {stage} output {rel} is unreadable: {exc}") from exc
+            if hashlib.sha256(data).hexdigest() != digest:
+                raise IncompleteRun(f"stage {stage} output {rel} does not match its manifest hash")
+            verified.append(rel)
+    return sorted(verified)
 
 
 class _Stage:
@@ -372,10 +425,10 @@ class _Stage:
 
     Construction resolves the config and the run directory and reads,
     hashes and parses the dataset once. It refuses a directory made by
-    another config or from another dataset, or one with an unreadable run
-    file, before anything is written. The config check leaves out the
-    ``dataset`` and ``out`` paths, so a copied or moved run directory can be
-    continued. ``write`` and ``figure`` write each artifact as soon as it
+    another config or from another dataset, or one with an unreadable or
+    malformed run file, before anything is written. The config check leaves
+    out the ``dataset`` and ``out`` paths, so a copied or moved run directory
+    can be continued. ``write`` and ``figure`` write each artifact as soon as it
     exists and record its hash; ``finish`` merges the report section,
     records the stage in ``manifest.json`` and prints the stage line. Every
     file goes through :func:`_write_atomic`.
@@ -385,11 +438,7 @@ class _Stage:
         from .data import DataError, parse_market_csv
 
         self.config = config = _config_from_args(args)
-        if config.out is None:
-            raise ConfigError(
-                'no output directory: pass --out, set EPXAI_OUT, or set "out" in the config'
-            )
-        self.name, self.out, self.outputs = name, config.out, {}
+        self.name, self.out, self.outputs = name, _run_dir(args, config), {}
         self.t0 = time.perf_counter()
         digest = _sha256_text(_canonical_json(config.settings))
         self.manifest = {
@@ -406,25 +455,25 @@ class _Stage:
             "inputs": {},
             "stages": {},
         }
-        path = self.out / "manifest.json"
-        if path.is_file():
-            existing = _read_run_json(path)
+        existing = _read_manifest(self.out)
+        if existing is not None:
             if existing.get("config_digest") != digest:
                 raise ConfigError(
                     f"run directory {self.out} was produced by a different config "
                     f"(manifest digest {existing.get('config_digest')!r}); "
                     f"use a fresh directory"
                 )
-            self.manifest["inputs"] = existing.get("inputs", {})
-            self.manifest["stages"] = existing.get("stages", {})
-        path = self.out / "report.json"
-        self.report = _read_run_json(path) if path.is_file() else {}
+            self.manifest["inputs"] = existing["inputs"]
+            self.manifest["stages"] = existing["stages"]
+        # a report.json that no stage recorded is not this run's: start afresh
+        recorded = _records(self.manifest, "report.json")
+        self.report = _read_run_json(self.out / "report.json") if recorded else {}
 
         try:
             text = config.dataset.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise DataError(f"dataset file not found: {config.dataset}") from None
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read dataset {config.dataset}: {exc}") from exc
         self.dataset_sha256 = _sha256_text(text)
         recorded = self.manifest["inputs"].get("dataset", {}).get("sha256")
@@ -456,14 +505,19 @@ class _Stage:
 
     def finish(self, section: dict | None, message: str) -> int:
         if section:
-            self.report.update(section)
+            # every report names its market and settings, so report reads
+            # both from it; the absolute dataset and run paths stay in
+            # manifest.json, so the report hashes the same wherever it lives
+            self.report.update(
+                market_id=self.config.market.market_id, config=self.config.settings, **section
+            )
             self.write("report.json", _canonical_json(self.report))
         stages = self.manifest["stages"]
         # a file is listed only by the stage that wrote it last, so every
         # recorded hash matches the file on disk
         for record in stages.values():
             for rel in self.outputs:
-                record.get("outputs", {}).pop(rel, None)
+                record["outputs"].pop(rel, None)
         stages[self.name] = {
             "seconds": round(time.perf_counter() - self.t0, 3),
             "outputs": dict(sorted(self.outputs.items())),
@@ -530,10 +584,6 @@ def cmd_train(args) -> int:
     val_maes = [h["val_mae"] for h in trained.history if h["val_mae"] is not None]
     fit = scopes["train"]
     return stage.finish({
-        "market_id": config.market.market_id,
-        # the absolute dataset and run paths stay in manifest.json, so the
-        # report hashes the same wherever the run directory lives
-        "config": config.settings,
         "data": {
             "dataset_sha256": stage.dataset_sha256,
             "n_hours": series.n_hours,
@@ -615,7 +665,7 @@ def _load_model_file(path: Path):
         text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ModelMismatch(f"model file not found: {path}; run train first") from None
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ModelMismatch(f"cannot read model file {path}: {exc}") from exc
     try:
         return load_model(text)
@@ -745,46 +795,26 @@ def cmd_explain(args) -> int:
 
 
 def _markdown_table(header: list, rows: list) -> list:
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "|" + "|".join(" --- " for _ in header) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(str(c) for c in row) + " |")
-    return lines
+    cells = ["| " + " | ".join(map(str, row)) + " |" for row in (header, *rows)]
+    return [cells[0], "|" + "|".join(" --- " for _ in header) + "|", *cells[1:]]
 
 
 def cmd_report(args) -> int:
-    out_raw = args.out or os.environ.get("EPXAI_OUT")
-    if not out_raw and getattr(args, "config", None):
-        config = load_config(Path(args.config))
-        if config.out is not None:
-            out_raw = str(config.out)
-    if not out_raw:
-        raise ConfigError("report needs the run directory: pass --out or set EPXAI_OUT")
-    out = Path(out_raw)
-    manifest_path = out / "manifest.json"
-    if not manifest_path.is_file():
-        raise IncompleteRun(f"missing manifest: {manifest_path}")
-    manifest = _read_run_json(manifest_path)
-    report_path = out / "report.json"
-    if not report_path.is_file():
-        raise IncompleteRun(f"missing report.json in {out}; run train and explain first")
-    report = _read_run_json(report_path)
+    out = _run_dir(args, _config_from_args(args) if args.config else None)
+    manifest = _read_manifest(out)
+    if manifest is None:
+        raise IncompleteRun(f"missing manifest: {out / 'manifest.json'}")
+    if not _records(manifest, "report.json"):
+        raise IncompleteRun(f"no stage of {out} recorded report.json; run train and explain first")
+    report = _read_run_json(out / "report.json")
+    # summary.md lists and embeds only files whose recorded hashes match
+    verified = _verified_outputs(out, manifest)
+    figures = [rel for rel in verified if rel.startswith("figures/")]
+    tables = [rel for rel in verified if rel.startswith("tables/")]
 
-    for stage, record in sorted(manifest.get("stages", {}).items()):
-        for rel, digest in record.get("outputs", {}).items():
-            if not (out / rel).is_file():
-                raise IncompleteRun(f"stage {stage} output missing from run directory: {rel}")
-            if hashlib.sha256((out / rel).read_bytes()).hexdigest() != digest:
-                raise IncompleteRun(
-                    f"stage {stage} output {rel} does not match its manifest hash"
-                )
-
-    market = report.get("market_id", manifest.get("config", {}).get("market_id", "?"))
-    currency = manifest.get("config", {}).get("market", {}).get("currency", "EUR")
+    unit = f"{report['config']['market']['currency']}/MWh"
     lines = [
-        f"# {market} run summary",
+        f"# {report['market_id']} run summary",
         "",
         f"Produced by epxai {manifest.get('version', '?')}.",
         "",
@@ -804,17 +834,13 @@ def cmd_report(args) -> int:
     lines += ["## Performance", ""]
     performance = report.get("performance")
     if performance:
-        rows = [
-            [
-                scope,
-                f"{m['mae']:.4f}", f"{m['rmae']:.4f}",
-                f"{m['smape']:.4f}", f"{m['rmse']:.4f}", m["n_observations"],
-            ]
-            for scope, m in performance.items()
-        ]
         lines += _markdown_table(
-            ["scope", f"MAE [{currency}/MWh]", "rMAE", "sMAPE", f"RMSE [{currency}/MWh]", "hours"],
-            rows,
+            ["scope", f"MAE [{unit}]", "rMAE", "sMAPE", f"RMSE [{unit}]", "hours"],
+            [
+                [scope, *(f"{m[k]:.4f}" for k in ("mae", "rmae", "smape", "rmse")),
+                 m["n_observations"]]
+                for scope, m in performance.items()
+            ],
         )
     else:
         lines.append("Not produced yet (run train).")
@@ -826,10 +852,8 @@ def cmd_report(args) -> int:
         c = explain["complexity"]
         lines += _markdown_table(
             [
-                f"non-linearity [{currency}/MWh]",
-                f"non-homogeneity [{currency}/MWh]",
-                "important variables per hour",
-                f"threshold [{currency}/MWh]",
+                f"non-linearity [{unit}]", f"non-homogeneity [{unit}]",
+                "important variables per hour", f"threshold [{unit}]",
             ],
             [[
                 f"{c['non_linearity']:.4f}", f"{c['non_homogeneity']:.4f}",
@@ -838,19 +862,14 @@ def cmd_report(args) -> int:
         )
         lines.append("")
         s = explain["slope_check"]
+        band = s.get("band_percentiles")
         lines += [
             "## Additivity check",
             "",
             f"Summed group curves against price minus baseline: slope "
             f"{s['slope']:.4f}, intercept {s['intercept']:.2f}, max deviation "
             f"{s['max_deviation']:.4g} over {s['n_points']} grid points"
-            + (
-                f" inside the {s['band_percentiles'][0]:g}-{s['band_percentiles'][1]:g} "
-                f"percentile band"
-                if s.get("band_percentiles")
-                else ""
-            )
-            + ".",
+            + (f" inside the {band[0]:g}-{band[1]:g} percentile band" if band else "") + ".",
             "",
             f"Explained instances: {explain['n_instances_explained']} "
             f"({explain['n_pairs']} permutation pairs, background "
@@ -860,30 +879,24 @@ def cmd_report(args) -> int:
         lines.append("Not produced yet (run explain).")
     lines.append("")
 
-    figures = sorted((out / "figures").glob("*.svg")) if (out / "figures").is_dir() else []
     lines += ["## Figures", ""]
-    if figures:
-        for path in figures:
-            lines += [f"### {path.stem}", "", f"![{path.stem}](figures/{path.name})", ""]
-    else:
+    for rel in figures:
+        stem = Path(rel).stem
+        lines += [f"### {stem}", "", f"![{stem}]({rel})", ""]
+    if not figures:
         lines += ["No figures produced yet.", ""]
-
-    tables = sorted((out / "tables").glob("*.csv")) if (out / "tables").is_dir() else []
     if tables:
-        lines += ["## Tables", ""]
-        lines += [f"- `tables/{p.name}`" for p in tables]
-        lines.append("")
+        lines += ["## Tables", "", *(f"- `{rel}`" for rel in tables), ""]
 
-    seeds = manifest.get("seeds", {})
     lines += [
         "## Reproducibility",
         "",
-        f"- seeds: " + ", ".join(f"{k} {v}" for k, v in sorted(seeds.items())),
+        "- seeds: " + ", ".join(f"{k} {v}" for k, v in sorted(manifest["seeds"].items())),
     ]
-    for name, record in sorted(manifest.get("inputs", {}).items()):
+    for name, record in sorted(manifest["inputs"].items()):
         lines.append(f"- input {name}: sha256 `{record['sha256'][:16]}...`")
-    for stage, record in sorted(manifest.get("stages", {}).items()):
-        lines.append(f"- stage {stage}: {len(record.get('outputs', {}))} files")
+    for stage, record in sorted(manifest["stages"].items()):
+        lines.append(f"- stage {stage}: {len(record['outputs'])} files")
     lines.append("")
 
     _write_atomic(out / "summary.md", "\n".join(lines).encode("utf-8"))
@@ -917,13 +930,25 @@ def cmd_oracle(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+def _out_override(args) -> str | None:
+    """``--out``, else ``EPXAI_OUT``: the run directory that replaces the config's ``out``."""
+    return getattr(args, "out", None) or os.environ.get("EPXAI_OUT")
+
+
+def _run_dir(args, config: RunConfig | None) -> Path:
+    """The run directory: ``--out``, else ``EPXAI_OUT``, else the config's ``out``."""
+    out = config.out if config is not None else _out_override(args)
+    if not out:
+        raise ConfigError('no run directory: pass --out, set EPXAI_OUT or give the config "out"')
+    return Path(out)
+
+
 def _config_from_args(args, check_paths: bool = False) -> RunConfig:
     if not getattr(args, "config", None):
         raise ConfigError("a --config file is required")
-    out_override = getattr(args, "out", None) or os.environ.get("EPXAI_OUT")
     return load_config(
         Path(args.config),
-        out_override=out_override,
+        out_override=_out_override(args),
         seed_override=getattr(args, "seed", None),
         check_paths=check_paths,
     )

@@ -17,7 +17,7 @@ from epxai import pipeline
 from epxai.cli import main
 from epxai.data import DataError
 from epxai.errors import EpxaiError
-from epxai.mlp import DivergedLoss, ModelError, TooFewInstances
+from epxai.mlp import CorruptPayload, DivergedLoss, ModelError, TooFewInstances, load_model
 from epxai.pipeline import (
     ConfigError, IncompleteRun, ModelMismatch, load_config, resolve_config,
 )
@@ -356,6 +356,32 @@ class TestRunPipeline:
         assert (runs[0] / "summary.md").read_bytes() == (runs[1] / "summary.md").read_bytes()
         assert manifests[0]["config"]["dataset"] != manifests[1]["config"]["dataset"]
 
+    def test_explain_only_run_reports(self, completed, tmp_path):
+        # explain --model needs no train in the run directory; its report.json
+        # still names the market and the currency that summary.md shows
+        run = tmp_path / "run"
+        config = str(completed["config"])
+        model = str(completed["run"] / "model.json")
+        code, _, err = run_cli("explain", "--config", config, "--out", str(run), "--model", model)
+        assert (code, err) == (0, "")
+        code, _, err = run_cli("report", "--out", str(run))
+        assert (code, err) == (0, "")
+        summary = (run / "summary.md").read_text()
+        assert summary.startswith("# FR run summary\n")
+        assert "Not produced yet (run train)." in summary
+        assert "[EUR/MWh]" in summary
+
+    def test_report_finds_run_dir_like_the_stages(self, completed, tmp_path, monkeypatch):
+        # with --config, a relative --out resolves against the config file's
+        # directory for report as for the stage commands
+        (tmp_path / "configs").mkdir()
+        (tmp_path / "configs/run.json").write_text(completed["config"].read_text())
+        monkeypatch.chdir(tmp_path)
+        for command in ("train", "report"):
+            code, _, err = run_cli(command, "--config", "configs/run.json", "--out", "rel")
+            assert (code, err) == (0, ""), command
+        assert (tmp_path / "configs/rel/summary.md").is_file()
+
     def test_out_env_variable_supplies_run_dir(self, completed, monkeypatch, tmp_path):
         config = base_config(completed["dataset"], tmp_path / "ignored")
         del config["out"]
@@ -469,6 +495,28 @@ class TestFailureExitCodes:
         assert code == 6
         assert err.startswith("error: 6: unreadable run file ")
         assert err.rstrip("\n").endswith(f"{name}: not a JSON object")
+
+    @pytest.mark.parametrize(
+        "name, command, code",
+        [
+            ("run.json", "validate", 2), ("syn.csv", "ingest", 3),
+            ("model.json", "explain", 5), ("manifest.json", "report", 6),
+            ("report.json", "report", 6),
+        ],
+    )
+    def test_file_not_utf8_is_one_error_line(self, completed, tmp_path, name, command, code):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        shutil.copy(completed["dataset"], tmp_path / "syn.csv")
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(tmp_path / "syn.csv", copy)))
+        (tmp_path / name if name in ("run.json", "syn.csv") else copy / name).write_bytes(
+            b"\xff\xfe{"
+        )
+        got, _, err = run_cli(command, "--config", str(config))
+        assert got == code
+        assert err.startswith(f"error: {code}: ") and name in err
+        assert len(err.rstrip("\n").splitlines()) == 1
 
     def test_explain_with_corrupt_report_json_exits_6(self, workspace, tmp_path):
         # explain merges its section into report.json; a truncated file must
@@ -589,6 +637,94 @@ class TestFailureExitCodes:
         assert code == 6
         assert err.startswith("error: 6:") and "tables/shap.csv" in err
         assert len(err.rstrip("\n").splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "command, mutate",
+        [
+            ("report", lambda m: m.update(stages=[])),
+            ("report", lambda m: m["stages"]["explain"].update(outputs=["x"])),
+            ("report", lambda m: m.update(inputs={"dataset": {}})),
+            ("report", lambda m: m.update(seeds=[1])),
+            ("ingest", lambda m: m.update(stages=[])),
+            ("ingest", lambda m: m.update(inputs=[])),
+            ("ingest", lambda m: m["inputs"]["dataset"].update(sha256=5)),
+        ],
+        ids=[
+            "report-stages-list", "report-outputs-list", "report-input-without-sha256",
+            "report-seeds-list", "ingest-stages-list", "ingest-inputs-list",
+            "ingest-sha256-number",
+        ],
+    )
+    def test_malformed_manifest_exits_6(self, completed, tmp_path, command, mutate):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        manifest = json.loads((copy / "manifest.json").read_text())
+        mutate(manifest)
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        # os.replace gives a file a new inode, so even a rewrite with the
+        # same bytes shows in st_ino
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_ino) for p in copy.rglob("*") if p.is_file()}
+
+        before = files()
+        code, _, err = run_cli(
+            command, "--config", str(completed["config"]), "--out", str(copy)
+        )
+        assert code == 6
+        assert err.startswith("error: 6: ") and "manifest.json" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert files() == before
+
+    @pytest.mark.parametrize(
+        "mutate", [lambda spec: spec.update(surprise=1), lambda spec: spec.pop("seed")],
+        ids=["extra-key", "no-seed"],
+    )
+    def test_model_spec_with_other_keys_exits_5(self, completed, tmp_path, mutate):
+        payload = json.loads((completed["run"] / "model.json").read_text())
+        mutate(payload["spec"])
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        with pytest.raises(CorruptPayload):
+            load_model(model.read_text())
+        code, _, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(tmp_path / "run"),
+            "--model", str(model),
+        )
+        assert code == 5
+        assert err.startswith("error: 5: ") and "spec" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+
+    def test_summary_lists_only_verified_files(self, completed, tmp_path):
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        (copy / "figures/stray.svg").write_text("<svg/>\n")
+        (copy / "tables/stray.csv").write_text("a\n1\n")
+        code, out, err = run_cli("report", "--out", str(copy))
+        assert (code, err) == (0, "")
+        summary = (copy / "summary.md").read_text()
+        assert "stray" not in summary
+        assert summary == (completed["run"] / "summary.md").read_text()
+
+    def test_report_json_no_stage_recorded_exits_6(self, completed, tmp_path):
+        run = tmp_path / "run"
+        code, _, _ = run_cli("ingest", "--config", str(completed["config"]), "--out", str(run))
+        assert code == 0
+        shutil.copy(completed["run"] / "report.json", run / "report.json")
+        code, _, err = run_cli("report", "--out", str(run))
+        assert code == 6
+        assert err.startswith("error: 6: ") and "report.json" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (run / "summary.md").exists()
+
+    def test_unrecorded_report_json_is_replaced(self, completed, tmp_path):
+        # a stage merges its section only into a report.json the manifest records
+        run = tmp_path / "run"
+        config = str(completed["config"])
+        assert run_cli("ingest", "--config", config, "--out", str(run))[0] == 0
+        (run / "report.json").write_text('{"stray": 1}\n')
+        assert run_cli("train", "--config", config, "--out", str(run))[0] == 0
+        report = json.loads((run / "report.json").read_text())
+        assert "stray" not in report and "performance" in report
 
     def test_changed_config_same_dir_exits_2(self, completed):
         code, _, err = run_cli(
