@@ -216,10 +216,11 @@ def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     w1, w2, w3 = model.weights
     d_out = _output_derivative(model, yn)  # (n, 24)
 
-    back = s2[:, :, None] * w3[None, :, :]  # (n, h2, 24)
-    back = np.einsum("ab,nbo->nao", w2, back)  # (n, h1, 24)
+    # stacked matmuls run one BLAS product per row
+    back = s2[:, :, None] * w3  # (n, h2, 24)
+    back = w2 @ back  # (n, h1, 24)
     back *= s1[:, :, None]
-    back = np.einsum("ia,nao->nio", w1, back)  # (n, n_in, 24)
+    back = w1 @ back  # (n, n_in, 24)
     jac = np.transpose(back, (0, 2, 1)) * d_out[:, :, None]
     if not np.all(np.isfinite(jac)):
         raise NonFiniteModelOutput("gradient accumulation produced non-finite values")

@@ -17,6 +17,7 @@ returned model are float64, holding float32-exact weights.
 
 from __future__ import annotations
 
+import base64
 import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -91,7 +92,7 @@ class CorruptPayload(ModelError):
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 
 # Rows per block in forward_blocks: a block's hidden activations stay
 # in cache, and peak memory no longer scales with Monte Carlo walk batches.
@@ -120,13 +121,15 @@ class TrainedModel:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(-|x|) never overflows; for x < 0 it is exp(x), so both branches of
-    # the logistic function share one exp and one division, with no masks.
+    # exp(min(x, 0)) / (1 + exp(-|x|)): neither exponent is positive, so
+    # nothing overflows, and the numerator is 1 for x >= 0 and exp(x) below
+    # without a select, which would mispredict a branch on mixed signs.
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = np.where(x >= 0, 1.0, e)
     e += 1.0
+    out = np.minimum(x, 0.0)
+    np.exp(out, out=out)
     out /= e
     return out
 
@@ -142,17 +145,25 @@ def _activation(name: str, z: np.ndarray) -> np.ndarray:
         np.log1p(out, out=out)
         out += np.maximum(z, 0.0)
         return out
-    # the exponential only sees z <= 0: the branch np.where discards must not
-    # overflow either
-    neg = np.minimum(z, 0.0)
-    return np.where(z > 0.0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(neg))
+    # both terms are computed everywhere and one of them is zero: the
+    # exponential only sees z <= 0, so it cannot overflow, and the sum has
+    # the bits of the two-branch select without its mispredicted branches
+    out = np.minimum(z, 0.0)
+    np.expm1(out, out=out)
+    out *= SELU_LAMBDA * SELU_ALPHA
+    out += SELU_LAMBDA * np.maximum(z, 0.0)
+    return out
 
 
 def _activation_grad(name: str, z: np.ndarray) -> np.ndarray:
     if name == "softplus":
         return _sigmoid(z)
-    neg = np.minimum(z, 0.0)
-    return np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(neg))
+    out = np.minimum(z, 0.0)
+    np.exp(out, out=out)
+    out *= SELU_LAMBDA * SELU_ALPHA
+    out *= z <= 0.0
+    out += z.dtype.type(SELU_LAMBDA) * (z > 0.0)
+    return out
 
 
 def init_model(spec: ModelSpec) -> TrainedModel:
@@ -358,10 +369,7 @@ def train(
             xb, yb = x_train[idx], y_train[idx]
             masks = None
             if dropout > 0.0:
-                masks = [
-                    np.where(rng.random((len(idx), h)) >= dropout, keep, np.float32(0))
-                    for h in hidden_sizes
-                ]
+                masks = [(rng.random((len(idx), h)) >= dropout) * keep for h in hidden_sizes]
             loss, dws, dbs = _batch_gradients(work, xb, yb, masks)
             epoch_loss += loss * len(idx)
             t += 1
@@ -430,8 +438,25 @@ def _scaler_from_dict(payload) -> ScalerParams | None:
     )
 
 
+def _encode_floats(values: np.ndarray) -> str:
+    # little-endian float64 bytes as base64 text: exact for every float64,
+    # and far cheaper to write and read than a decimal repr per value
+    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_floats(text: str) -> np.ndarray:
+    # a junk character or a byte count that is not a multiple of 8 raises
+    # ValueError, which load_model reports as CorruptPayload
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+
+
 def save_model(model: TrainedModel) -> str:
-    """Serialize a model to versioned JSON text; exact float round-trip."""
+    """Serialize a model to versioned JSON text; exact float round-trip.
+
+    Each layer's weights and bias are base64 text of their little-endian
+    float64 bytes; the spec, scalers and history are plain JSON.
+    """
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "spec": asdict(model.spec),
@@ -441,8 +466,8 @@ def save_model(model: TrainedModel) -> str:
             {
                 "rows": w.shape[0],
                 "cols": w.shape[1],
-                "weights_row_major": w.reshape(-1).tolist(),
-                "bias": b.tolist(),
+                "weights_row_major": _encode_floats(w),
+                "bias": _encode_floats(b),
             }
             for w, b in zip(model.weights, model.biases)
         ],
@@ -479,13 +504,13 @@ def load_model(text: str) -> TrainedModel:
         weights, biases = [], []
         for layer in payload["layers"]:
             rows, cols = int(layer["rows"]), int(layer["cols"])
-            flat = np.asarray(layer["weights_row_major"], dtype=np.float64)
+            flat = _decode_floats(layer["weights_row_major"])
             if flat.size != rows * cols:
                 raise CorruptPayload(
                     f"layer holds {flat.size} weights, expected {rows * cols}"
                 )
             weights.append(flat.reshape(rows, cols))
-            biases.append(np.asarray(layer["bias"], dtype=np.float64))
+            biases.append(_decode_floats(layer["bias"]))
         model = TrainedModel(
             spec=spec,
             weights=weights,

@@ -356,14 +356,18 @@ def _csv(rows: list) -> str:
     return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
-def _read_run_json(path: Path) -> dict:
-    """Parse a JSON object file of a run directory; a corrupt one is an IncompleteRun."""
+def _read_run_json(path: Path, digest: str | None = None) -> dict:
+    """Parse a JSON object file of a run directory; a corrupt one, or one whose
+    sha256 is not ``digest`` when that is given, is an IncompleteRun."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        payload = json.loads(data.decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise IncompleteRun(f"unreadable run file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise IncompleteRun(f"unreadable run file {path}: not a JSON object")
+    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
+        raise IncompleteRun(f"run file {path} does not match its manifest hash")
     return payload
 
 
@@ -399,9 +403,12 @@ def _read_manifest(out: Path) -> dict | None:
     return manifest
 
 
-def _records(manifest: dict, rel: str) -> bool:
-    """Whether a stage of the checked manifest lists ``rel`` among its outputs."""
-    return any(rel in record["outputs"] for record in manifest["stages"].values())
+def _recorded_hash(manifest: dict, rel: str) -> str | None:
+    """The hash a stage of the checked manifest records for ``rel``, or None."""
+    for record in manifest["stages"].values():
+        if rel in record["outputs"]:
+            return record["outputs"][rel]
+    return None
 
 
 def _verified_outputs(out: Path, manifest: dict) -> list:
@@ -465,9 +472,11 @@ class _Stage:
                 )
             self.manifest["inputs"] = existing["inputs"]
             self.manifest["stages"] = existing["stages"]
-        # a report.json that no stage recorded is not this run's: start afresh
-        recorded = _records(self.manifest, "report.json")
-        self.report = _read_run_json(self.out / "report.json") if recorded else {}
+        # a report.json that no stage recorded is not this run's: start afresh;
+        # a recorded one must still match its hash, or this stage would merge
+        # into an edited report and record a fresh hash for the result
+        recorded = _recorded_hash(self.manifest, "report.json")
+        self.report = _read_run_json(self.out / "report.json", recorded) if recorded else {}
 
         try:
             text = config.dataset.read_text(encoding="utf-8")
@@ -804,7 +813,7 @@ def cmd_report(args) -> int:
     manifest = _read_manifest(out)
     if manifest is None:
         raise IncompleteRun(f"missing manifest: {out / 'manifest.json'}")
-    if not _records(manifest, "report.json"):
+    if _recorded_hash(manifest, "report.json") is None:
         raise IncompleteRun(f"no stage of {out} recorded report.json; run train and explain first")
     report = _read_run_json(out / "report.json")
     # summary.md lists and embeds only files whose recorded hashes match

@@ -537,6 +537,46 @@ class TestFailureExitCodes:
         assert (run / "report.json").read_text() == text[: len(text) // 2]
         assert not (run / "tables/shap.csv").exists()
 
+    def test_stage_refuses_edited_report_json(self, completed, tmp_path):
+        # report refuses an edited report.json; a later stage must not merge
+        # into it and record a fresh hash that makes the edit pass report
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        report = json.loads((copy / "report.json").read_text())
+        report["performance"]["train"]["mae"] = 0.001
+        (copy / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
+
+        def files():
+            return {
+                p: (p.read_bytes(), p.stat().st_ino) for p in copy.rglob("*") if p.is_file()
+            }
+
+        before = files()
+        code, out, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy)
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith("error: 6: ") and "report.json" in err and "hash" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert files() == before
+        assert run_cli("report", "--out", str(copy))[0] == 6
+
+    def test_explain_schema_1_model_exits_5(self, completed, tmp_path):
+        payload = json.loads((completed["run"] / "model.json").read_text())
+        payload["schema_version"] = 1
+        for layer in payload["layers"]:
+            layer["weights_row_major"] = [0.0] * (layer["rows"] * layer["cols"])
+            layer["bias"] = [0.0] * layer["cols"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(tmp_path / "run"),
+            "--model", str(model),
+        )
+        assert code == 5
+        assert err.startswith("error: 5: ") and "schema_version 1" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+
     def test_refused_run_writes_nothing(self, completed, tmp_path):
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)

@@ -1,5 +1,7 @@
 """Network layer: activations, init schemes, training loop, persistence."""
 
+import base64
+import json
 import math
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 from epxai.data import NonFiniteInput, transform
 from epxai.mlp import (
+    MODEL_SCHEMA_VERSION,
     SELU_ALPHA,
     SELU_LAMBDA,
     CorruptPayload,
@@ -51,6 +54,17 @@ def kernel_grid():
     rng = np.random.default_rng(21)
     fixed = np.array([800.0, -800.0, -50.0, 0.0, -0.0])
     return np.concatenate([fixed, rng.normal(0.0, 5.0, 100_000)])
+
+
+def select_kernels(z):
+    """The two-branch np.where forms of the kernels, as the oracle for their bits."""
+    e = np.exp(-np.abs(z))
+    neg = np.minimum(z, 0.0)
+    return {
+        "sigmoid": np.where(z >= 0, 1.0, e) / (1.0 + e),
+        "selu": np.where(z > 0.0, SELU_LAMBDA * z, SELU_LAMBDA * SELU_ALPHA * np.expm1(neg)),
+        "selu_grad": np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(neg)),
+    }
 
 
 def reference_sigmoid(x):
@@ -128,6 +142,22 @@ class TestActivations:
             _activation_grad("selu", z),
             np.where(z > 0.0, SELU_LAMBDA, SELU_LAMBDA * SELU_ALPHA * np.exp(z)),
         )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_kernels_have_the_bits_of_the_select_formulas(self, dtype):
+        edges = [0.0, 1e-40, 88.7, 90.0, 710.0, np.inf]
+        fixed = np.array(edges + [-v for v in edges], dtype=dtype)
+        assert np.signbit(fixed[len(edges)])  # -0.0 is in the grid
+        z = np.concatenate([fixed, kernel_grid().astype(dtype)])
+        expected = select_kernels(z)
+        got = {
+            "sigmoid": _sigmoid(z),
+            "selu": _activation("selu", z),
+            "selu_grad": _activation_grad("selu", z),
+        }
+        for name, want in expected.items():
+            assert got[name].dtype == want.dtype == dtype, name
+            np.testing.assert_array_equal(got[name].view(np.uint8), want.view(np.uint8), name)
 
     def test_activation_gradients_match_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -482,7 +512,9 @@ class TestPersistence:
 
     def test_schema_version_checked(self, build_matrix):
         model, _ = self.make_trained(build_matrix)
-        text = save_model(model).replace('"schema_version": 1', '"schema_version": 99')
+        text = save_model(model).replace(
+            f'"schema_version": {MODEL_SCHEMA_VERSION}', '"schema_version": 99'
+        )
         with pytest.raises(SchemaVersionMismatch):
             load_model(text)
 
@@ -495,3 +527,47 @@ class TestPersistence:
             load_model("[1, 2, 3]")
         with pytest.raises(CorruptPayload):
             load_model(text.replace('"rows": 48', '"rows": 47'))
+
+    def test_init_weights_roundtrip_bit_exact(self):
+        model = init_model(small_spec())
+        model.weights[0][0, 0] = -0.0
+        model.weights[1][1, 2] = 5e-324  # subnormal
+        model.biases[2][3] = -2.5e-310
+        text = save_model(model)
+        again = load_model(text)
+        for a, b in zip(model.weights + model.biases, again.weights + again.biases):
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+        assert save_model(again) == text
+
+    def test_layers_are_base64_little_endian_float64(self):
+        model = init_model(small_spec())
+        layer = json.loads(save_model(model))["layers"][1]
+        raw = base64.b64decode(layer["weights_row_major"])
+        np.testing.assert_array_equal(
+            np.frombuffer(raw, dtype="<f8").reshape(24, 16), model.weights[1]
+        )
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda enc: "!" + enc[1:],  # not a base64 character
+            lambda enc: base64.b64encode(base64.b64decode(enc)[:-4]).decode(),  # 8k + 4 bytes
+        ],
+        ids=["junk-character", "partial-float"],
+    )
+    def test_bad_weight_bytes_are_corrupt(self, mutate):
+        payload = json.loads(save_model(init_model(small_spec())))
+        layer = payload["layers"][0]
+        layer["weights_row_major"] = mutate(layer["weights_row_major"])
+        with pytest.raises(CorruptPayload):
+            load_model(json.dumps(payload))
+
+    def test_schema_1_file_is_refused(self):
+        model = init_model(small_spec())
+        payload = json.loads(save_model(model))
+        payload["schema_version"] = 1
+        for layer, w, b in zip(payload["layers"], model.weights, model.biases):
+            layer.update(weights_row_major=w.reshape(-1).tolist(), bias=b.tolist())
+        with pytest.raises(SchemaVersionMismatch, match="schema_version 1"):
+            load_model(json.dumps(payload))
