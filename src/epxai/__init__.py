@@ -9,7 +9,8 @@ price-response curves.
 Submodules are imported on first attribute access, so importing :mod:`epxai`
 itself stays free of numpy; the command-line entry point relies on this to pin
 BLAS thread counts before numpy loads. The names served by :mod:`epxai.markets`
-(the market and model settings and their presets) never load numpy at all.
+(the market and model settings, their presets and the partitions) never load
+numpy at all.
 """
 
 import importlib
@@ -28,6 +29,10 @@ _EXPORTS = {
     "ModelSpec": "markets",
     "TrainingHyperparams": "markets",
     "benchmark_spec": "markets",
+    "Partition": "markets",
+    "default_partition": "markets",
+    "split_group": "markets",
+    "merge_groups": "markets",
     # data
     "HourlySeries": "data",
     "FeatureMatrix": "data",
@@ -60,13 +65,9 @@ _EXPORTS = {
     "explain_dataset": "attribution",
     "attribution_to_csv": "attribution",
     # sshap
-    "Partition": "sshap",
     "SshapTensor": "sshap",
     "SshapLine": "sshap",
     "SlopeCheck": "sshap",
-    "default_partition": "sshap",
-    "split_group": "sshap",
-    "merge_groups": "sshap",
     "aggregate": "sshap",
     "sshap_line": "sshap",
     "slope_check": "sshap",

@@ -1,25 +1,29 @@
-"""Market presets and model settings: the part of the package free of numpy.
+"""Market presets, model settings and partitions: the part of the package free of numpy.
 
 A market is a set of super-variables (a named input series at a fixed day
 lag, 24 hourly features each) plus optionally a day-of-week input; a model
 spec fixes the network shape, activation, regularisation and scalers. The
-five benchmark markets come with both built in.
+five benchmark markets come with both built in. A partition labels groups
+of a market's inputs for grouped Shapley values; :func:`split_group` and
+:func:`merge_groups` alone decide which splits and merges are allowed.
 
 Nothing here imports numpy, so ``epxai validate`` and ``epxai.market_config``
-run without it; :mod:`epxai.data` and :mod:`epxai.mlp` import these names back.
+run without it; :mod:`epxai.data`, :mod:`epxai.mlp` and :mod:`epxai.sshap`
+import these names back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import check_bool, check_int, check_object, check_str
+from .errors import EpxaiError, check_bool, check_int, check_object, check_str
 
 __all__ = [
     "SOURCES", "SCALER_KINDS", "MARKET_IDS", "DAY_OF_WEEK_LABEL", "ACTIVATIONS",
     "INIT_SCHEMES", "SuperVariable", "FeatureId", "MarketConfig", "ModelSpec",
     "TrainingHyperparams", "market_config", "market_config_to_dict",
-    "market_config_from_dict", "benchmark_spec",
+    "market_config_from_dict", "benchmark_spec", "SshapError", "UnknownGroup",
+    "NotHourlyGroup", "Partition", "default_partition", "split_group", "merge_groups",
 ]
 
 SOURCES = ("price", "exog1", "exog2")
@@ -290,3 +294,96 @@ def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:
     except KeyError:
         raise ValueError(f"unknown market {market_id!r}") from None
     return ModelSpec(*fields, seed=seed)
+
+
+class SshapError(EpxaiError):
+    """Base class for grouped-attribution errors."""
+
+
+class UnknownGroup(SshapError):
+    """No group with the requested label."""
+
+
+class NotHourlyGroup(SshapError):
+    """Operation needs a group holding exactly hours 0-23 of one series."""
+
+
+@dataclass(frozen=True)
+class Partition:
+    """Ordered, disjoint grouping of feature ids under unique labels."""
+
+    groups: tuple  # of (label, tuple[FeatureId, ...])
+
+    def __post_init__(self):
+        seen_labels: set = set()
+        seen: set = set()
+        for label, members in self.groups:
+            if label in seen_labels:
+                raise ValueError(f"duplicate group label {label!r}")
+            seen_labels.add(label)
+            if not members:
+                raise ValueError(f"group {label!r} is empty")
+            for fid in members:
+                if fid in seen:
+                    raise ValueError(f"feature {fid} appears in two groups")
+                seen.add(fid)
+
+    @property
+    def labels(self) -> tuple:
+        return tuple(label for label, _ in self.groups)
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.groups)
+
+    def members(self, label: str):
+        for got, members in self.groups:
+            if got == label:
+                return members
+        raise UnknownGroup(f"no group labelled {label!r}")
+
+    def all_features(self) -> set:
+        return {fid for _, members in self.groups for fid in members}
+
+
+def default_partition(config: MarketConfig) -> Partition:
+    """One group per super-variable, day-of-week as its own singleton."""
+    return Partition(groups=config.groups)
+
+
+def merge_groups(partition: Partition, new_label: str, labels) -> Partition:
+    """Fuse several groups into one, keeping the first one's position.
+
+    Each label must name a group of ``partition``, so a group merged once is
+    gone for a later merge, and ``new_label`` must not repeat one left standing.
+    """
+    labels = list(labels)
+    if len(labels) < 2:
+        raise ValueError("merging needs at least two group labels")
+    merged = tuple(fid for label in labels for fid in partition.members(label))
+    return Partition(groups=tuple(
+        (new_label, merged) if label == labels[0] else (label, members)
+        for label, members in partition.groups
+        if label == labels[0] or label not in labels
+    ))
+
+
+def split_group(partition: Partition, label: str, split_hour: int) -> Partition:
+    """Split an hourly group into H0-H(s-1) and Hs-H23 halves in place.
+
+    The group must hold exactly hours 0-23 of one series; day-of-week and
+    already-split groups do not qualify, and a group split once is gone for
+    a later split.
+    """
+    if not 1 <= split_hour <= 23:
+        raise ValueError(f"split hour must be in 1..23 for two nonempty halves, got {split_hour}")
+    members = partition.members(label)
+    if len(members) != 24 or {m.hour for m in members} != set(range(24)):
+        raise NotHourlyGroup(f"group {label!r} does not hold exactly hours 0-23")
+    halves = (
+        (f"{label} H0-H{split_hour - 1}", tuple(m for m in members if m.hour < split_hour)),
+        (f"{label} H{split_hour}-H23", tuple(m for m in members if m.hour >= split_hour)),
+    )
+    return Partition(groups=tuple(
+        group for got in partition.groups for group in (halves if got[0] == label else (got,))
+    ))

@@ -25,11 +25,13 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import EpxaiError, check_bool, check_choice, check_float, check_int, check_object
+from .errors import (
+    EpxaiError, check_bool, check_choice, check_float, check_int, check_object, check_str,
+)
 from .markets import (
-    ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, MarketConfig, ModelSpec,
-    TrainingHyperparams, benchmark_spec, market_config, market_config_from_dict,
-    market_config_to_dict,
+    ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, MarketConfig, ModelSpec, SshapError,
+    TrainingHyperparams, benchmark_spec, default_partition, market_config,
+    market_config_from_dict, market_config_to_dict, merge_groups, split_group,
 )
 
 __all__ = [
@@ -69,46 +71,36 @@ def _path(value, name: str, base_dir: Path) -> str:
 
 
 def _scalar(check, nullable=False, **bounds):
-    """Table checker for a value that does not depend on the market."""
-    def checker(value, name, market):
+    """Table checker for one scalar value."""
+    def checker(value, name):
         return None if nullable and value is None else check(value, name, **bounds)
     return checker
 
 
-def _splits(value, name: str, market: MarketConfig) -> list:
-    hourly = [sv.label for sv in market.super_variables]
-    splits = []
-    for k, entry in enumerate(value or []):
-        where = f"{name}[{k}]"
-        check_object(entry, where, ("group", "hour"))
-        group = entry.get("group")
-        if group not in hourly:
-            raise ValueError(f"{where}.group must be one of {hourly}, got {group!r}")
-        hour = check_int(entry.get("hour"), f"{where}.hour", lo=1, hi=23)
-        splits.append({"group": group, "hour": hour})
-    return splits
+def _labels(value, name: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"'{name}' must be a list of group labels, got {value!r}")
+    return [check_str(label, f"{name}[{k}]") for k, label in enumerate(value)]
 
 
-def _merges(value, name: str, market: MarketConfig) -> list:
-    groups = [label for label, _ in market.groups]
-    merges = []
-    for k, entry in enumerate(value or []):
-        where = f"{name}[{k}]"
-        check_object(entry, where, ("label", "members"))
-        label = entry.get("label")
-        if not isinstance(label, str) or not label:
-            raise ValueError(f"{where}.label must be a non-empty string")
-        members = entry.get("members")
-        if not isinstance(members, list) or len(members) < 2:
-            raise ValueError(f"{where}.members must list at least two groups")
-        for member in members:
-            if member not in groups:
-                raise ValueError(f"{where} references unknown group {member!r}")
-        merges.append({"label": label, "members": list(members)})
-    return merges
+def _entries(*fields):
+    """Table checker for a list of objects with the keys of ``fields``, ``(key, check)`` pairs.
+
+    It checks only the JSON shape. Whether a split or merge is allowed is for
+    split_group and merge_groups to decide; resolve_config passes them each
+    entry's values in field order.
+    """
+    def checker(value, name):
+        entries = []
+        for k, entry in enumerate(value or []):
+            where = f"{name}[{k}]"
+            check_object(entry, where, [key for key, _ in fields])
+            entries.append({key: check(entry.get(key), f"{where}.{key}") for key, check in fields})
+        return entries
+    return checker
 
 
-def _band(value, name: str, market: MarketConfig) -> list | None:
+def _band(value, name: str) -> list | None:
     if value is None:
         return None
     if not isinstance(value, (list, tuple)) or len(value) != 2:
@@ -120,16 +112,21 @@ def _band(value, name: str, market: MarketConfig) -> list | None:
     return [lo, hi]
 
 
-def _dates(value, name: str, market: MarketConfig) -> list:
+def _dates(value, name: str) -> list:
     value = value or []
     if not isinstance(value, list):
         raise ValueError(f"'{name}' must be a list of YYYY-MM-DD strings")
     for date in value:
+        # fromisoformat accepts more forms from Python 3.11 on (20130301,
+        # 2013-W09-5); the round trip keeps YYYY-MM-DD the only one on every
+        # version, which is also the form the delivery days are matched in
         try:
-            datetime.date.fromisoformat(str(date))
-        except ValueError as exc:
-            raise ValueError(f"bad instance date {date!r}: {exc}") from exc
-    return [str(date) for date in value]
+            ok = isinstance(date, str) and datetime.date.fromisoformat(date).isoformat() == date
+        except ValueError:
+            ok = False
+        if not ok:
+            raise ValueError(f"bad instance date {date!r}: expected a YYYY-MM-DD string")
+    return list(value)
 
 
 def _master_seed(echo: dict, bench: ModelSpec) -> int:
@@ -146,9 +143,9 @@ def _bench(field: str, index: int | None = None):
 
 # Every key of the run config except market_id, dataset, out and market:
 # (section or None for top level, key, checker, default). A checker is called
-# as checker(value, dotted_name, market) and returns the value's echo form; a
-# callable default as default(echo_so_far, benchmark_spec(market_id)). Rows
-# resolve in order, so the master seed is known before the seeds it fills.
+# as checker(value, dotted_name) and returns the value's echo form; a callable
+# default as default(echo_so_far, benchmark_spec(market_id)). Rows resolve in
+# order, so the master seed is known before the seeds it fills.
 _KEYS = (
     (None, "seed", _scalar(check_int, lo=0, hi=2**64 - 1), 0),
     ("model", "hidden1", _scalar(check_int, lo=1), _bench("layer_sizes", 1)),
@@ -173,8 +170,8 @@ _KEYS = (
     ("attribution", "antithetic", _scalar(check_bool), True),
     ("attribution", "max_instances", _scalar(check_int, nullable=True, lo=1), 256),
     ("attribution", "seed", _scalar(check_int, lo=0), _master_seed),
-    ("partition", "splits", _splits, ()),
-    ("partition", "merges", _merges, ()),
+    ("partition", "splits", _entries(("group", check_str), ("hour", check_int)), ()),
+    ("partition", "merges", _entries(("label", check_str), ("members", _labels)), ()),
     ("lines", "bandwidth", _scalar(check_float, lo=0.0, lo_open=True), 5.0),
     ("lines", "grid_size", _scalar(check_int, lo=2), 200),
     ("lines", "band", _band, None),
@@ -193,6 +190,8 @@ class RunConfig:
 
     ``echo`` holds every setting in its JSON form and re-resolves to the
     same config; the other fields are the typed objects built from it.
+    ``partitions`` holds the ``default`` one, and ``split`` and ``merged``
+    when the config has splits or merges.
     """
 
     dataset: Path
@@ -200,6 +199,7 @@ class RunConfig:
     market: MarketConfig
     model_spec: ModelSpec
     training: TrainingHyperparams
+    partitions: dict
     echo: dict
 
     @property
@@ -249,10 +249,13 @@ def resolve_config(
 
     The returned config's ``echo`` re-resolves to the same settings, which
     is what lets a manifest reproduce its run. Relative paths are taken
-    against ``base_dir`` (the config file's directory).
+    against ``base_dir`` (the config file's directory). Splits and merges
+    apply to the default partition in config order; a refused one is a
+    ConfigError naming its key.
     """
     try:
         echo, market = _resolve_echo(raw, Path(base_dir), out_override, seed_override)
+        partitions = {"default": default_partition(market)}
         model = echo["model"]
         model_spec = ModelSpec(
             layer_sizes=(market.n_features, model["hidden1"], model["hidden2"], 24),
@@ -267,6 +270,15 @@ def resolve_config(
         training = TrainingHyperparams(**echo["training"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for name, key, apply in (("split", "splits", split_group), ("merged", "merges", merge_groups)):
+        part = partitions["default"]
+        for k, entry in enumerate(echo["partition"][key]):
+            try:
+                part = apply(part, *entry.values())
+            except (ValueError, SshapError) as exc:
+                raise ConfigError(f"partition.{key}[{k}]: {exc}") from exc
+        if echo["partition"][key]:
+            partitions[name] = part
     dataset = Path(echo["dataset"])
     if check_paths and not dataset.is_file():
         raise ConfigError(f"dataset path does not exist: {dataset}")
@@ -276,6 +288,7 @@ def resolve_config(
         market=market,
         model_spec=model_spec,
         training=training,
+        partitions=partitions,
         echo=echo,
     )
 
@@ -315,10 +328,10 @@ def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
             value = given[section][key]
         else:
             value = default(echo, bench) if callable(default) else default
-        value = checker(value, name, market)
+        value = checker(value, name)
         if name == "seed" and seed_override is not None:
             # the config's own seed is still checked before --seed replaces it
-            value = checker(seed_override, name, market)
+            value = checker(seed_override, name)
         (echo if section is None else echo[section])[key] = value
     return echo, market
 
@@ -640,25 +653,6 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
     return indices
 
 
-def _partitions(config: RunConfig) -> dict:
-    """The default grouping, plus the configured splits and merges of it."""
-    from .sshap import default_partition, merge_groups, split_group
-
-    partition = config.echo["partition"]
-    partitions = {"default": default_partition(config.market)}
-    if partition["splits"]:
-        part = partitions["default"]
-        for split in partition["splits"]:
-            part = split_group(part, split["group"], split["hour"])
-        partitions["split"] = part
-    if partition["merges"]:
-        part = partitions["default"]
-        for merge in partition["merges"]:
-            part = merge_groups(part, merge["label"], merge["members"])
-        partitions["merged"] = part
-    return partitions
-
-
 def _sshap_csv(tensor) -> str:
     from .attribution import tensor_csv
 
@@ -726,18 +720,32 @@ def cmd_explain(args) -> int:
         antithetic=attribution["antithetic"],
         instance_indices=indices,
     )
+    grouped = {
+        name: aggregate(shap_tensor, part) for name, part in config.partitions.items()
+    }
+    sshap_default = grouped["default"]
+    # the lines and their slope check are the last step that can refuse the
+    # data (too few grid points in the band), so they run before any write
+    prices = features.targets[indices]
+    lines = [
+        sshap_line(
+            sshap_default, label, prices, hours="pooled",
+            bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
+        )
+        for label in sshap_default.partition.labels
+    ]
+    baseline_value = float(sshap_default.baseline.mean())
+    band_abs = None
+    if smoothing["band"] is not None:
+        band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
+    check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
+
     stage.write("tables/shap.csv", attribution_to_csv(shap_tensor))
     stage.write("tables/gradient.csv", attribution_to_csv(grad_tensor))
-
-    partitions = _partitions(config)
-    grouped = {
-        name: aggregate(shap_tensor, part) for name, part in partitions.items()
-    }
     for name, tensor in grouped.items():
         stage.write(f"tables/sshap_{name}.csv", _sshap_csv(tensor))
 
     unit = f"{config.market.currency}/MWh"
-    sshap_default = grouped["default"]
     shap_grid = heatmap(shap_tensor, "mean_abs")
     stage.figure("heatmap_shap", shap_grid, "mean |contribution|", unit)
     stage.figure(
@@ -752,20 +760,6 @@ def cmd_explain(args) -> int:
         ),
         "top features", unit,
     )
-
-    prices = features.targets[indices]
-    lines = [
-        sshap_line(
-            sshap_default, label, prices, hours="pooled",
-            bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
-        )
-        for label in sshap_default.partition.labels
-    ]
-    baseline_value = float(sshap_default.baseline.mean())
-    band_abs = None
-    if smoothing["band"] is not None:
-        band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
-    check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
     stage.figure("lines", lines, "group value vs price", unit, baseline=baseline_value)
 
     complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
@@ -788,7 +782,7 @@ def cmd_explain(args) -> int:
             "seed": attribution["seed"],
             "baseline": [float(v) for v in sshap_default.baseline],
             "partitions": {
-                name: list(part.labels) for name, part in partitions.items()
+                name: list(part.labels) for name, part in config.partitions.items()
             },
             "slope_check": {
                 **asdict(check),

@@ -7,10 +7,12 @@ partition yields one value per group that keeps the additivity property:
 group values still sum to the prediction minus the baseline, because the
 regrouping only re-brackets the same sum.
 
-On top of the grouped values this module provides hour-range splitting of a
-group (e.g. early-morning vs rest-of-day load), kernel-smoothed curves of
-group value against the realised price, and a consistency check that the
-summed curves follow the identity line implied by additivity.
+Partitions, with hour-range splitting of a group (e.g. early-morning vs
+rest-of-day load) and merging of groups, live in the numpy-free
+:mod:`epxai.markets` and are re-exported here. On top of the grouped values
+this module provides kernel-smoothed curves of group value against the
+realised price, and a consistency check that the summed curves follow the
+identity line implied by additivity.
 """
 
 from __future__ import annotations
@@ -20,8 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionTensor
-from .errors import EpxaiError
-from .markets import FeatureId, MarketConfig
+from .markets import (  # the partition names stay importable from here
+    NotHourlyGroup, Partition, SshapError, UnknownGroup, default_partition, merge_groups,
+    split_group,
+)
 
 __all__ = [
     "SshapError",
@@ -43,20 +47,8 @@ __all__ = [
 ]
 
 
-class SshapError(EpxaiError):
-    """Base class for grouped-attribution errors."""
-
-
 class PartitionMismatch(SshapError):
     """Partition does not cover the tensor's features exactly."""
-
-
-class UnknownGroup(SshapError):
-    """No group with the requested label."""
-
-
-class NotHourlyGroup(SshapError):
-    """Operation needs a group holding exactly hours 0-23 of one series."""
 
 
 class EmptyData(SshapError):
@@ -70,43 +62,6 @@ class GridMismatch(SshapError):
 # exp(-x) underflows to zero in float64 near x = 745; past this squared
 # half-distance even the closest observation carries no weight.
 _UNDERFLOW = 709.0
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Ordered, disjoint grouping of feature ids under unique labels."""
-
-    groups: tuple  # of (label, tuple[FeatureId, ...])
-
-    def __post_init__(self):
-        labels = [label for label, _ in self.groups]
-        if len(set(labels)) != len(labels):
-            raise ValueError("duplicate group labels")
-        seen: set[FeatureId] = set()
-        for label, members in self.groups:
-            if not members:
-                raise ValueError(f"group {label!r} is empty")
-            for fid in members:
-                if fid in seen:
-                    raise ValueError(f"feature {fid} appears in two groups")
-                seen.add(fid)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(label for label, _ in self.groups)
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.groups)
-
-    def members(self, label: str):
-        for got, members in self.groups:
-            if got == label:
-                return members
-        raise UnknownGroup(f"no group labelled {label!r}")
-
-    def all_features(self) -> set:
-        return {fid for _, members in self.groups for fid in members}
 
 
 @dataclass
@@ -157,56 +112,6 @@ class SlopeCheck:
     intercept: float
     max_deviation: float
     n_points: int
-
-
-def default_partition(config: MarketConfig) -> Partition:
-    """One group per super-variable, day-of-week as its own singleton."""
-    return Partition(groups=config.groups)
-
-
-def merge_groups(partition: Partition, new_label: str, labels) -> Partition:
-    """Fuse several groups into one, keeping the first one's position."""
-    labels = list(labels)
-    if len(labels) < 2:
-        raise ValueError("merging needs at least two group labels")
-    for label in labels:
-        partition.members(label)  # raises UnknownGroup
-    merged = tuple(
-        fid for label in labels for fid in partition.members(label)
-    )
-    groups: list = []
-    for label, members in partition.groups:
-        if label == labels[0]:
-            groups.append((new_label, merged))
-        elif label not in labels:
-            groups.append((label, members))
-    return Partition(groups=tuple(groups))
-
-
-def split_group(partition: Partition, label: str, split_hour: int) -> Partition:
-    """Split an hourly group into H0-H(s-1) and Hs-H23 halves in place.
-
-    The group must hold exactly hours 0-23 of one series; day-of-week and
-    already-split groups do not qualify.
-    """
-    members = partition.members(label)
-    hours = sorted(m.hour for m in members if m.hour is not None)
-    if len(members) != 24 or hours != list(range(24)):
-        raise NotHourlyGroup(f"group {label!r} does not hold exactly hours 0-23")
-    if not 1 <= split_hour <= 23:
-        raise ValueError("split_hour must be in 1..23 so both halves are nonempty")
-    early_label = f"{label} H0-H{split_hour - 1}"
-    late_label = f"{label} H{split_hour}-H23"
-    early = tuple(m for m in members if m.hour < split_hour)
-    late = tuple(m for m in members if m.hour >= split_hour)
-    groups: list = []
-    for got, got_members in partition.groups:
-        if got == label:
-            groups.append((early_label, early))
-            groups.append((late_label, late))
-        else:
-            groups.append((got, got_members))
-    return Partition(groups=tuple(groups))
 
 
 def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:

@@ -140,6 +140,26 @@ class TestValidate:
         assert echo["attribution"]["antithetic"] is True
         assert echo["lines"]["bandwidth"] == 5.0
 
+    def test_partitions_resolve_with_config(self, workspace):
+        root, dataset = workspace
+        raw = base_config(dataset, root / "parts")
+        # a member may name a group that an earlier merge made
+        raw["partition"]["merges"] = [
+            {"label": "P", "members": ["Price D-1", "Load Forecast D"]},
+            {"label": "All", "members": ["P"]},
+        ]
+        with pytest.raises(ConfigError, match=r"partition.merges\[1\]: merging needs"):
+            resolve_config(raw, base_dir=root)
+        raw["market"]["include_day_of_week"] = True
+        raw["partition"]["merges"][1]["members"].append("Day of week")
+        partitions = resolve_config(raw, base_dir=root).partitions
+        labels = {name: part.labels for name, part in partitions.items()}
+        assert labels == {
+            "default": ("Price D-1", "Load Forecast D", "Day of week"),
+            "split": ("Price D-1 H0-H11", "Price D-1 H12-H23", "Load Forecast D", "Day of week"),
+            "merged": ("All",),
+        }
+
     def test_minimal_config_echo_is_pinned(self, tmp_path):
         """Every default, the NP benchmark model and the seed fan-out, byte for byte."""
         dataset = tmp_path / "np.csv"
@@ -219,6 +239,19 @@ class TestValidate:
             (lambda c: c["model"].update(l1=float("nan")), "model.l1"),
             (lambda c: c["lines"].update(bandwidth=float("inf")), "lines.bandwidth"),
             (lambda c: c["model"].update(l1=10**400), "model.l1"),  # beyond the float range
+            # Python 3.11's fromisoformat reads the basic form; delivery days are YYYY-MM-DD
+            (lambda c: c.update(instance_dates=["20130401"]), "20130401"),
+            # partitions resolve with the config: splits and merges apply in order
+            (lambda c: c["partition"]["splits"].append({"group": "Price D-1", "hour": 6}),
+             "partition.splits[1]: no group labelled 'Price D-1'"),
+            (lambda c: (c.pop("market"), c["partition"]["merges"][0].update(label="Price D-3")),
+             "partition.merges[0]: duplicate group label 'Price D-3'"),
+            (lambda c: c["partition"]["merges"].append(
+                {"label": "M", "members": ["Load Forecast D", "Price D-1"]}),
+             "partition.merges[1]: no group labelled 'Load Forecast D'"),
+            (lambda c: (c["market"].update(include_day_of_week=True),
+                        c["market"]["super_variables"][1].update(label="Day of week")),
+             "duplicate group label 'Day of week'"),
         ],
     )
     def test_bad_settings_exit_2(self, workspace, tmp_path, mutate, fragment):
@@ -589,6 +622,26 @@ class TestFailureExitCodes:
         assert err.startswith("error: 2:") and "different config" in err
         assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
+    def test_narrow_band_explain_writes_nothing(self, workspace, tmp_path):
+        root, dataset = workspace
+        config = base_config(dataset, tmp_path / "run")
+        config["lines"]["band"] = [0, 0.5]
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(config))
+        for stage in ("ingest", "train"):
+            assert run_cli(stage, "--config", str(path))[0] == 0, stage
+        run = tmp_path / "run"
+
+        def files():
+            return {p: (p.read_bytes(), p.stat().st_ino) for p in run.rglob("*") if p.is_file()}
+
+        before = files()
+        code, _, err = run_cli("explain", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: 1: ") and "band" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert files() == before
+
     def test_copied_run_can_be_continued(self, completed, tmp_path):
         copy = tmp_path / "moved" / "copy"
         shutil.copytree(completed["run"], copy)
@@ -816,7 +869,9 @@ class TestImportGraph:
 
     def test_package_settings_leave_numpy_unloaded(self):
         modules = _fresh_modules(
-            "import epxai\nepxai.market_config('NP')\nepxai.benchmark_spec('NP')"
+            "import epxai\nepxai.market_config('NP')\nepxai.benchmark_spec('NP')\n"
+            "epxai.split_group(\n"
+            "    epxai.default_partition(epxai.market_config('NP')), 'Price D-1', 12\n)"
         )
         assert "numpy" not in modules
         assert "epxai.markets" in modules
