@@ -29,7 +29,7 @@ from math import factorial
 
 import numpy as np
 
-from .data import FeatureMatrix, inverse_transform
+from .data import FeatureMatrix, inverse_transform, transform
 from .errors import EpxaiError
 from .mlp import (
     ModelError,
@@ -37,7 +37,6 @@ from .mlp import (
     forward_blocks,
     forward_trace,
     predict_prices,
-    transform,
 )
 
 __all__ = [

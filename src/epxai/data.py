@@ -24,10 +24,7 @@ from datetime import datetime
 import numpy as np
 
 from .errors import EpxaiError
-from .markets import (  # the settings names stay importable from here
-    DAY_OF_WEEK_LABEL, MARKET_IDS, SCALER_KINDS, SOURCES, FeatureId, MarketConfig,
-    SuperVariable, market_config, market_config_from_dict, market_config_to_dict,
-)
+from .markets import SCALER_KINDS, SOURCES, FeatureId, MarketConfig
 
 __all__ = [
     "DataError",
@@ -38,12 +35,6 @@ __all__ = [
     "TooFewRows",
     "DimensionMismatch",
     "NonFiniteInput",
-    "SOURCES",
-    "SCALER_KINDS",
-    "MARKET_IDS",
-    "SuperVariable",
-    "MarketConfig",
-    "FeatureId",
     "HourlySeries",
     "FeatureMatrix",
     "ScalerParams",
@@ -53,9 +44,6 @@ __all__ = [
     "fit_scaler",
     "transform",
     "inverse_transform",
-    "market_config",
-    "market_config_to_dict",
-    "market_config_from_dict",
     "series_to_csv",
 ]
 

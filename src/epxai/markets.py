@@ -8,13 +8,14 @@ of a market's inputs for grouped Shapley values; :func:`split_group` and
 :func:`merge_groups` alone decide which splits and merges are allowed.
 
 Nothing here imports numpy, so ``epxai validate`` and ``epxai.market_config``
-run without it; :mod:`epxai.data`, :mod:`epxai.mlp` and :mod:`epxai.sshap`
-import these names back.
+run without it. The names import from here, and the public ones also from
+:mod:`epxai`; the numeric layers import the few they use without exporting
+them again.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import EpxaiError, check_bool, check_int, check_object, check_str
 
@@ -28,7 +29,6 @@ __all__ = [
 
 SOURCES = ("price", "exog1", "exog2")
 SCALER_KINDS = ("std", "median", "arcsinh")
-MARKET_IDS = ("DE", "FR", "BE", "NP", "PJM")
 
 DAY_OF_WEEK_LABEL = "Day of week"
 
@@ -157,92 +157,73 @@ class TrainingHyperparams:
             raise ValueError("batch_size and max_epochs must be positive")
 
 
-def _sv(label: str, source: str, day_lag: int) -> SuperVariable:
-    return SuperVariable(label=label, source=source, day_lag=day_lag)
-
-
-_MARKET_PRESETS: dict[str, MarketConfig] = {
-    # exog1/exog2 meanings follow the benchmark datasets for each market.
-    "DE": MarketConfig(
-        market_id="DE", currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("Price D-2", "price", 2),
-            _sv("Price D-3", "price", 3),
-            _sv("Price D-7", "price", 7),
-            _sv("Load Forecast D", "exog1", 0),
-            _sv("Load Forecast D-1", "exog1", 1),
-            _sv("Load Forecast D-7", "exog1", 7),
-            _sv("Renewable Forecast D", "exog2", 0),
-            _sv("Renewable Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=True,
-    ),
-    "FR": MarketConfig(
-        market_id="FR", currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("Price D-3", "price", 3),
-            _sv("Load Forecast D", "exog1", 0),
-            _sv("Generation Forecast D", "exog2", 0),
-            _sv("Generation Forecast D-1", "exog2", 1),
-        ),
-    ),
-    "BE": MarketConfig(
-        market_id="BE", currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("French Load Forecast D", "exog1", 0),
-            _sv("French Load Forecast D-7", "exog1", 7),
-            _sv("French Generation Forecast D", "exog2", 0),
-            _sv("French Generation Forecast D-1", "exog2", 1),
-        ),
-        include_day_of_week=True,
-    ),
-    "NP": MarketConfig(
-        market_id="NP", currency="EUR",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("Price D-2", "price", 2),
-            _sv("Load Forecast D", "exog1", 0),
-            _sv("Load Forecast D-1", "exog1", 1),
-            _sv("Wind Forecast D", "exog2", 0),
-            _sv("Wind Forecast D-1", "exog2", 1),
-        ),
-    ),
-    "PJM": MarketConfig(
-        market_id="PJM", currency="USD",
-        super_variables=(
-            _sv("Price D-1", "price", 1),
-            _sv("PJM Load Forecast D", "exog1", 0),
-            _sv("PJM Load Forecast D-1", "exog1", 1),
-            _sv("ComEd Load Forecast D", "exog2", 0),
-            _sv("ComEd Load Forecast D-1", "exog2", 1),
-        ),
-    ),
+# Each benchmark market: its currency, whether day-of-week is an input, its
+# super-variables as (label, source, day_lag) with exog1/exog2 meanings following
+# the benchmark datasets, and its tuned ModelSpec fields in order, from
+# layer_sizes to output_scaler_kind.
+_PRESETS = {
+    "DE": ("EUR", True, (
+        ("Price D-1", "price", 1),
+        ("Price D-2", "price", 2),
+        ("Price D-3", "price", 3),
+        ("Price D-7", "price", 7),
+        ("Load Forecast D", "exog1", 0),
+        ("Load Forecast D-1", "exog1", 1),
+        ("Load Forecast D-7", "exog1", 7),
+        ("Renewable Forecast D", "exog2", 0),
+        ("Renewable Forecast D-1", "exog2", 1),
+    ), ((217, 329, 379, 24), "softplus", 0.455, 0.0, "glorot_uniform", "std", "median")),
+    "FR": ("EUR", False, (
+        ("Price D-1", "price", 1),
+        ("Price D-3", "price", 3),
+        ("Load Forecast D", "exog1", 0),
+        ("Generation Forecast D", "exog2", 0),
+        ("Generation Forecast D-1", "exog2", 1),
+    ), ((120, 233, 206, 24), "softplus", 0.193, 0.0, "glorot_uniform", "arcsinh", "std")),
+    "BE": ("EUR", True, (
+        ("Price D-1", "price", 1),
+        ("French Load Forecast D", "exog1", 0),
+        ("French Load Forecast D-7", "exog1", 7),
+        ("French Generation Forecast D", "exog2", 0),
+        ("French Generation Forecast D-1", "exog2", 1),
+    ), ((121, 205, 308, 24), "softplus", 0.253, 0.0, "he_normal", "arcsinh", "arcsinh")),
+    "NP": ("EUR", False, (
+        ("Price D-1", "price", 1),
+        ("Price D-2", "price", 2),
+        ("Load Forecast D", "exog1", 0),
+        ("Load Forecast D-1", "exog1", 1),
+        ("Wind Forecast D", "exog2", 0),
+        ("Wind Forecast D-1", "exog2", 1),
+    ), ((144, 274, 308, 24), "softplus", 0.154, 0.0, "lecun_uniform", "median", "std")),
+    "PJM": ("USD", False, (
+        ("Price D-1", "price", 1),
+        ("PJM Load Forecast D", "exog1", 0),
+        ("PJM Load Forecast D-1", "exog1", 1),
+        ("ComEd Load Forecast D", "exog2", 0),
+        ("ComEd Load Forecast D-1", "exog2", 1),
+    ), ((120, 299, 376, 24), "selu", 0.0079, 0.000306, "lecun_uniform", "arcsinh", "arcsinh")),
 }
+MARKET_IDS = tuple(_PRESETS)
 
 
-def market_config(market_id: str) -> MarketConfig:
-    """Built-in configuration for one of the five benchmark markets."""
+def _preset(market_id: str) -> tuple:
     try:
-        return _MARKET_PRESETS[market_id]
+        return _PRESETS[market_id]
     except KeyError:
         raise ValueError(
             f"unknown market {market_id!r}; expected one of {MARKET_IDS}"
         ) from None
 
 
+def market_config(market_id: str) -> MarketConfig:
+    """Built-in configuration for one of the five benchmark markets."""
+    currency, day_of_week, svs, _ = _preset(market_id)
+    return MarketConfig(market_id, currency, tuple(SuperVariable(*sv) for sv in svs), day_of_week)
+
+
 def market_config_to_dict(config: MarketConfig) -> dict:
-    return {
-        "market_id": config.market_id,
-        "currency": config.currency,
-        "include_day_of_week": config.include_day_of_week,
-        "super_variables": [
-            {"label": sv.label, "source": sv.source, "day_lag": sv.day_lag}
-            for sv in config.super_variables
-        ],
-    }
+    echo = asdict(config)
+    return {**echo, "super_variables": list(echo["super_variables"])}
 
 
 def market_config_from_dict(payload: dict) -> MarketConfig:
@@ -275,25 +256,7 @@ def market_config_from_dict(payload: dict) -> MarketConfig:
 
 def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:
     """Tuned architecture for one of the five benchmark markets."""
-    # each row holds ModelSpec's fields in order, from layer_sizes to
-    # output_scaler_kind
-    table = {
-        "DE": ((217, 329, 379, 24), "softplus", 0.455, 0.0,
-               "glorot_uniform", "std", "median"),
-        "FR": ((120, 233, 206, 24), "softplus", 0.193, 0.0,
-               "glorot_uniform", "arcsinh", "std"),
-        "BE": ((121, 205, 308, 24), "softplus", 0.253, 0.0,
-               "he_normal", "arcsinh", "arcsinh"),
-        "NP": ((144, 274, 308, 24), "softplus", 0.154, 0.0,
-               "lecun_uniform", "median", "std"),
-        "PJM": ((120, 299, 376, 24), "selu", 0.0079, 0.000306,
-                "lecun_uniform", "arcsinh", "arcsinh"),
-    }
-    try:
-        fields = table[market_id]
-    except KeyError:
-        raise ValueError(f"unknown market {market_id!r}") from None
-    return ModelSpec(*fields, seed=seed)
+    return ModelSpec(*_preset(market_id)[3], seed=seed)
 
 
 class SshapError(EpxaiError):

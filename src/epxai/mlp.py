@@ -33,7 +33,7 @@ from .data import (
     transform,
 )
 from .errors import EpxaiError
-from .markets import ACTIVATIONS, INIT_SCHEMES, ModelSpec, TrainingHyperparams, benchmark_spec
+from .markets import ModelSpec, TrainingHyperparams
 
 __all__ = [
     "ModelError",
@@ -41,15 +41,10 @@ __all__ = [
     "TooFewInstances",
     "SchemaVersionMismatch",
     "CorruptPayload",
-    "ACTIVATIONS",
-    "INIT_SCHEMES",
     "SELU_LAMBDA",
     "SELU_ALPHA",
     "MODEL_SCHEMA_VERSION",
-    "ModelSpec",
-    "TrainingHyperparams",
     "TrainedModel",
-    "benchmark_spec",
     "n_train_instances",
     "init_model",
     "forward",

@@ -22,9 +22,10 @@ from .attribution import (
     shap_exact,
     shap_mc,
 )
-from .data import FeatureId, ScalerParams, inverse_transform, transform
-from .mlp import ModelSpec, TrainedModel, forward, init_model, predict_prices
-from .sshap import Partition, SshapTensor, aggregate, slope_check, sshap_line
+from .data import ScalerParams, inverse_transform, transform
+from .markets import ACTIVATIONS, SCALER_KINDS, FeatureId, ModelSpec, Partition
+from .mlp import TrainedModel, forward, init_model, predict_prices
+from .sshap import SshapTensor, aggregate, slope_check, sshap_line
 
 __all__ = [
     "BatteryResult",
@@ -35,8 +36,6 @@ __all__ = [
     "run_slope_identity",
     "run_all",
 ]
-
-_OUT_KINDS = ("std", "median", "arcsinh")
 
 
 @dataclass
@@ -119,8 +118,7 @@ def run_efficiency(seed: int = 0, n_triples: int = 1000) -> BatteryResult:
     for k in range(n_triples):
         n_f = int(rng.integers(2, 25))
         model = _random_model(
-            rng, n_f, activation=("softplus", "selu")[k % 2],
-            out_kind=_OUT_KINDS[k % 3],
+            rng, n_f, activation=ACTIVATIONS[k % 2], out_kind=SCALER_KINDS[k % 3],
         )
         background = BackgroundSet(
             rows=rng.normal(size=(int(rng.integers(1, 9)), n_f))
@@ -206,8 +204,7 @@ def run_exact_equivalence(
     for k in range(n_models):
         n_f = int(rng.integers(2, 11))
         model = _random_model(
-            rng, n_f, activation=("softplus", "selu")[k % 2],
-            out_kind=_OUT_KINDS[k % 3],
+            rng, n_f, activation=ACTIVATIONS[k % 2], out_kind=SCALER_KINDS[k % 3],
         )
         background = BackgroundSet(rows=rng.normal(size=(16, n_f)))
         x = rng.normal(size=n_f)

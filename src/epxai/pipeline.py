@@ -145,7 +145,9 @@ def _bench(field: str, index: int | None = None):
 # (section or None for top level, key, checker, default). A checker is called
 # as checker(value, dotted_name) and returns the value's echo form; a callable
 # default as default(echo_so_far, benchmark_spec(market_id)). Rows resolve in
-# order, so the master seed is known before the seeds it fills.
+# order, so the master seed is known before the seeds it fills. The training
+# rows default to the TrainingHyperparams class attributes.
+_HP = TrainingHyperparams
 _KEYS = (
     (None, "seed", _scalar(check_int, lo=0, hi=2**64 - 1), 0),
     ("model", "hidden1", _scalar(check_int, lo=1), _bench("layer_sizes", 1)),
@@ -159,11 +161,12 @@ _KEYS = (
     ("model", "dropout", _scalar(check_float, lo=0.0, below=1.0), _bench("dropout_rate")),
     ("model", "l1", _scalar(check_float, lo=0.0), _bench("l1_factor")),
     ("model", "seed", _scalar(check_int, lo=0), _master_seed),
-    ("training", "learning_rate", _scalar(check_float, lo=0.0, lo_open=True), 1e-3),
-    ("training", "batch_size", _scalar(check_int, lo=1), 64),
-    ("training", "max_epochs", _scalar(check_int, lo=1), 300),
-    ("training", "early_stop_patience", _scalar(check_int, lo=0), 20),
-    ("training", "validation_fraction", _scalar(check_float, lo=0.0, below=1.0), 0.15),
+    ("training", "learning_rate", _scalar(check_float, lo=0.0, lo_open=True), _HP.learning_rate),
+    ("training", "batch_size", _scalar(check_int, lo=1), _HP.batch_size),
+    ("training", "max_epochs", _scalar(check_int, lo=1), _HP.max_epochs),
+    ("training", "early_stop_patience", _scalar(check_int, lo=0), _HP.early_stop_patience),
+    ("training", "validation_fraction", _scalar(check_float, lo=0.0, below=1.0),
+     _HP.validation_fraction),
     ("training", "seed", _scalar(check_int, lo=0), _master_seed),
     ("attribution", "n_pairs", _scalar(check_int, lo=1), 64),
     ("attribution", "background_size", _scalar(check_int, lo=1), 500),
@@ -701,12 +704,6 @@ def cmd_explain(args) -> int:
         raise ModelMismatch(f"model file {model_path} carries no fitted scalers")
 
     features = build_feature_matrix(stage.series, config.market)
-    if features.n_features != trained.spec.n_inputs:
-        raise ModelMismatch(
-            f"model expects {trained.spec.n_inputs} inputs, dataset produces "
-            f"{features.n_features}"
-        )
-
     indices = _instance_subset(features, config)
     background = sample_background(
         features, size=attribution["background_size"], seed=attribution["seed"]
@@ -724,8 +721,9 @@ def cmd_explain(args) -> int:
         name: aggregate(shap_tensor, part) for name, part in config.partitions.items()
     }
     sshap_default = grouped["default"]
-    # the lines and their slope check are the last step that can refuse the
-    # data (too few grid points in the band), so they run before any write
+    # the lines with their slope check (too few grid points in the band) and
+    # the complexity metrics (fewer than two instances) can refuse the data,
+    # so they run before any write
     prices = features.targets[indices]
     lines = [
         sshap_line(
@@ -739,6 +737,8 @@ def cmd_explain(args) -> int:
     if smoothing["band"] is not None:
         band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
     check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
+    shap_grid = heatmap(shap_tensor, "mean_abs")
+    complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
 
     stage.write("tables/shap.csv", attribution_to_csv(shap_tensor))
     stage.write("tables/gradient.csv", attribution_to_csv(grad_tensor))
@@ -746,7 +746,6 @@ def cmd_explain(args) -> int:
         stage.write(f"tables/sshap_{name}.csv", _sshap_csv(tensor))
 
     unit = f"{config.market.currency}/MWh"
-    shap_grid = heatmap(shap_tensor, "mean_abs")
     stage.figure("heatmap_shap", shap_grid, "mean |contribution|", unit)
     stage.figure(
         "heatmap_gradient", heatmap(grad_tensor, "mean"), "mean gradient",
@@ -762,7 +761,6 @@ def cmd_explain(args) -> int:
     )
     stage.figure("lines", lines, "group value vs price", unit, baseline=baseline_value)
 
-    complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
     stage.write("tables/complexity.csv", _csv([asdict(complexity)]))
 
     for date in config.echo["instance_dates"]:

@@ -9,10 +9,10 @@ regrouping only re-brackets the same sum.
 
 Partitions, with hour-range splitting of a group (e.g. early-morning vs
 rest-of-day load) and merging of groups, live in the numpy-free
-:mod:`epxai.markets` and are re-exported here. On top of the grouped values
-this module provides kernel-smoothed curves of group value against the
-realised price, and a consistency check that the summed curves follow the
-identity line implied by additivity.
+:mod:`epxai.markets`. On top of the grouped values this module provides
+kernel-smoothed curves of group value against the realised price, and a
+consistency check that the summed curves follow the identity line implied
+by additivity.
 """
 
 from __future__ import annotations
@@ -22,25 +22,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionTensor
-from .markets import (  # the partition names stay importable from here
-    NotHourlyGroup, Partition, SshapError, UnknownGroup, default_partition, merge_groups,
-    split_group,
-)
+from .markets import Partition, SshapError, UnknownGroup
 
 __all__ = [
-    "SshapError",
     "PartitionMismatch",
-    "UnknownGroup",
-    "NotHourlyGroup",
     "EmptyData",
     "GridMismatch",
-    "Partition",
     "SshapTensor",
     "SshapLine",
     "SlopeCheck",
-    "default_partition",
-    "merge_groups",
-    "split_group",
     "aggregate",
     "sshap_line",
     "slope_check",

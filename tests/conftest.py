@@ -3,14 +3,8 @@
 import numpy as np
 import pytest
 
-from epxai.data import (
-    FeatureId,
-    FeatureMatrix,
-    MarketConfig,
-    SuperVariable,
-    build_feature_matrix,
-    parse_market_csv,
-)
+from epxai.data import FeatureMatrix, build_feature_matrix, parse_market_csv
+from epxai.markets import FeatureId, MarketConfig, SuperVariable
 
 
 def _synthetic_market_csv(n_days=240, seed=11, start="2013-01-01"):

@@ -15,14 +15,10 @@ from epxai.analytics import (
     performance_metrics,
 )
 from epxai.attribution import AttributionTensor
-from epxai.data import (
-    FeatureId,
-    InsufficientHistory,
-    NonFiniteInput,
-    parse_market_csv,
-)
+from epxai.data import InsufficientHistory, NonFiniteInput, parse_market_csv
+from epxai.markets import FeatureId, Partition
 from epxai.mlp import TooFewInstances
-from epxai.sshap import Partition, SshapTensor
+from epxai.sshap import SshapTensor
 
 from test_data import hourly_csv
 

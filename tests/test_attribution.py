@@ -19,16 +19,13 @@ from epxai.attribution import (
     shap_exact,
     shap_mc,
 )
-from epxai.data import FeatureId, NonFiniteInput, ScalerParams, fit_scaler, transform
+from epxai.data import NonFiniteInput, ScalerParams, fit_scaler, inverse_transform, transform
+from epxai.markets import FeatureId, ModelSpec, TrainingHyperparams, benchmark_spec
 from epxai.mlp import (
     SELU_LAMBDA,
-    ModelSpec,
     TrainedModel,
-    TrainingHyperparams,
-    benchmark_spec,
     forward,
     init_model,
-    inverse_transform,
     predict_prices,
     train,
 )

@@ -622,11 +622,14 @@ class TestFailureExitCodes:
         assert err.startswith("error: 2:") and "different config" in err
         assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
-    def test_narrow_band_explain_writes_nothing(self, workspace, tmp_path):
+    @staticmethod
+    def _refused_explain(workspace, tmp_path, mutate, code, fragment):
+        """Run ingest and train, then check that explain exits ``code`` with a
+        single error line naming ``fragment`` and leaves every file as it was."""
         root, dataset = workspace
         config = base_config(dataset, tmp_path / "run")
-        config["lines"]["band"] = [0, 0.5]
-        path = tmp_path / "narrow.json"
+        mutate(config)
+        path = tmp_path / "refused.json"
         path.write_text(json.dumps(config))
         for stage in ("ingest", "train"):
             assert run_cli(stage, "--config", str(path))[0] == 0, stage
@@ -636,11 +639,24 @@ class TestFailureExitCodes:
             return {p: (p.read_bytes(), p.stat().st_ino) for p in run.rglob("*") if p.is_file()}
 
         before = files()
-        code, _, err = run_cli("explain", "--config", str(path))
-        assert code == 1
-        assert err.startswith("error: 1: ") and "band" in err
+        got, _, err = run_cli("explain", "--config", str(path))
+        assert got == code
+        assert err.startswith(f"error: {code}: ") and fragment in err
         assert len(err.rstrip("\n").splitlines()) == 1
         assert files() == before
+
+    def test_narrow_band_explain_writes_nothing(self, workspace, tmp_path):
+        def narrow(config):
+            config["lines"]["band"] = [0, 0.5]
+
+        self._refused_explain(workspace, tmp_path, narrow, 1, "band")
+
+    def test_one_instance_explain_writes_nothing(self, workspace, tmp_path):
+        def one_instance(config):
+            config["attribution"]["max_instances"] = 1
+            del config["instance_dates"], config["lines"]
+
+        self._refused_explain(workspace, tmp_path, one_instance, 3, "at least 2 instances")
 
     def test_copied_run_can_be_continued(self, completed, tmp_path):
         copy = tmp_path / "moved" / "copy"
@@ -875,6 +891,16 @@ class TestImportGraph:
         )
         assert "numpy" not in modules
         assert "epxai.markets" in modules
+
+    def test_settings_names_have_one_import_path(self):
+        import epxai.data
+        import epxai.markets
+        import epxai.mlp
+        import epxai.sshap
+
+        settings = set(epxai.markets.__all__)
+        for module in (epxai.data, epxai.mlp, epxai.sshap):
+            assert not settings & set(module.__all__), module.__name__
 
 
 class TestOracleCommand:

@@ -11,9 +11,10 @@ import io
 import numpy as np
 
 from epxai.attribution import AttributionTensor, attribution_to_csv
-from epxai.data import FeatureId, HourlySeries, series_to_csv
+from epxai.data import HourlySeries, series_to_csv
+from epxai.markets import FeatureId, Partition
 from epxai.pipeline import _sshap_csv
-from epxai.sshap import Partition, SshapTensor
+from epxai.sshap import SshapTensor
 
 # Signed zero, the smallest subnormal and a value repr writes in exponent form.
 SPECIAL = np.array([-0.0, 5e-324, 1e16, 0.1, -2.5, 1e-7, 123456.789])

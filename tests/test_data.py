@@ -6,24 +6,27 @@ import pytest
 from epxai.data import (
     DimensionMismatch,
     EmptyInput,
-    FeatureId,
     HourlySeries,
     InsufficientHistory,
     MalformedRow,
-    MarketConfig,
     NonFiniteInput,
     NonHourlyCadence,
-    SuperVariable,
     TooFewRows,
     build_feature_matrix,
     fit_scaler,
     inverse_transform,
-    market_config,
-    market_config_from_dict,
-    market_config_to_dict,
     parse_market_csv,
     series_to_csv,
     transform,
+)
+from epxai.markets import (
+    FeatureId,
+    MarketConfig,
+    SuperVariable,
+    benchmark_spec,
+    market_config,
+    market_config_from_dict,
+    market_config_to_dict,
 )
 
 
@@ -346,3 +349,5 @@ class TestMarketPresets:
             market_config_from_dict({"market_id": "DE"})
         with pytest.raises(ValueError):
             market_config("XX")
+        with pytest.raises(ValueError):
+            benchmark_spec("XX")

@@ -12,9 +12,9 @@ from epxai.analytics import (
     HeatmapGrid,
     ImportanceTable,
 )
-from epxai.data import FeatureId
 from epxai.figures import InstanceStack, RenderedFigure, instance_stack, render_figure
-from epxai.sshap import Partition, SshapLine, SshapTensor
+from epxai.markets import FeatureId, Partition
+from epxai.sshap import SshapLine, SshapTensor
 
 _DATA_VALUE = re.compile(r'data-value="([^"]+)"')
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from epxai.data import NonFiniteInput, transform
+from epxai.markets import ModelSpec, TrainingHyperparams, benchmark_spec
 from epxai.mlp import (
     MODEL_SCHEMA_VERSION,
     SELU_ALPHA,
@@ -15,16 +16,13 @@ from epxai.mlp import (
     CorruptPayload,
     DivergedLoss,
     ModelError,
-    ModelSpec,
     SchemaVersionMismatch,
     TooFewInstances,
-    TrainingHyperparams,
     _BLOCK_ROWS,
     _activation,
     _activation_grad,
     _batch_gradients,
     _sigmoid,
-    benchmark_spec,
     count_parameters,
     forward,
     forward_trace,

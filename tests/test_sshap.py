@@ -4,21 +4,26 @@ import numpy as np
 import pytest
 
 from epxai.attribution import AttributionTensor
-from epxai.data import FeatureId, MarketConfig, SuperVariable, market_config
+from epxai.markets import (
+    FeatureId,
+    MarketConfig,
+    NotHourlyGroup,
+    Partition,
+    SuperVariable,
+    UnknownGroup,
+    default_partition,
+    market_config,
+    merge_groups,
+    split_group,
+)
 from epxai.sshap import (
     EmptyData,
     GridMismatch,
-    NotHourlyGroup,
-    Partition,
     PartitionMismatch,
     SshapLine,
     SshapTensor,
-    UnknownGroup,
     aggregate,
-    default_partition,
-    merge_groups,
     slope_check,
-    split_group,
     sshap_line,
 )
 
