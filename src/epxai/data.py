@@ -1,36 +1,23 @@
-"""Market data loading, repair, feature construction, and scaling.
+"""Hourly market series as arrays, feature construction, and scaling.
 
-A market CSV holds one row per hour with four columns: timestamp, price,
-and two exogenous series (day-ahead forecasts of load, generation, wind,
-or a neighbouring zone's load, depending on the market). Timestamps are
-naive local clock readings, so daylight-saving transitions show up as a
-duplicated hour (fall) or a missing hour (spring). :func:`parse_market_csv`
-repairs both so every day has exactly 24 rows.
-
-Model inputs are built per delivery day: for each configured super-variable
-(a named series at a fixed day lag) the 24 hourly values of the lagged day,
-plus optionally a single day-of-week integer. Targets are the 24 prices of
-the delivery day itself.
+The market CSV is parsed, repaired and written by :mod:`epxai.marketcsv`;
+:func:`parse_market_csv` and :func:`series_to_csv` convert its columns to
+and from :class:`HourlySeries` arrays. Model inputs are built per delivery
+day: for each super-variable (a series at a fixed day lag) the 24 hourly
+values of the lagged day, plus optionally a day-of-week integer. Targets
+are the 24 prices of the delivery day itself.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import math
 from dataclasses import dataclass, field
-from datetime import datetime
 
 import numpy as np
 
-from .errors import EpxaiError
-from .markets import SCALER_KINDS, SOURCES, FeatureId, MarketConfig
+from .marketcsv import DataError, EmptyInput, NonHourlyCadence, hours_csv, parse_hours
+from .markets import SCALER_KINDS, FeatureId, MarketConfig
 
 __all__ = [
-    "DataError",
-    "MalformedRow",
-    "EmptyInput",
-    "NonHourlyCadence",
     "InsufficientHistory",
     "TooFewRows",
     "DimensionMismatch",
@@ -46,28 +33,6 @@ __all__ = [
     "inverse_transform",
     "series_to_csv",
 ]
-
-
-class DataError(EpxaiError):
-    """Base class for data-layer errors."""
-
-    exit_code = 3
-
-
-class MalformedRow(DataError):
-    """A CSV row that cannot be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, reason: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {reason}")
-
-
-class EmptyInput(DataError):
-    """No data rows at all."""
-
-
-class NonHourlyCadence(DataError):
-    """Timestamps that do not sit on an hourly grid even after repair."""
 
 
 class InsufficientHistory(DataError):
@@ -88,7 +53,6 @@ class NonFiniteInput(DataError):
 
 # 1970-01-01 (day zero of the epoch) was a Thursday; Monday = 0.
 _EPOCH_WEEKDAY = 3
-_EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
 
 
 @dataclass(frozen=True)
@@ -175,105 +139,17 @@ class ScalerParams:
         return len(self.location)
 
 
-_NA_TOKENS = {"", "na", "nan", "null", "none"}
-
-
-def _parse_float(token: str, line_number: int, col: str) -> float:
-    token = token.strip()
-    if token.lower() in _NA_TOKENS:
-        return math.nan
-    try:
-        return float(token)
-    except ValueError:
-        raise MalformedRow(line_number, f"bad {col} value {token!r}") from None
-
-
 def parse_market_csv(raw_text: str, market_id: str) -> HourlySeries:
-    """Parse a market CSV into a repaired, strictly hourly series.
-
-    Expects four columns per row (timestamp, price, exog1, exog2) with an
-    optional header. Duplicate timestamps are averaged, gaps and missing
-    cells are filled by linear interpolation, so daylight-saving artefacts
-    disappear. Raises :class:`MalformedRow` (with line number) on rows that
-    cannot be parsed, :class:`EmptyInput` when no data rows exist, and
-    :class:`NonHourlyCadence` when a timestamp is off the hourly grid.
-    """
-    hours: list[int] = []
-    cells: list[float] = []
-    reader = csv.reader(io.StringIO(raw_text))
-    for line_number, fields in enumerate(reader, start=1):
-        if not "".join(fields).strip():
-            continue
-        if len(fields) != 4:
-            raise MalformedRow(line_number, f"expected 4 columns, got {len(fields)}")
-        stamp, price, exog1, exog2 = fields
-        try:
-            ts = datetime.fromisoformat(stamp.strip())
-        except ValueError:
-            if line_number == 1:
-                continue  # header row
-            raise MalformedRow(line_number, f"bad timestamp {stamp.strip()!r}") from None
-        if ts.minute or ts.second or ts.microsecond:
-            raise NonHourlyCadence(
-                f"line {line_number}: {ts.replace(tzinfo=None)} is not on the hour"
-            )
-        # Hours since the epoch from the clock fields alone: an offset is
-        # dropped, so the series is treated as local clock time.
-        hours.append((ts.toordinal() - _EPOCH_ORDINAL) * 24 + ts.hour)
-        try:
-            cells += (float(price), float(exog1), float(exog2))
-        except ValueError:
-            cells += (
-                _parse_float(price, line_number, "price"),
-                _parse_float(exog1, line_number, "exog1"),
-                _parse_float(exog2, line_number, "exog2"),
-            )
-    if not hours:
-        raise EmptyInput("no data rows in CSV")
-
-    raw = np.array(cells, dtype=np.float64).reshape(-1, 3)
-
-    # Average duplicated hours (fall transition repeats one local hour); each
-    # hour's values are summed in input order.
-    uniq, inverse = np.unique(np.array(hours, dtype=np.int64), return_inverse=True)
-    summed = np.zeros((len(uniq), 3))
-    mask = np.zeros((len(uniq), 3))
-    finite = np.isfinite(raw)
-    np.add.at(summed, inverse, np.where(finite, raw, 0.0))
-    np.add.at(mask, inverse, finite.astype(np.float64))
-    with np.errstate(invalid="ignore"):
-        values = np.where(mask > 0, summed / np.where(mask > 0, mask, 1.0), np.nan)
-
-    # Reindex onto the full hourly grid and interpolate the holes.
-    full = np.arange(uniq[0], uniq[-1] + 1)
-    grid = np.full((len(full), 3), np.nan)
-    grid[uniq - uniq[0]] = values
-    for c in range(3):
-        col = grid[:, c]
-        known = np.isfinite(col)
-        if not np.any(known):
-            raise EmptyInput(f"column {SOURCES[c]} has no usable values")
-        grid[:, c] = np.interp(np.arange(len(full)), np.flatnonzero(known), col[known])
-
-    return HourlySeries(
-        market_id=market_id,
-        timestamps=full.astype("datetime64[h]"),
-        price=grid[:, 0],
-        exog1=grid[:, 1],
-        exog2=grid[:, 2],
-    )
+    """Parse and repair a market CSV (see :func:`epxai.marketcsv.parse_hours`)."""
+    start, *columns = parse_hours(raw_text)
+    stamps = np.arange(start, start + len(columns[0])).astype("datetime64[h]")
+    return HourlySeries(market_id, stamps, *(np.array(column) for column in columns))
 
 
 def series_to_csv(series: HourlySeries) -> str:
     """Render a repaired series back to canonical CSV text."""
-    stamps = np.datetime_as_string(series.timestamps.astype("datetime64[s]"))
-    rows = zip(
-        stamps.tolist(), series.price.tolist(), series.exog1.tolist(), series.exog2.tolist()
-    )
-    return "timestamp,price,exog1,exog2\n" + "".join(
-        f"{stamp.replace('T', ' ')},{price!r},{exog1!r},{exog2!r}\n"
-        for stamp, price, exog1, exog2 in rows
-    )
+    start = int(series.timestamps[0].astype("datetime64[h]").astype(np.int64))
+    return hours_csv(start, series.price.tolist(), series.exog1.tolist(), series.exog2.tolist())
 
 
 def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureMatrix:

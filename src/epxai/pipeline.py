@@ -7,9 +7,9 @@ deterministic for a fixed config, dataset, and thread count; the manifest
 records sha256 hashes so two runs can be compared file by file. Wall-clock
 timings and absolute paths live only in the manifest, never in hashed outputs.
 
-Loading this module loads the config layer only (:mod:`epxai.markets`);
-each command imports the numeric layers it runs at its start, so
-``validate`` and ``report`` never load numpy.
+Loading this module loads the numpy-free layers (:mod:`epxai.markets`,
+:mod:`epxai.marketcsv`); each command imports the numeric layers it runs at
+its start, so ``validate``, ``ingest`` and ``report`` never load numpy.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from . import __version__
 from .errors import (
     EpxaiError, check_bool, check_choice, check_float, check_int, check_object, check_str,
 )
+from .marketcsv import DataError
 from .markets import (
     ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, MarketConfig, ModelSpec, SshapError,
     TrainingHyperparams, benchmark_spec, default_partition, market_config,
@@ -446,20 +447,19 @@ def _verified_outputs(out: Path, manifest: dict) -> list:
 class _Stage:
     """The run-directory side of one ``ingest``, ``train`` or ``explain`` command.
 
-    Construction resolves the config and the run directory and reads,
-    hashes and parses the dataset once. It refuses a directory made by
-    another config or from another dataset, or one with an unreadable or
-    malformed run file, before anything is written. The config check leaves
-    out the ``dataset`` and ``out`` paths, so a copied or moved run directory
-    can be continued. ``write`` and ``figure`` write each artifact as soon as it
-    exists and record its hash; ``finish`` merges the report section,
-    records the stage in ``manifest.json`` and prints the stage line. Every
-    file goes through :func:`_write_atomic`.
+    Construction resolves the config and the run directory, reads and hashes
+    the dataset and parses it once into ``series`` with ``parse(text,
+    market_id)``. It refuses a directory made by another config or from
+    another dataset, or one with an unreadable or malformed run file, before
+    anything is written. The config check leaves out the ``dataset`` and
+    ``out`` paths, so a copied or moved run directory can be continued.
+    ``write`` and ``figure`` write each artifact as soon as it exists and
+    record its hash; ``finish`` merges the report section, records the stage
+    in ``manifest.json`` and prints the stage line. Every file goes through
+    :func:`_write_atomic`.
     """
 
-    def __init__(self, args, name: str):
-        from .data import DataError, parse_market_csv
-
+    def __init__(self, args, name: str, parse):
         self.config = config = _config_from_args(args)
         self.name, self.out, self.outputs = name, _run_dir(args, config), {}
         self.t0 = time.perf_counter()
@@ -495,12 +495,14 @@ class _Stage:
         self.report = _read_run_json(self.out / "report.json", recorded) if recorded else {}
 
         try:
-            text = config.dataset.read_text(encoding="utf-8")
+            data = config.dataset.read_bytes()
+            text = data.decode("utf-8")
         except FileNotFoundError:
             raise DataError(f"dataset file not found: {config.dataset}") from None
         except (OSError, UnicodeDecodeError) as exc:
             raise DataError(f"cannot read dataset {config.dataset}: {exc}") from exc
-        self.dataset_sha256 = _sha256_text(text)
+        self.dataset_sha256 = hashlib.sha256(data).hexdigest()
+        del data  # freed before the parse, which is the peak of `ingest`
         recorded = self.manifest["inputs"].get("dataset", {}).get("sha256")
         if recorded not in (None, self.dataset_sha256):
             raise DataError(
@@ -511,7 +513,7 @@ class _Stage:
         self.manifest["inputs"]["dataset"] = {
             "path": str(config.dataset), "sha256": self.dataset_sha256,
         }
-        self.series = parse_market_csv(text, config.market.market_id)
+        self.series = parse(text, config.market.market_id)
 
     def write(self, rel: str, text: str) -> None:
         data = text.encode("utf-8")
@@ -560,14 +562,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    from .data import series_to_csv
+    from .marketcsv import hour_stamp, hours_csv, parse_hours
 
-    stage = _Stage(args, "ingest")
-    series = stage.series
-    stage.write("tables/dataset.csv", series_to_csv(series))
+    stage = _Stage(args, "ingest", lambda text, market_id: parse_hours(text))
+    start, *columns = stage.series
+    end = start + len(columns[0]) - 1
+    stage.write("tables/dataset.csv", hours_csv(start, *columns))
     return stage.finish(None, (
-        f"{series.n_hours} hourly rows ({series.timestamps[0]} .. "
-        f"{series.timestamps[-1]}) -> {stage.out / 'tables/dataset.csv'}"
+        f"{end - start + 1} hourly rows ({hour_stamp(start)} .. {hour_stamp(end)}) "
+        f"-> {stage.out / 'tables/dataset.csv'}"
     ))
 
 
@@ -575,12 +578,12 @@ def cmd_train(args) -> int:
     import numpy as np
 
     from .analytics import naive_forecast, performance_metrics
-    from .data import DataError, build_feature_matrix
+    from .data import build_feature_matrix, parse_market_csv
     from .mlp import (
         count_parameters, init_model, n_train_instances, predict_prices, save_model, train,
     )
 
-    stage = _Stage(args, "train")
+    stage = _Stage(args, "train", parse_market_csv)
     config, series = stage.config, stage.series
     features = build_feature_matrix(series, config.market)
     # overflow on a diverging run ends as a non-finite loss, which train
@@ -630,8 +633,6 @@ def cmd_train(args) -> int:
 
 def _instance_subset(features, config: RunConfig) -> np.ndarray:
     import numpy as np
-
-    from .data import DataError
 
     n = features.n_instances
     max_instances = config.echo["attribution"]["max_instances"]
@@ -684,12 +685,12 @@ def cmd_explain(args) -> int:
 
     from .analytics import beeswarm_table, complexity_metrics, heatmap, hourly_importance
     from .attribution import attribution_to_csv, explain_dataset, sample_background
-    from .data import build_feature_matrix
+    from .data import build_feature_matrix, parse_market_csv
     from .figures import instance_stack
     from .mlp import predict_prices
     from .sshap import aggregate, slope_check, sshap_line
 
-    stage = _Stage(args, "explain")
+    stage = _Stage(args, "explain", parse_market_csv)
     config = stage.config
     attribution = config.echo["attribution"]
     smoothing = config.echo["lines"]

@@ -15,8 +15,8 @@ import pytest
 from conftest import _synthetic_market_csv
 from epxai import pipeline
 from epxai.cli import main
-from epxai.data import DataError
 from epxai.errors import EpxaiError
+from epxai.marketcsv import DataError
 from epxai.mlp import CorruptPayload, DivergedLoss, ModelError, TooFewInstances, load_model
 from epxai.pipeline import (
     ConfigError, IncompleteRun, ModelMismatch, load_config, resolve_config,
@@ -736,6 +736,34 @@ class TestFailureExitCodes:
         assert (tmp_path / "run" / "manifest.json").read_bytes() == manifest
         assert not (tmp_path / "run" / "model.json").exists()
 
+    @pytest.mark.parametrize("command", ["ingest", "train", "explain"])
+    def test_unclosed_quote_is_one_error_line(self, workspace, tmp_path, command):
+        rows = workspace[1].read_text().splitlines(keepends=True)
+        rows[60] = '"' + rows[60]
+        dataset = tmp_path / "syn.csv"
+        dataset.write_text("".join(rows))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        code, _, err = run_cli(command, "--config", str(config))
+        assert code == 3
+        assert err.startswith("error: 3: line 61: ") and "field limit" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_crlf_dataset_hash_is_file_sha256(self, completed, tmp_path):
+        dataset = tmp_path / "syn.csv"
+        dataset.write_bytes(completed["dataset"].read_bytes().replace(b"\n", b"\r\n"))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        assert run_cli("ingest", "--config", str(config))[0] == 0
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["inputs"]["dataset"]["sha256"] == sha(dataset)
+        assert sha(tmp_path / "run" / "tables" / "dataset.csv") == sha(
+            completed["run"] / "tables" / "dataset.csv"
+        )
+        report = json.loads((completed["run"] / "report.json").read_text())
+        assert report["data"]["dataset_sha256"] == sha(completed["dataset"])
+
     def test_report_with_changed_output_exits_6(self, completed, tmp_path):
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
@@ -861,7 +889,8 @@ class TestImportGraph:
     NOT_LOADED = {
         "validate": ("numpy",),
         "ingest": (
-            "epxai.mlp", "epxai.attribution", "epxai.sshap", "epxai.analytics", "epxai.figures",
+            "numpy", "epxai.data", "epxai.mlp", "epxai.attribution", "epxai.sshap",
+            "epxai.analytics", "epxai.figures",
         ),
         "train": ("epxai.attribution", "epxai.sshap", "epxai.figures"),
         "report": ("numpy",),

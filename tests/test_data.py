@@ -5,12 +5,9 @@ import pytest
 
 from epxai.data import (
     DimensionMismatch,
-    EmptyInput,
     HourlySeries,
     InsufficientHistory,
-    MalformedRow,
     NonFiniteInput,
-    NonHourlyCadence,
     TooFewRows,
     build_feature_matrix,
     fit_scaler,
@@ -19,6 +16,7 @@ from epxai.data import (
     series_to_csv,
     transform,
 )
+from epxai.marketcsv import EmptyInput, MalformedRow, NonHourlyCadence
 from epxai.markets import (
     FeatureId,
     MarketConfig,
