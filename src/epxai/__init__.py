@@ -38,9 +38,7 @@ _EXPORTS = {
     "FeatureMatrix": "data",
     "ScalerParams": "data",
     "parse_market_csv": "data",
-    "series_to_csv": "data",
     "build_feature_matrix": "data",
-    "daily_price_matrix": "data",
     "fit_scaler": "data",
     "transform": "data",
     "inverse_transform": "data",

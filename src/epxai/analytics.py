@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import HourlySeries, InsufficientHistory, NonFiniteInput, daily_price_matrix
+from .data import HourlySeries, InsufficientHistory, NonFiniteInput, _delivery_days
 from .errors import EpxaiError
 from .mlp import TooFewInstances
 
@@ -43,7 +43,7 @@ __all__ = [
     "complexity_metrics",
 ]
 
-HEATMAP_AGGREGATIONS = ("mean_abs", "mean", "single")
+HEATMAP_AGGREGATIONS = ("mean_abs", "mean")
 
 
 class AnalyticsError(EpxaiError):
@@ -74,12 +74,6 @@ class HeatmapGrid:
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
-
-    def block(self, label: str) -> np.ndarray:
-        try:
-            return self.values[self.blocks.index(label)]
-        except ValueError:
-            raise KeyError(f"no block {label!r}") from None
 
 
 @dataclass
@@ -150,27 +144,11 @@ def _hourly_blocks(tensor: AttributionTensor):
     return blocks
 
 
-def _instance_index(tensor, instance) -> int:
-    """Position of one instance of a tensor, given by instance id or position."""
-    if isinstance(instance, str):
-        try:
-            return tensor.instance_ids.index(instance)
-        except ValueError:
-            raise KeyError(f"no instance {instance!r}") from None
-    idx = int(instance)
-    if not -tensor.n_instances <= idx < tensor.n_instances:
-        raise KeyError(f"instance index {idx} out of range")
-    return idx
-
-
-def heatmap(
-    tensor: AttributionTensor, aggregation: str = "mean_abs", instance=None
-) -> HeatmapGrid:
+def heatmap(tensor: AttributionTensor, aggregation: str = "mean_abs") -> HeatmapGrid:
     """24x24 blocks per hourly group, aggregated across instances.
 
-    ``mean_abs`` averages magnitudes, ``mean`` keeps signs, ``single``
-    takes one instance (by position or instance id). Features without an
-    hour (day-of-week) have no place on an hour-by-hour map and are
+    ``mean_abs`` averages magnitudes, ``mean`` keeps signs. Features without
+    an hour (day-of-week) have no place on an hour-by-hour map and are
     skipped.
     """
     if aggregation not in HEATMAP_AGGREGATIONS:
@@ -178,17 +156,12 @@ def heatmap(
     blocks = _hourly_blocks(tensor)
     if not blocks:
         raise EmptyTensor("tensor has no full hourly groups to map")
-    if aggregation == "single":
-        if instance is None:
-            raise ValueError("aggregation 'single' needs an instance")
-        source = tensor.values[_instance_index(tensor, instance)]
+    if tensor.n_instances == 0:
+        raise EmptyTensor(f"cannot take {aggregation} over zero instances")
+    if aggregation == "mean_abs":
+        source = np.abs(tensor.values).mean(axis=0)
     else:
-        if tensor.n_instances == 0:
-            raise EmptyTensor(f"cannot take {aggregation} over zero instances")
-        if aggregation == "mean_abs":
-            source = np.abs(tensor.values).mean(axis=0)
-        else:
-            source = tensor.values.mean(axis=0)
+        source = tensor.values.mean(axis=0)
 
     values = np.stack([source[:, cols] for _, cols in blocks])
     return HeatmapGrid(
@@ -288,9 +261,10 @@ def performance_metrics(
 
 def naive_forecast(series: HourlySeries) -> NaiveForecast:
     """Persistence forecast: each day predicted by the previous day's prices."""
-    dates, prices = daily_price_matrix(series)
+    dates, blocks = _delivery_days(series)
     if len(dates) < 2:
         raise InsufficientHistory("naive forecast needs at least 2 full days")
+    prices = blocks["price"]
     return NaiveForecast(
         days=dates[1:], predicted=prices[:-1].copy(), actual=prices[1:].copy()
     )

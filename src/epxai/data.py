@@ -1,20 +1,20 @@
 """Hourly market series as arrays, feature construction, and scaling.
 
 The market CSV is parsed, repaired and written by :mod:`epxai.marketcsv`;
-:func:`parse_market_csv` and :func:`series_to_csv` convert its columns to
-and from :class:`HourlySeries` arrays. Model inputs are built per delivery
-day: for each super-variable (a series at a fixed day lag) the 24 hourly
-values of the lagged day, plus optionally a day-of-week integer. Targets
-are the 24 prices of the delivery day itself.
+:func:`parse_market_csv` turns its columns into :class:`HourlySeries`
+arrays. Model inputs are built per delivery day: for each super-variable
+(a series at a fixed day lag) the 24 hourly values of the lagged day, plus
+optionally a day-of-week integer. Targets are the 24 prices of the
+delivery day itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .marketcsv import DataError, EmptyInput, NonHourlyCadence, hours_csv, parse_hours
+from .marketcsv import DataError, EmptyInput, NonHourlyCadence, parse_hours
 from .markets import SCALER_KINDS, FeatureId, MarketConfig
 
 __all__ = [
@@ -27,11 +27,9 @@ __all__ = [
     "ScalerParams",
     "parse_market_csv",
     "build_feature_matrix",
-    "daily_price_matrix",
     "fit_scaler",
     "transform",
     "inverse_transform",
-    "series_to_csv",
 ]
 
 
@@ -93,14 +91,12 @@ class FeatureMatrix:
     columns: tuple[FeatureId, ...]
     values: np.ndarray  # (n_instances, n_features)
     targets: np.ndarray  # (n_instances, 24) delivery-day prices
-    _index: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.values.shape != (len(self.instances), len(self.columns)):
             raise ValueError("values shape does not match instances/columns")
         if self.targets.shape != (len(self.instances), 24):
             raise ValueError("targets must be (n_instances, 24)")
-        object.__setattr__(self, "_index", {c: i for i, c in enumerate(self.columns)})
 
     @property
     def n_instances(self) -> int:
@@ -109,12 +105,6 @@ class FeatureMatrix:
     @property
     def n_features(self) -> int:
         return len(self.columns)
-
-    def column_index(self, feature: FeatureId) -> int:
-        try:
-            return self._index[feature]
-        except KeyError:
-            raise KeyError(f"no column {feature}") from None
 
     def instance_ids(self) -> list[str]:
         return [str(d) for d in self.instances]
@@ -146,10 +136,20 @@ def parse_market_csv(raw_text: str, market_id: str) -> HourlySeries:
     return HourlySeries(market_id, stamps, *(np.array(column) for column in columns))
 
 
-def series_to_csv(series: HourlySeries) -> str:
-    """Render a repaired series back to canonical CSV text."""
-    start = int(series.timestamps[0].astype("datetime64[h]").astype(np.int64))
-    return hours_csv(start, series.price.tolist(), series.exog1.tolist(), series.exog2.tolist())
+def _delivery_days(series: HourlySeries):
+    """The series' midnight-aligned full days.
+
+    Returns their dates (datetime64[D]) and, by column name, a (n_days, 24)
+    view of the price and the two exogenous series on those days.
+    """
+    start = int(-series.timestamps[0].astype(np.int64)) % 24
+    n_days = max((series.n_hours - start) // 24, 0)
+    stop = start + n_days * 24
+    blocks = {
+        name: getattr(series, name)[start:stop].reshape(n_days, 24)
+        for name in ("price", "exog1", "exog2")
+    }
+    return series.timestamps[start:stop:24].astype("datetime64[D]"), blocks
 
 
 def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureMatrix:
@@ -159,28 +159,13 @@ def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureM
     ``config.max_day_lag`` full days of history before it. Raises
     :class:`InsufficientHistory` when no delivery day qualifies.
     """
-    hours = series.timestamps.astype(np.int64)
-    start = int((-hours[0]) % 24)  # first midnight-aligned index
-    n_days = (series.n_hours - start) // 24
+    day_stamps, day_blocks = _delivery_days(series)
     max_lag = config.max_day_lag
-    n_inst = n_days - max_lag
+    n_inst = len(day_stamps) - max_lag
     if n_inst <= 0:
         raise InsufficientHistory(
-            f"need more than {max_lag} full days, have {max(n_days, 0)}"
+            f"need more than {max_lag} full days, have {len(day_stamps)}"
         )
-
-    by_source = {
-        "price": series.price,
-        "exog1": series.exog1,
-        "exog2": series.exog2,
-    }
-    day_blocks = {
-        name: arr[start : start + n_days * 24].reshape(n_days, 24)
-        for name, arr in by_source.items()
-    }
-    day_stamps = series.timestamps[start : start + n_days * 24 : 24].astype(
-        "datetime64[D]"
-    )
 
     parts: list[np.ndarray] = []
     for sv in config.super_variables:
@@ -198,17 +183,6 @@ def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureM
         values=np.hstack(parts),
         targets=day_blocks["price"][max_lag:].copy(),
     )
-
-
-def daily_price_matrix(series: HourlySeries) -> tuple[np.ndarray, np.ndarray]:
-    """Midnight-aligned full days as (dates, (n_days, 24) price matrix)."""
-    hours = series.timestamps.astype(np.int64)
-    start = int((-hours[0]) % 24)
-    n_days = (series.n_hours - start) // 24
-    if n_days < 1:
-        raise InsufficientHistory("series holds no full midnight-aligned day")
-    dates = series.timestamps[start : start + n_days * 24 : 24].astype("datetime64[D]")
-    return dates, series.price[start : start + n_days * 24].reshape(n_days, 24).copy()
 
 
 def fit_scaler(kind: str, values: np.ndarray) -> ScalerParams:

@@ -70,6 +70,17 @@ def check_str(value, name: str) -> str:
     return value
 
 
+def check_label(value, name: str) -> str:
+    """A group label: a non-empty string that fits one unquoted CSV field and
+    one double-quoted XML attribute, so no comma, double quote or line break."""
+    value = check_str(value, name)
+    if any(c in value for c in ',"\r\n'):
+        raise ValueError(
+            f"'{name}' must not contain a comma, a double quote or a line break, got {value!r}"
+        )
+    return value
+
+
 def check_choice(value, name: str, choices) -> str:
     if value not in choices:
         raise ValueError(f"'{name}' must be one of {sorted(choices)}, got {value!r}")

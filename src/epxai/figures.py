@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable, _instance_index
+from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable
 from .sshap import SshapLine, SshapTensor
 
 __all__ = [
@@ -48,6 +48,19 @@ class InstanceStack:
     contributions: np.ndarray  # (24, n_groups)
     baseline: np.ndarray  # (24,)
     forecast: np.ndarray  # (24,)
+
+
+def _instance_index(tensor, instance) -> int:
+    """Position of one instance of a tensor, given by instance id or position."""
+    if isinstance(instance, str):
+        try:
+            return tensor.instance_ids.index(instance)
+        except ValueError:
+            raise KeyError(f"no instance {instance!r}") from None
+    idx = int(instance)
+    if not -tensor.n_instances <= idx < tensor.n_instances:
+        raise KeyError(f"instance index {idx} out of range")
+    return idx
 
 
 def instance_stack(sshap: SshapTensor, instance, forecast: np.ndarray) -> InstanceStack:
@@ -326,6 +339,8 @@ def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
         760.0, 420.0, 190, title, (float(grid.min()), float(grid.max())),
         (lo - pad, hi + pad), f"actual price [{unit}]", f"group value [{unit}]",
     )
+    # every line pools all instances and hours; the mode column keeps the
+    # file's layout
     csv_lines = ["group,mode,grid_price,value"]
     if baseline is not None:
         ends = grid[[0, -1]]
@@ -341,7 +356,7 @@ def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
             parts.append(_polyline(axes.points(xs, ys), color))
         for x, y in zip(line.grid, line.values):
             csv_lines.append(
-                f"{line.group},{line.mode},{_val(x)},"
+                f"{line.group},pooled,{_val(x)},"
                 f"{'' if not math.isfinite(y) else _val(y)}"
             )
             if math.isfinite(y):

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
-from .errors import EpxaiError, check_bool, check_int, check_object, check_str
+from .errors import EpxaiError, check_bool, check_int, check_label, check_object, check_str
 
 __all__ = [
     "SOURCES", "SCALER_KINDS", "MARKET_IDS", "DAY_OF_WEEK_LABEL", "ACTIVATIONS",
@@ -237,7 +237,7 @@ def market_config_from_dict(payload: dict) -> MarketConfig:
             check_object(entry, where, ("label", "source", "day_lag"))
             svs.append(
                 SuperVariable(
-                    label=check_str(entry["label"], f"{where}.label"),
+                    label=check_label(entry["label"], f"{where}.label"),
                     source=entry["source"],
                     day_lag=check_int(entry["day_lag"], f"{where}.day_lag"),
                 )

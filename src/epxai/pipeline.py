@@ -26,7 +26,8 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    EpxaiError, check_bool, check_choice, check_float, check_int, check_object, check_str,
+    EpxaiError, check_bool, check_choice, check_float, check_int, check_label, check_object,
+    check_str,
 )
 from .marketcsv import DataError
 from .markets import (
@@ -175,7 +176,7 @@ _KEYS = (
     ("attribution", "max_instances", _scalar(check_int, nullable=True, lo=1), 256),
     ("attribution", "seed", _scalar(check_int, lo=0), _master_seed),
     ("partition", "splits", _entries(("group", check_str), ("hour", check_int)), ()),
-    ("partition", "merges", _entries(("label", check_str), ("members", _labels)), ()),
+    ("partition", "merges", _entries(("label", check_label), ("members", _labels)), ()),
     ("lines", "bandwidth", _scalar(check_float, lo=0.0, lo_open=True), 5.0),
     ("lines", "grid_size", _scalar(check_int, lo=2), 200),
     ("lines", "band", _band, None),
@@ -728,7 +729,7 @@ def cmd_explain(args) -> int:
     prices = features.targets[indices]
     lines = [
         sshap_line(
-            sshap_default, label, prices, hours="pooled",
+            sshap_default, label, prices,
             bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
         )
         for label in sshap_default.partition.labels
@@ -916,16 +917,7 @@ def cmd_oracle(args) -> int:
         out = Path(args.out)
         payload = {
             "seed": args.seed,
-            "results": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                    "seconds": round(r.seconds, 3),
-                    "metrics": r.metrics,
-                }
-                for r in results
-            ],
+            "results": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
         }
         _write_atomic(out / "oracle.json", _canonical_json(payload).encode("utf-8"))
         print(f"wrote {out / 'oracle.json'}")

@@ -87,7 +87,6 @@ class SshapLine:
     """
 
     group: str
-    mode: str
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
@@ -135,44 +134,31 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:
     )
 
 
-def _line_observations(sshap: SshapTensor, g: int, actual_prices, hours):
-    prices = np.asarray(actual_prices, dtype=np.float64)
-    if prices.shape != (sshap.n_instances, 24):
-        raise ValueError(
-            f"actual_prices must be ({sshap.n_instances}, 24), got {prices.shape}"
-        )
-    if hours == "pooled":
-        return prices.ravel(), sshap.values[:, :, g].ravel()
-    if hours == "daily_mean":
-        return prices.mean(axis=1), sshap.values[:, :, g].mean(axis=1)
-    if isinstance(hours, (int, np.integer)) and 0 <= int(hours) < 24:
-        h = int(hours)
-        return prices[:, h], sshap.values[:, h, g]
-    raise ValueError(f"hours must be 'pooled', 'daily_mean', or 0..23, got {hours!r}")
-
-
 def sshap_line(
     sshap: SshapTensor,
     group: str,
     actual_prices: np.ndarray,
-    hours="pooled",
     bandwidth: float = 5.0,
     grid: np.ndarray | None = None,
     grid_size: int = 200,
 ) -> SshapLine:
     """Gaussian-kernel regression of a group's values on realised prices.
 
-    Observations are (price, group value) pairs: one per instance and
-    output hour when ``hours`` is "pooled", one per instance at a single
-    output hour when ``hours`` is 0..23, or daily means when ``hours`` is
-    "daily_mean". The default grid spans the 1st to 99th percentile of the
-    observed prices with ``grid_size`` points. Grid points where every
-    observation's kernel weight underflows to zero are returned as NaN.
+    Observations are (price, group value) pairs pooled over every instance
+    and output hour, so ``actual_prices`` is (n_instances, 24). The default
+    grid spans the 1st to 99th percentile of the observed prices with
+    ``grid_size`` points. Grid points where every observation's kernel
+    weight underflows to zero are returned as NaN.
     """
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
     g = sshap.group_index(group)
-    x, v = _line_observations(sshap, g, actual_prices, hours)
+    prices = np.asarray(actual_prices, dtype=np.float64)
+    if prices.shape != (sshap.n_instances, 24):
+        raise ValueError(
+            f"actual_prices must be ({sshap.n_instances}, 24), got {prices.shape}"
+        )
+    x, v = prices.ravel(), sshap.values[:, :, g].ravel()
     if x.size == 0:
         raise EmptyData("no observations to smooth")
     if grid is None:
@@ -190,7 +176,6 @@ def sshap_line(
     curve = np.where(nearest >= _UNDERFLOW, np.nan, curve)
     return SshapLine(
         group=group,
-        mode=str(hours),
         grid=grid,
         values=curve,
         bandwidth=float(bandwidth),

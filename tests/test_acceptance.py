@@ -14,7 +14,6 @@ measured numbers.
 import hashlib
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,7 @@ import pytest
 from conftest import _synthetic_market_csv
 from epxai import oracle
 from epxai.cli import main as cli_main
-from epxai.data import parse_market_csv, series_to_csv
+from epxai.marketcsv import hours_csv, parse_hours
 
 DATA_DIR = Path(
     os.environ.get("EPXAI_DATA_DIR", Path(__file__).resolve().parent.parent / "data")
@@ -57,16 +56,8 @@ def dataset_path(market_id: str) -> Path:
 
 def four_year_slice(market_id: str, out_path: Path) -> None:
     """First four years of a benchmark file, the span the models train on."""
-    series = parse_market_csv(dataset_path(market_id).read_text(), market_id)
-    cut = min(HOURS_IN_FOUR_YEARS, series.n_hours)
-    sliced = replace(
-        series,
-        timestamps=series.timestamps[:cut],
-        price=series.price[:cut],
-        exog1=series.exog1[:cut],
-        exog2=series.exog2[:cut],
-    )
-    out_path.write_text(series_to_csv(sliced))
+    start, *columns = parse_hours(dataset_path(market_id).read_text())
+    out_path.write_text(hours_csv(start, *(c[:HOURS_IN_FOUR_YEARS] for c in columns)))
 
 
 _RUNS: dict = {}

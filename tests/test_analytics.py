@@ -46,24 +46,11 @@ class TestHeatmap:
         assert grid.blocks == ("A", "B")
         assert grid.values.shape == (2, 24, 24)
         expected = 0.5 * (np.abs(tensor.values[0]) + np.abs(tensor.values[1]))
-        np.testing.assert_array_equal(grid.block("A"), expected[:, 0:24])
+        np.testing.assert_array_equal(grid.values[grid.blocks.index("A")], expected[:, 0:24])
         signed = heatmap(tensor, "mean")
         np.testing.assert_array_equal(
-            signed.block("B"), tensor.values.mean(axis=0)[:, 24:48]
+            signed.values[signed.blocks.index("B")], tensor.values.mean(axis=0)[:, 24:48]
         )
-
-    def test_single_instance_by_id_and_index(self):
-        tensor = hourly_tensor(n_instances=3)
-        by_id = heatmap(tensor, "single", instance="2013-02-11")
-        by_idx = heatmap(tensor, "single", instance=1)
-        np.testing.assert_array_equal(by_id.values, by_idx.values)
-        np.testing.assert_array_equal(by_id.block("A"), tensor.values[1][:, 0:24])
-        with pytest.raises(KeyError):
-            heatmap(tensor, "single", instance="2013-03-01")
-        with pytest.raises(KeyError):
-            heatmap(tensor, "single", instance=7)
-        with pytest.raises(ValueError):
-            heatmap(tensor, "single")
 
     def test_day_of_week_left_out(self):
         tensor = hourly_tensor()

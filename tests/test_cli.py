@@ -10,14 +10,18 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import _synthetic_market_csv
 from epxai import pipeline
 from epxai.cli import main
+from epxai.data import build_feature_matrix, parse_market_csv
 from epxai.errors import EpxaiError
 from epxai.marketcsv import DataError
-from epxai.mlp import CorruptPayload, DivergedLoss, ModelError, TooFewInstances, load_model
+from epxai.mlp import (
+    CorruptPayload, DivergedLoss, ModelError, TooFewInstances, load_model, predict_prices,
+)
 from epxai.pipeline import (
     ConfigError, IncompleteRun, ModelMismatch, load_config, resolve_config,
 )
@@ -266,6 +270,28 @@ class TestValidate:
         assert err.count("\n") == 1
         assert fragment in err
 
+    @pytest.mark.parametrize("char", [",", '"', "\r", "\n"], ids=["comma", "quote", "cr", "lf"])
+    @pytest.mark.parametrize(
+        "key", ["market.super_variables[1].label", "partition.merges[0].label"]
+    )
+    def test_label_that_breaks_artifacts_exits_2(self, workspace, tmp_path, key, char):
+        # a group label is one unquoted CSV field and one quoted SVG attribute
+        root, dataset = workspace
+        config = base_config(dataset, tmp_path / "run")
+        label = f"Load{char} D"
+        if key.startswith("market"):
+            config["market"]["super_variables"][1]["label"] = label
+            config["partition"]["merges"][0]["members"][1] = label
+        else:
+            config["partition"]["merges"][0]["label"] = label
+        path = tmp_path / "label.json"
+        path.write_text(json.dumps(config))
+        code, _, err = run_cli("ingest", "--config", str(path))
+        assert code == 2
+        assert err.startswith("error: 2: ") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "run").exists()
+
     def test_missing_dataset_exits_2(self, tmp_path):
         config = base_config(tmp_path / "nope.csv", tmp_path / "out")
         path = tmp_path / "cfg.json"
@@ -367,19 +393,24 @@ class TestRunPipeline:
         for rel in compare:
             assert sha(completed["run"] / rel) == sha(run2 / rel), rel
 
-    def test_relative_config_hashes_alike_in_two_directories(self, workspace, tmp_path):
+    @pytest.mark.parametrize("day_of_week", [False, True], ids=["hourly", "day-of-week"])
+    def test_relative_config_hashes_alike_in_two_directories(
+        self, workspace, tmp_path, day_of_week
+    ):
         # report.json and summary.md carry neither absolute paths nor times,
         # so the same relative config gives the same bytes wherever it runs
         config = base_config(Path("syn.csv"), Path("run"))
+        config["market"]["include_day_of_week"] = day_of_week
         runs = []
         for name in ("a", "deeper/b"):
             where = tmp_path / name
             where.mkdir(parents=True)
             shutil.copy(workspace[1], where / "syn.csv")
             (where / "run.json").write_text(json.dumps(config))
-            for stage in ("ingest", "train", "explain", "report"):
+            for stage in ("validate", "ingest", "train", "explain", "report"):
                 assert run_cli(stage, "--config", str(where / "run.json"))[0] == 0, stage
             runs.append(where / "run")
+        self._check_day_of_week_tables(runs[0], day_of_week)
         manifests = [json.loads((run / "manifest.json").read_text()) for run in runs]
         outputs = [
             {stage: record["outputs"] for stage, record in m["stages"].items()}
@@ -388,6 +419,30 @@ class TestRunPipeline:
         assert outputs[0] == outputs[1]
         assert (runs[0] / "summary.md").read_bytes() == (runs[1] / "summary.md").read_bytes()
         assert manifests[0]["config"]["dataset"] != manifests[1]["config"]["dataset"]
+
+    @staticmethod
+    def _check_day_of_week_tables(run, day_of_week):
+        """The day-of-week group has grouped values but no heatmap block, and
+        the Shapley values of each explained cell sum to prediction - baseline."""
+        def rows(name):
+            return [row.split(",") for row in (run / name).read_text().splitlines()[1:]]
+
+        groups = {row[2] for row in rows("tables/sshap_default.csv")}
+        assert ("Day of week" in groups) is day_of_week
+        blocks = {row[0] for row in rows("tables/heatmap_shap.csv")}
+        assert "Price D-1" in blocks and "Day of week" not in blocks
+        sums: dict = {}
+        for instance, hour, _, _, value in rows("tables/shap.csv"):
+            sums.setdefault(instance, np.zeros(24))[int(hour)] += float(value)
+        config = load_config(run.parent / "run.json")
+        features = build_feature_matrix(
+            parse_market_csv(config.dataset.read_text(), "FR"), config.market
+        )
+        positions = [features.instance_ids().index(instance) for instance in sums]
+        model = load_model((run / "model.json").read_text())
+        baseline = json.loads((run / "report.json").read_text())["explain"]["baseline"]
+        target = predict_prices(model, features.values[positions]) - np.array(baseline)
+        assert np.max(np.abs(np.array(list(sums.values())) - target)) <= 1e-9
 
     def test_explain_only_run_reports(self, completed, tmp_path):
         # explain --model needs no train in the run directory; its report.json
@@ -964,3 +1019,23 @@ class TestOracleCommand:
         code, out, _ = run_cli("oracle")
         assert code == 1
         assert "FAIL beta:" in out
+
+    def test_oracle_json_bytes_are_pinned(self, monkeypatch, tmp_path):
+        import epxai.oracle
+        from epxai.oracle import BatteryResult
+
+        results = [
+            BatteryResult("alpha", True, "fine", 1.23456, {"n": 3, "x": 0.5}),
+            BatteryResult("beta", False, "off by 2", 0.0004, {}),
+        ]
+        monkeypatch.setattr(epxai.oracle, "run_all", lambda seed: results)
+        code, _, err = run_cli("oracle", "--seed", "5", "--out", str(tmp_path))
+        assert (code, err) == (1, "")
+        assert (tmp_path / "oracle.json").read_text(encoding="utf-8") == (
+            '{\n "results": [\n'
+            '  {\n   "detail": "fine",\n   "metrics": {\n    "n": 3,\n    "x": 0.5\n   },\n'
+            '   "name": "alpha",\n   "passed": true,\n   "seconds": 1.235\n  },\n'
+            '  {\n   "detail": "off by 2",\n   "metrics": {},\n'
+            '   "name": "beta",\n   "passed": false,\n   "seconds": 0.0\n  }\n'
+            ' ],\n "seed": 5\n}\n'
+        )

@@ -11,7 +11,8 @@ import io
 import numpy as np
 
 from epxai.attribution import AttributionTensor, attribution_to_csv
-from epxai.data import HourlySeries, series_to_csv
+from epxai.data import HourlySeries
+from epxai.marketcsv import hours_csv
 from epxai.markets import FeatureId, Partition
 from epxai.pipeline import _sshap_csv
 from epxai.sshap import SshapTensor
@@ -74,7 +75,7 @@ FEATURES = (
 INSTANCES = ["1969-12-31", "2013-04-01", "2013-04-02"]
 
 
-def test_series_to_csv_matches_reference():
+def test_hours_csv_matches_reference():
     # Starts before 1970 and crosses midnight into the epoch.
     values = _values((3, 30), seed=1)
     series = HourlySeries(
@@ -84,7 +85,7 @@ def test_series_to_csv_matches_reference():
         exog1=values[1],
         exog2=values[2],
     )
-    text = series_to_csv(series)
+    text = hours_csv(-6, *values.tolist())
     assert text == _series_csv_reference(series)
     assert text.startswith("timestamp,price,exog1,exog2\n1969-12-31 18:00:00,-0.0,")
     assert "\n1969-12-31 19:00:00,5e-324," in text

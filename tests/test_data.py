@@ -13,10 +13,9 @@ from epxai.data import (
     fit_scaler,
     inverse_transform,
     parse_market_csv,
-    series_to_csv,
     transform,
 )
-from epxai.marketcsv import EmptyInput, MalformedRow, NonHourlyCadence
+from epxai.marketcsv import EmptyInput, MalformedRow, NonHourlyCadence, hours_csv, parse_hours
 from epxai.markets import (
     FeatureId,
     MarketConfig,
@@ -111,7 +110,7 @@ class TestParseMarketCsv:
 
     def test_canonical_csv_roundtrip(self):
         series = parse_market_csv(hourly_csv(), "NP")
-        again = parse_market_csv(series_to_csv(series), "NP")
+        again = parse_market_csv(hours_csv(*parse_hours(hourly_csv())), "NP")
         np.testing.assert_array_equal(series.price, again.price)
         np.testing.assert_array_equal(series.timestamps, again.timestamps)
 
@@ -235,7 +234,7 @@ class TestBuildFeatureMatrix:
             day = 7 + i
             for label, (offset, lag) in base.items():
                 for h in range(24):
-                    col = fm.column_index(FeatureId(label, h))
+                    col = fm.columns.index(FeatureId(label, h))
                     assert fm.values[i, col] == offset + (day - lag) * 100 + h
             np.testing.assert_array_equal(
                 fm.targets[i], 10000 + day * 100 + np.arange(24)
@@ -244,7 +243,7 @@ class TestBuildFeatureMatrix:
     def test_day_of_week_column(self):
         series = parse_market_csv(hourly_csv(n_hours=12 * 24), "XX")
         fm = build_feature_matrix(series, self.make_config())
-        dow = fm.values[:, fm.column_index(FeatureId("Day of week", None))]
+        dow = fm.values[:, fm.columns.index(FeatureId("Day of week", None))]
         # 2013-01-08 was a Tuesday; Monday = 0.
         np.testing.assert_array_equal(dow, [1, 2, 3, 4, 5])
 

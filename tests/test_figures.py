@@ -51,7 +51,6 @@ def _lines(rng, n_lines=2, with_nan=False):
         out.append(
             SshapLine(
                 group=f"Series {k}",
-                mode="pooled",
                 grid=grid,
                 values=values,
                 bandwidth=5.0,

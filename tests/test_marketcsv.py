@@ -8,8 +8,8 @@ from datetime import datetime
 import numpy as np
 import pytest
 
-from epxai.data import HourlySeries, parse_market_csv, series_to_csv
-from epxai.marketcsv import EmptyInput, MalformedRow, parse_hours
+from epxai.data import HourlySeries, parse_market_csv
+from epxai.marketcsv import EmptyInput, MalformedRow, hours_csv, parse_hours
 from epxai.markets import SOURCES
 
 HEADER = "timestamp,price,exog1,exog2"
@@ -50,7 +50,7 @@ def _reference_series(text: str) -> HourlySeries:
 
 
 def _reference_csv(series: HourlySeries) -> str:
-    """The numpy ``dataset.csv`` writer that series_to_csv ran before the stdlib one."""
+    """The numpy ``dataset.csv`` writer that ran before the stdlib one."""
     stamps = np.datetime_as_string(series.timestamps.astype("datetime64[s]"))
     rows = zip(
         stamps.tolist(), series.price.tolist(), series.exog1.tolist(), series.exog2.tolist()
@@ -141,7 +141,7 @@ def test_repair_matches_numpy_reference(case):
     np.testing.assert_array_equal(series.timestamps, reference.timestamps)
     for name in SOURCES:
         assert getattr(series, name).tobytes() == getattr(reference, name).tobytes(), name
-    assert series_to_csv(series) == _reference_csv(reference)
+    assert hours_csv(*parse_hours(text)) == _reference_csv(reference)
 
 
 def test_all_na_column_is_refused_like_the_reference():

@@ -197,23 +197,12 @@ class TestSshapLine:
         values = rng.normal(0.0, 2.0, (6, 24, 1))
         sshap = make_sshap(values)
         prices = rng.normal(40.0, 10.0, (6, 24))
-        line = sshap_line(sshap, "G", prices, hours="pooled", bandwidth=5.0)
+        line = sshap_line(sshap, "G", prices, bandwidth=5.0)
         expected = naive_kernel_curve(
             line.grid, prices.ravel(), values[:, :, 0].ravel(), 5.0
         )
         np.testing.assert_allclose(line.values, expected, rtol=1e-9)
         assert line.n_observations == 6 * 24
-
-    def test_hour_and_daily_mean_modes(self):
-        n = 5
-        values = np.tile(np.arange(24.0)[None, :, None], (n, 1, 1))
-        sshap = make_sshap(values)
-        prices = np.linspace(30.0, 60.0, n)[:, None] + np.zeros((n, 24))
-        hour_line = sshap_line(sshap, "G", prices, hours=3, bandwidth=5.0)
-        np.testing.assert_allclose(hour_line.values, 3.0, rtol=1e-12)
-        assert hour_line.n_observations == n
-        mean_line = sshap_line(sshap, "G", prices, hours="daily_mean", bandwidth=5.0)
-        np.testing.assert_allclose(mean_line.values, 11.5, rtol=1e-12)
 
     def test_default_grid_spans_percentiles(self):
         rng = np.random.default_rng(2)
@@ -239,10 +228,6 @@ class TestSshapLine:
         with pytest.raises(UnknownGroup):
             sshap_line(sshap, "missing", prices)
         with pytest.raises(ValueError):
-            sshap_line(sshap, "G", prices, hours="weekly")
-        with pytest.raises(ValueError):
-            sshap_line(sshap, "G", prices, hours=24)
-        with pytest.raises(ValueError):
             sshap_line(sshap, "G", prices, bandwidth=0.0)
         with pytest.raises(ValueError):
             sshap_line(sshap, "G", np.zeros((3, 24)))
@@ -252,7 +237,6 @@ class TestSlopeCheck:
     def line(self, grid, values, group="G"):
         return SshapLine(
             group=group,
-            mode="pooled",
             grid=grid,
             values=values,
             bandwidth=5.0,
@@ -315,9 +299,7 @@ class TestSlopeCheck:
         values = (lattice - c).reshape(5, 24, 1)
         sshap = make_sshap(values, baseline=np.full(24, c))
         grid = np.arange(60.0, 240.0 + 1e-9, step)
-        line = sshap_line(
-            sshap, "G", prices, hours="pooled", bandwidth=bandwidth, grid=grid
-        )
+        line = sshap_line(sshap, "G", prices, bandwidth=bandwidth, grid=grid)
         result = slope_check([line], baseline_value=c)
         assert abs(result.slope - 1.0) <= 1e-9
         assert result.max_deviation <= 1e-9
