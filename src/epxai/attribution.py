@@ -24,7 +24,7 @@ Shapley artefacts share the unit of the target price.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import factorial
 
 import numpy as np
@@ -34,6 +34,7 @@ from .errors import EpxaiError
 from .mlp import (
     ModelError,
     TrainedModel,
+    _activation_grad,
     forward_blocks,
     forward_trace,
     predict_prices,
@@ -110,8 +111,6 @@ class ShapExplanation:
     values: np.ndarray  # (24, n_features)
     baseline: np.ndarray  # (24,)
     stderr: np.ndarray  # (24, n_features)
-    n_pairs: int
-    antithetic: bool
 
 
 @dataclass
@@ -207,8 +206,6 @@ def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(yn)):
         raise NonFiniteModelOutput("forward pass produced non-finite outputs")
 
-    from .mlp import _activation_grad  # shared derivative definitions
-
     act = model.spec.activation
     s1 = _activation_grad(act, z1)  # (n, h1)
     s2 = _activation_grad(act, z2)  # (n, h2)
@@ -267,11 +264,7 @@ def _mixed_interior(model: TrainedModel, x_raw: np.ndarray, zs: np.ndarray):
     """
     x32 = transform(model.input_scaler, x_raw).astype(np.float32)
     zs32 = transform(model.input_scaler, zs).astype(np.float32)
-    model32 = replace(
-        model,
-        weights=[w.astype(np.float32) for w in model.weights],
-        biases=[b.astype(np.float32) for b in model.biases],
-    )
+    model32 = model.astype(np.float32)
 
     def interior(states):
         # a float32 overflow ends as a non-finite output, which the caller
@@ -356,13 +349,7 @@ def shap_mc(
         stderr = (estimates.std(axis=0, ddof=1) / np.sqrt(n_pairs)).T
     else:
         stderr = np.full((24, n_f), np.nan)
-    return ShapExplanation(
-        values=values,
-        baseline=baseline,
-        stderr=stderr,
-        n_pairs=n_pairs,
-        antithetic=antithetic,
-    )
+    return ShapExplanation(values=values, baseline=baseline, stderr=stderr)
 
 
 def shap_exact(
@@ -451,11 +438,7 @@ def explain_dataset(
         )
         shap_values[k] = result.values
 
-    grad_values = (
-        jacobian_batch(model, rows)
-        if len(rows)
-        else np.empty((0, 24, features.n_features))
-    )
+    grad_values = jacobian_batch(model, rows)
 
     shap_tensor = AttributionTensor(
         kind="shap",

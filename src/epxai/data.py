@@ -156,15 +156,17 @@ def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureM
     """Lay out per-day inputs (lagged 24-hour blocks) and 24-hour targets.
 
     The first usable delivery day is the first midnight-aligned day with
-    ``config.max_day_lag`` full days of history before it. Raises
-    :class:`InsufficientHistory` when no delivery day qualifies.
+    ``max(config.max_day_lag, 1)`` full days of history before it: a market
+    whose inputs are all same-day still skips its first day, so every
+    delivery day has the previous day's prices behind the naive forecast.
+    Raises :class:`InsufficientHistory` when no delivery day qualifies.
     """
     day_stamps, day_blocks = _delivery_days(series)
-    max_lag = config.max_day_lag
+    max_lag = max(config.max_day_lag, 1)
     n_inst = len(day_stamps) - max_lag
     if n_inst <= 0:
         raise InsufficientHistory(
-            f"need more than {max_lag} full days, have {len(day_stamps)}"
+            f"need more than {max_lag} full days (max day_lag, at least 1), have {len(day_stamps)}"
         )
 
     parts: list[np.ndarray] = []

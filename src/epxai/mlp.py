@@ -1,8 +1,11 @@
 """Feed-forward forecaster: two hidden layers mapping lagged inputs to 24 prices.
 
-The network is plain numpy end to end, and one forward pass serves training,
-prediction and the analytic input gradients elsewhere in the package; it runs
-in the dtype of the weights it is given. Everything is reproducible bit for
+The network is plain numpy end to end and runs in the dtype of the weights it
+is given; :meth:`TrainedModel.astype` makes every copy in another dtype. One
+block loop, :func:`forward_blocks`, serves every inference batch: prediction,
+:func:`forward`, validation during training and the Monte Carlo walks.
+:func:`forward_trace` keeps the pre-activations, and serves only the training
+step and the analytic input gradients. Everything is reproducible bit for
 bit under a fixed seed. Inputs and targets are normalized with the scalers
 from :mod:`epxai.data`; prediction undoes the output scaling, so callers only
 ever see raw price units.
@@ -114,6 +117,14 @@ class TrainedModel:
     def is_trained(self) -> bool:
         return self.input_scaler is not None and self.output_scaler is not None
 
+    def astype(self, dtype) -> TrainedModel:
+        """The same model with every weight and bias cast to ``dtype``."""
+        return replace(
+            self,
+            weights=[w.astype(dtype) for w in self.weights],
+            biases=[b.astype(dtype) for b in self.biases],
+        )
+
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # exp(min(x, 0)) / (1 + exp(-|x|)): neither exponent is positive, so
@@ -198,10 +209,10 @@ def _as_batch(x: np.ndarray, n_inputs: int) -> tuple[np.ndarray, bool]:
 def forward_trace(model: TrainedModel, x_norm: np.ndarray, masks=None):
     """Forward pass in normalized units, keeping pre-activations.
 
-    Returns ``(z1, a1, z2, a2, y_norm)`` for a 2-D batch; used by training
-    and by the analytic gradient path. ``masks``, a pair of dropout masks for
-    the two hidden layers, multiplies each activation as soon as it is
-    computed, so ``a1``/``a2`` are returned dropped out.
+    Returns ``(z1, a1, z2, a2, y_norm)`` for a 2-D batch; used by the
+    training step and by the analytic gradient path. ``masks``, a pair of
+    dropout masks for the two hidden layers, multiplies each activation as
+    soon as it is computed, so ``a1``/``a2`` are returned dropped out.
     """
     w1, w2, w3 = model.weights
     b1, b2, b3 = model.biases
@@ -221,7 +232,7 @@ def forward_trace(model: TrainedModel, x_norm: np.ndarray, masks=None):
 def forward(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
     """Normalized inputs to normalized outputs, no dropout."""
     batch, single = _as_batch(x_norm, model.spec.n_inputs)
-    y = forward_trace(model, batch)[-1]
+    y = forward_blocks(model, batch)
     return y[0] if single else y
 
 
@@ -338,11 +349,7 @@ def train(
     x_val, y_val = x_all[n_train:], y_all[n_train:]
 
     rng = np.random.default_rng(hp.seed)
-    work = TrainedModel(
-        spec=spec,
-        weights=[w.astype(np.float32) for w in model.weights],
-        biases=[b.astype(np.float32) for b in model.biases],
-    )
+    work = model.astype(np.float32)
     params = work.weights + work.biases
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
@@ -384,17 +391,12 @@ def train(
             )
         record = {"epoch": epoch, "train_loss": epoch_loss, "val_mae": None}
         history.append(record)
-        # validation and the returned model see exactly the float64 values of
-        # the float32 weights, so early stopping judges the model it saves
-        current = TrainedModel(
-            spec=spec,
-            weights=[w.astype(np.float64) for w in work.weights],
-            biases=[b.astype(np.float64) for b in work.biases],
-        )
         if not n_val:
-            best = current
+            best = work.astype(np.float64)
             continue
-        val_pred = forward_trace(current, x_val)[-1]
+        # the float64 inputs promote the float32 weights exactly, so validation
+        # reads the very values of the float64 copy that a new best epoch saves
+        val_pred = forward_blocks(work, x_val)
         val_mae = float(np.mean(np.abs(val_pred - y_val)))
         if not math.isfinite(val_mae):
             raise DivergedLoss(
@@ -402,7 +404,7 @@ def train(
             )
         record["val_mae"] = val_mae
         if val_mae < best_val:
-            best_val, best, stall = val_mae, current, 0
+            best_val, best, stall = val_mae, work.astype(np.float64), 0
         else:
             stall += 1
             if stall > hp.early_stop_patience:

@@ -150,8 +150,9 @@ def _bench(field: str, index: int | None = None):
 # order, so the master seed is known before the seeds it fills. The training
 # rows default to the TrainingHyperparams class attributes.
 _HP = TrainingHyperparams
+_SEED = _scalar(check_int, lo=0, hi=2**64 - 1)
 _KEYS = (
-    (None, "seed", _scalar(check_int, lo=0, hi=2**64 - 1), 0),
+    (None, "seed", _SEED, 0),
     ("model", "hidden1", _scalar(check_int, lo=1), _bench("layer_sizes", 1)),
     ("model", "hidden2", _scalar(check_int, lo=1), _bench("layer_sizes", 2)),
     ("model", "activation", _scalar(check_choice, choices=ACTIVATIONS), _bench("activation")),
@@ -593,13 +594,10 @@ def cmd_train(args) -> int:
         trained = train(init_model(config.model_spec), features, config.training)
 
     predictions = predict_prices(trained, features.values)
-    persistence = naive_forecast(series)
-    previous = dict(zip(persistence.days, persistence.predicted))
-    try:
-        naive = np.array([previous[day] for day in features.instances])
-    except KeyError as exc:
-        raise DataError(f"no previous-day prices for delivery day {exc.args[0]}") from None
     n = features.n_instances
+    # the feature matrix and the naive forecast both end on the series' last
+    # full day, and the matrix starts no earlier than the forecast's first day
+    naive = naive_forecast(series).predicted[-n:]
     n_train = n_train_instances(n, config.training.validation_fraction)
     ranges = {"train": slice(0, n_train), "validation": slice(n_train, n)}
     scopes = {
@@ -910,6 +908,11 @@ def cmd_report(args) -> int:
 def cmd_oracle(args) -> int:
     from . import oracle
 
+    if args.seed is not None:
+        try:
+            _SEED(args.seed, "--seed")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     results = oracle.run_all(args.seed)
     for result in results:
         print(result.line)

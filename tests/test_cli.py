@@ -3,6 +3,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -443,6 +444,28 @@ class TestRunPipeline:
         baseline = json.loads((run / "report.json").read_text())["explain"]["baseline"]
         target = predict_prices(model, features.values[positions]) - np.array(baseline)
         assert np.max(np.abs(np.array(list(sums.values())) - target)) <= 1e-9
+
+    def test_same_day_market_runs_from_its_second_day(self, tmp_path):
+        # with only lag-0 inputs the first day still has no previous-day
+        # prices for the naive forecast behind rMAE, so it is left out
+        dataset = tmp_path / "syn.csv"
+        dataset.write_text(_synthetic_market_csv(n_days=60))
+        config = base_config(dataset, tmp_path / "run")
+        config["market"]["super_variables"] = [
+            {"label": "Load Forecast D", "source": "exog1", "day_lag": 0},
+            {"label": "Wind Forecast D", "source": "exog2", "day_lag": 0},
+        ]
+        del config["partition"], config["instance_dates"]
+        (tmp_path / "run.json").write_text(json.dumps(config))
+        for stage in ("validate", "ingest", "train", "explain", "report"):
+            code, _, err = run_cli(stage, "--config", str(tmp_path / "run.json"))
+            assert (code, err) == (0, ""), stage
+        report = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert report["data"]["first_day"] == "2013-01-02"
+        shap_rows = (tmp_path / "run" / "tables" / "shap.csv").read_text().splitlines()
+        assert shap_rows[1].startswith("2013-01-02,")
+        for scope in ("train", "validation"):
+            assert math.isfinite(report["performance"][scope]["rmae"])
 
     def test_explain_only_run_reports(self, completed, tmp_path):
         # explain --model needs no train in the run directory; its report.json
@@ -1039,3 +1062,16 @@ class TestOracleCommand:
             '   "name": "beta",\n   "passed": false,\n   "seconds": 0.0\n  }\n'
             ' ],\n "seed": 5\n}\n'
         )
+
+    def test_negative_seed_is_one_error_line(self, monkeypatch, tmp_path):
+        import epxai.oracle
+
+        def refuse(seed):
+            raise AssertionError("a battery ran")
+
+        monkeypatch.setattr(epxai.oracle, "run_all", refuse)
+        code, out, err = run_cli("oracle", "--seed", "-1", "--out", str(tmp_path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: 2: ") and "--seed" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "oracle.json").exists()

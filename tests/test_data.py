@@ -260,6 +260,20 @@ class TestBuildFeatureMatrix:
         with pytest.raises(InsufficientHistory):
             build_feature_matrix(series, self.make_config())
 
+    def test_same_day_inputs_start_on_the_second_day(self):
+        # the first day has no previous-day prices for the naive forecast
+        config = MarketConfig(
+            market_id="XX",
+            currency="EUR",
+            super_variables=(SuperVariable("Load Forecast D", "exog1", 0),),
+        )
+        series = parse_market_csv(hourly_csv(n_hours=3 * 24, encode=self.encode), "XX")
+        fm = build_feature_matrix(series, config)
+        assert [str(day) for day in fm.instances] == ["2013-01-02", "2013-01-03"]
+        np.testing.assert_array_equal(fm.values[0], [20000 + 100 + h for h in range(24)])
+        with pytest.raises(InsufficientHistory, match="need more than 1 full days"):
+            build_feature_matrix(parse_market_csv(hourly_csv(n_hours=24), "XX"), config)
+
 
 class TestScalers:
     def test_std_frozen_values(self):

@@ -301,6 +301,32 @@ class TestForward:
         with pytest.raises(ModelError):
             predict_prices(init_model(small_spec()), np.zeros(48))
 
+    def test_forward_blocks_have_the_bits_of_one_pass(self):
+        # forward runs in blocks of rows; over three full blocks and a short
+        # one it must equal a single pass over the whole batch
+        model = init_model(small_spec())
+        x = np.random.default_rng(7).normal(0.0, 1.0, (3 * _BLOCK_ROWS + 7, 48))
+        np.testing.assert_array_equal(forward(model, x), forward_trace(model, x)[-1])
+
+
+class TestAstype:
+    def test_casts_every_array_and_keeps_the_rest(self, build_matrix):
+        features = build_matrix(n_instances=30, seed=5)
+        hp = TrainingHyperparams(batch_size=8, max_epochs=2, seed=2)
+        model = train(init_model(small_spec()), features, hp)
+        model32 = model.astype(np.float32)
+        for p in model32.weights + model32.biases:
+            assert p.dtype == np.float32
+        assert model32.spec == model.spec
+        assert model32.input_scaler is model.input_scaler
+        assert model32.output_scaler is model.output_scaler
+        assert model32.history == model.history
+        # float32 -> float64 is exact, so the round trip keeps every value
+        back = model32.astype(np.float64).astype(np.float32)
+        for a, b in zip(model32.weights + model32.biases, back.weights + back.biases):
+            assert b.dtype == np.float32
+            np.testing.assert_array_equal(a, b)
+
 
 class TestGradients:
     def test_weight_gradients_match_finite_differences(self):
@@ -397,7 +423,8 @@ class TestTraining:
         x_val = transform(fitted.input_scaler, features.values[-n_val:])
         y_val = transform(fitted.output_scaler, features.targets[-n_val:])
         recomputed = float(np.mean(np.abs(forward(fitted, x_val) - y_val)))
-        np.testing.assert_allclose(recomputed, min(vals), rtol=1e-12)
+        # the saved weights hold exactly the values validation read
+        assert recomputed == min(vals)
         if len(vals) < hp.max_epochs:  # stopped early: patience exhausted
             assert len(vals) == int(np.argmin(vals)) + hp.early_stop_patience + 2
 
