@@ -64,7 +64,7 @@ _EXPORTS = {
     "attribution_to_csv": "attribution",
     # sshap
     "SshapTensor": "sshap",
-    "SshapLine": "sshap",
+    "SshapLines": "sshap",
     "SlopeCheck": "sshap",
     "aggregate": "sshap",
     "sshap_line": "sshap",

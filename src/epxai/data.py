@@ -123,6 +123,10 @@ class ScalerParams:
             raise ValueError(f"unknown scaler kind {self.kind!r}")
         if self.location.shape != self.scale.shape or self.location.ndim != 1:
             raise ValueError("location and scale must be 1-D and equally long")
+        # fit_scaler writes nothing else, and transform divides by the scale
+        if not (np.isfinite(self.location).all() and np.isfinite(self.scale).all()
+                and (self.scale > 0.0).all()):
+            raise ValueError("scaler locations must be finite and its scales finite and positive")
 
     @property
     def n_columns(self) -> int:

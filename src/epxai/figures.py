@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable
-from .sshap import SshapLine, SshapTensor
+from .sshap import SshapLines, SshapTensor
 
 __all__ = [
     "RenderedFigure",
@@ -324,16 +324,14 @@ def _legend(parts, entries, x, y):
         parts.append(_text(x + 14, ly, label, 9, "#222"))
 
 
-def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
-    lines = list(lines)
-    grid = lines[0].grid
-    finite = [line.values[np.isfinite(line.values)] for line in lines]
+def _render_lines(lines: SshapLines, title: str, unit: str) -> RenderedFigure:
+    grid, baseline = lines.grid, lines.baseline
+    finite = [values[np.isfinite(values)] for values in lines.values]
     lo = min((v.min() for v in finite if v.size), default=0.0)
     hi = max((v.max() for v in finite if v.size), default=1.0)
-    if baseline is not None:
-        identity = grid - baseline
-        lo = min(lo, identity.min())
-        hi = max(hi, identity.max())
+    identity = grid - baseline
+    lo = min(lo, identity.min())
+    hi = max(hi, identity.max())
     pad = 0.05 * (hi - lo or 1.0)
     parts, axes = _plot(
         760.0, 420.0, 190, title, (float(grid.min()), float(grid.max())),
@@ -342,31 +340,29 @@ def _render_lines(lines, title: str, unit: str, baseline) -> RenderedFigure:
     # every line pools all instances and hours; the mode column keeps the
     # file's layout
     csv_lines = ["group,mode,grid_price,value"]
-    if baseline is not None:
-        ends = grid[[0, -1]]
-        parts.append(_polyline(
-            axes.points(ends, ends - baseline), "#888", 'stroke-dasharray="5,4"',
-            f' data-series="identity" data-baseline="{_val(baseline)}"',
-        ))
+    ends = grid[[0, -1]]
+    parts.append(_polyline(
+        axes.points(ends, ends - baseline), "#888", 'stroke-dasharray="5,4"',
+        f' data-series="identity" data-baseline="{_val(baseline)}"',
+    ))
     entries = []
-    for k, line in enumerate(lines):
+    for k, (group, values) in enumerate(zip(lines.labels, lines.values)):
         color = _color(k)
-        entries.append((line.group, color))
-        for xs, ys in _split_finite_runs(line.grid, line.values):
+        entries.append((group, color))
+        for xs, ys in _split_finite_runs(grid, values):
             parts.append(_polyline(axes.points(xs, ys), color))
-        for x, y in zip(line.grid, line.values):
+        for x, y in zip(grid, values):
             csv_lines.append(
-                f"{line.group},pooled,{_val(x)},"
+                f"{group},pooled,{_val(x)},"
                 f"{'' if not math.isfinite(y) else _val(y)}"
             )
             if math.isfinite(y):
                 parts.append(
                     f'<circle cx="{_f(axes.x(x))}" cy="{_f(axes.y(y))}" r="1.4" '
-                    f'fill="{color}" data-group="{_esc(line.group)}" '
+                    f'fill="{color}" data-group="{_esc(group)}" '
                     f'data-price="{_val(x)}" data-value="{_val(y)}"/>'
                 )
-    if baseline is not None:
-        entries.append(("price - baseline", "#888"))
+    entries.append(("price - baseline", "#888"))
     _legend(parts, entries, 760.0 - 180, 56.0)
     return _done(parts, csv_lines)
 
@@ -499,15 +495,13 @@ def _render_stack(stack: InstanceStack, title: str, unit: str) -> RenderedFigure
     return _done(parts, csv_lines)
 
 
-def render_figure(artifact, title: str = "", unit: str = "EUR/MWh",
-                  baseline=None) -> RenderedFigure:
+def render_figure(artifact, title: str = "", unit: str = "EUR/MWh") -> RenderedFigure:
     """Render an analytics artefact to an SVG and its companion CSV.
 
     Accepts a :class:`HeatmapGrid`, an :class:`ImportanceTable`, a
-    :class:`BeeswarmTable`, an :class:`InstanceStack`, or a sequence of
-    :class:`SshapLine`. ``baseline`` adds the dashed identity reference to
-    line figures. Rendering is pure: the same artefact always yields the
-    same bytes.
+    :class:`BeeswarmTable`, an :class:`InstanceStack`, or :class:`SshapLines`,
+    drawn with the dashed identity line ``price - baseline``. Rendering is
+    pure: the same artefact always yields the same bytes.
     """
     if isinstance(artifact, HeatmapGrid):
         return _render_heatmap(artifact, title or "attribution heatmap", unit)
@@ -519,8 +513,6 @@ def render_figure(artifact, title: str = "", unit: str = "EUR/MWh",
         return _render_stack(
             artifact, title or f"contributions {artifact.instance_id}", unit
         )
-    if isinstance(artifact, (list, tuple)) and artifact and all(
-        isinstance(line, SshapLine) for line in artifact
-    ):
-        return _render_lines(artifact, title or "group value vs price", unit, baseline)
+    if isinstance(artifact, SshapLines):
+        return _render_lines(artifact, title or "group value vs price", unit)
     raise TypeError(f"cannot render object of type {type(artifact).__name__}")

@@ -528,6 +528,17 @@ def load_model(text: str) -> TrainedModel:
     for b, (_, fan_out) in zip(model.biases, expected):
         if b.shape != (fan_out,):
             raise CorruptPayload(f"bias shape {b.shape} does not match {fan_out}")
+    for name, scaler, n in (("input", model.input_scaler, spec.n_inputs),
+                            ("output", model.output_scaler, spec.layer_sizes[-1])):
+        if scaler is None:
+            continue
+        if scaler.n_columns != n:
+            raise CorruptPayload(
+                f"{name} scaler holds {scaler.n_columns} columns, the network has {n} {name}s"
+            )
+        kind = getattr(spec, f"{name}_scaler_kind")
+        if scaler.kind != kind:
+            raise CorruptPayload(f"{name} scaler is {scaler.kind!r}, the spec says {kind!r}")
     return model
 
 

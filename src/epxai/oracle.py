@@ -416,8 +416,7 @@ def run_slope_identity() -> BatteryResult:
         baseline=np.full(24, c),
     )
     grid = np.arange(60.0, 240.0 + 1e-9, step)
-    line = sshap_line(tensor, "G", prices, bandwidth=bandwidth, grid=grid)
-    check = slope_check([line], baseline_value=c)
+    check = slope_check(sshap_line(tensor, prices, bandwidth=bandwidth, grid=grid))
     slope_gap = abs(check.slope - 1.0)
     passed = slope_gap <= 1e-9 and check.max_deviation <= 1e-9
     return BatteryResult(

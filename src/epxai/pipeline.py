@@ -522,12 +522,11 @@ class _Stage:
         _write_atomic(self.out / rel, data)
         self.outputs[rel] = hashlib.sha256(data).hexdigest()
 
-    def figure(self, stem: str, artifact, title: str, unit: str, baseline=None) -> None:
+    def figure(self, stem: str, artifact, title: str, unit: str) -> None:
         from .figures import render_figure
 
         rendered = render_figure(
-            artifact, title=f"{self.config.market.market_id} {title}", unit=unit,
-            baseline=baseline,
+            artifact, title=f"{self.config.market.market_id} {title}", unit=unit
         )
         self.write(f"figures/{stem}.svg", rendered.svg)
         self.write(f"tables/{stem}.csv", rendered.csv)
@@ -725,18 +724,14 @@ def cmd_explain(args) -> int:
     # the complexity metrics (fewer than two instances) can refuse the data,
     # so they run before any write
     prices = features.targets[indices]
-    lines = [
-        sshap_line(
-            sshap_default, label, prices,
-            bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
-        )
-        for label in sshap_default.partition.labels
-    ]
-    baseline_value = float(sshap_default.baseline.mean())
+    lines = sshap_line(
+        sshap_default, prices,
+        bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
+    )
     band_abs = None
     if smoothing["band"] is not None:
         band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
-    check = slope_check(lines, baseline_value=baseline_value, band=band_abs)
+    check = slope_check(lines, band=band_abs)
     shap_grid = heatmap(shap_tensor, "mean_abs")
     complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
 
@@ -759,7 +754,7 @@ def cmd_explain(args) -> int:
         ),
         "top features", unit,
     )
-    stage.figure("lines", lines, "group value vs price", unit, baseline=baseline_value)
+    stage.figure("lines", lines, "group value vs price", unit)
 
     stage.write("tables/complexity.csv", _csv([asdict(complexity)]))
 

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionTensor
-from .markets import Partition, SshapError, UnknownGroup
+from .markets import Partition, SshapError
 
 __all__ = [
     "PartitionMismatch",
     "EmptyData",
-    "GridMismatch",
     "SshapTensor",
-    "SshapLine",
+    "SshapLines",
     "SlopeCheck",
     "aggregate",
     "sshap_line",
@@ -43,10 +42,6 @@ class PartitionMismatch(SshapError):
 
 class EmptyData(SshapError):
     """No observations (or no usable points) for the requested curve."""
-
-
-class GridMismatch(SshapError):
-    """Curves evaluated on different grids cannot be combined."""
 
 
 # exp(-x) underflows to zero in float64 near x = 745; past this squared
@@ -72,25 +67,23 @@ class SshapTensor:
     def n_instances(self) -> int:
         return self.values.shape[0]
 
-    def group_index(self, label: str) -> int:
-        try:
-            return self.partition.labels.index(label)
-        except ValueError:
-            raise UnknownGroup(f"no group labelled {label!r}") from None
-
 
 @dataclass
-class SshapLine:
-    """Kernel-smoothed curve of a group's value against realised price.
+class SshapLines:
+    """Kernel-smoothed curves of every group's value against realised price.
 
-    ``values`` has NaN wherever no observation kept nonzero kernel weight.
+    The groups of one partition share one ``grid``, one ``bandwidth`` and
+    one ``baseline``, the mean hourly baseline their sum is compared with.
+    ``values`` is (n_groups, grid size), NaN wherever no observation kept
+    nonzero kernel weight.
     """
 
-    group: str
+    labels: tuple
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
     n_observations: int
+    baseline: float
 
 
 @dataclass
@@ -136,13 +129,12 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:
 
 def sshap_line(
     sshap: SshapTensor,
-    group: str,
     actual_prices: np.ndarray,
     bandwidth: float = 5.0,
     grid: np.ndarray | None = None,
     grid_size: int = 200,
-) -> SshapLine:
-    """Gaussian-kernel regression of a group's values on realised prices.
+) -> SshapLines:
+    """Gaussian-kernel regression of every group's values on realised prices.
 
     Observations are (price, group value) pairs pooled over every instance
     and output hour, so ``actual_prices`` is (n_instances, 24). The default
@@ -152,13 +144,12 @@ def sshap_line(
     """
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be positive")
-    g = sshap.group_index(group)
     prices = np.asarray(actual_prices, dtype=np.float64)
     if prices.shape != (sshap.n_instances, 24):
         raise ValueError(
             f"actual_prices must be ({sshap.n_instances}, 24), got {prices.shape}"
         )
-    x, v = prices.ravel(), sshap.values[:, :, g].ravel()
+    x = prices.ravel()
     if x.size == 0:
         raise EmptyData("no observations to smooth")
     if grid is None:
@@ -167,39 +158,43 @@ def sshap_line(
     else:
         grid = np.asarray(grid, dtype=np.float64)
 
-    half_sq = 0.5 * ((grid[:, None] - x[None, :]) / bandwidth) ** 2
-    nearest = half_sq.min(axis=1)
-    # Shift by the per-point minimum so the close observations keep full
-    # precision; the shift cancels in the weighted mean.
-    weights = np.exp(-(half_sq - nearest[:, None]))
-    curve = (weights @ v) / weights.sum(axis=1)
-    curve = np.where(nearest >= _UNDERFLOW, np.nan, curve)
-    return SshapLine(
-        group=group,
+    # a bandwidth so small that the squares overflow leaves NaN weights at
+    # points the underflow test below marks absent anyway
+    with np.errstate(over="ignore", invalid="ignore"):
+        half_sq = 0.5 * ((grid[:, None] - x[None, :]) / bandwidth) ** 2
+        nearest = half_sq.min(axis=1)
+        # Shift by the per-point minimum so the close observations keep full
+        # precision; the shift cancels in the weighted mean.
+        weights = np.exp(-(half_sq - nearest[:, None]))
+        total = weights.sum(axis=1)
+        # one product per group: a single weights @ (n_obs, n_groups) product
+        # rounds differently and would change every line's bits
+        values = np.stack([
+            (weights @ sshap.values[:, :, g].ravel()) / total
+            for g in range(sshap.partition.n_groups)
+        ])
+    values[:, nearest >= _UNDERFLOW] = np.nan
+    return SshapLines(
+        labels=sshap.partition.labels,
         grid=grid,
-        values=curve,
+        values=values,
         bandwidth=float(bandwidth),
         n_observations=int(x.size),
+        baseline=float(sshap.baseline.mean()),
     )
 
 
-def slope_check(lines, baseline_value: float, band=None) -> SlopeCheck:
-    """Fit the vertical sum of curves against price and measure deviation.
+def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
+    """Fit the vertical sum of the lines against price and measure deviation.
 
     When every configured group is present, additivity predicts the summed
-    curve equals ``price - baseline_value``: slope one, intercept minus
+    curve equals ``price - lines.baseline``: slope one, intercept minus
     baseline. Returns the least-squares slope/intercept over the finite
     grid points inside ``band`` (a (low, high) price window; None keeps the
     whole grid) and the maximum absolute deviation from that identity line.
     """
-    lines = list(lines)
-    if not lines:
-        raise EmptyData("no curves given")
-    grid = lines[0].grid
-    for line in lines[1:]:
-        if line.grid.shape != grid.shape or not np.array_equal(line.grid, grid):
-            raise GridMismatch("curves were evaluated on different grids")
-    total = np.sum([line.values for line in lines], axis=0)
+    grid = lines.grid
+    total = lines.values.sum(axis=0)
     mask = np.isfinite(total)
     if band is not None:
         lo, hi = band
@@ -211,7 +206,7 @@ def slope_check(lines, baseline_value: float, band=None) -> SlopeCheck:
     g_centred = g - g.mean()
     slope = float(g_centred @ (s - s.mean()) / (g_centred @ g_centred))
     intercept = float(s.mean() - slope * g.mean())
-    deviation = float(np.max(np.abs(s - (g - baseline_value))))
+    deviation = float(np.max(np.abs(s - (g - lines.baseline))))
     return SlopeCheck(
         slope=slope,
         intercept=intercept,

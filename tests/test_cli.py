@@ -729,6 +729,14 @@ class TestFailureExitCodes:
 
         self._refused_explain(workspace, tmp_path, narrow, 1, "band")
 
+    def test_tiny_bandwidth_explain_writes_nothing(self, workspace, tmp_path):
+        # the squared distances overflow, which must not reach stderr as
+        # numpy warnings before the error line
+        def tiny(config):
+            config["lines"]["bandwidth"] = 1e-300
+
+        self._refused_explain(workspace, tmp_path, tiny, 1, "band")
+
     def test_one_instance_explain_writes_nothing(self, workspace, tmp_path):
         def one_instance(config):
             config["attribution"]["max_instances"] = 1
@@ -891,12 +899,24 @@ class TestFailureExitCodes:
         assert files() == before
 
     @pytest.mark.parametrize(
-        "mutate", [lambda spec: spec.update(surprise=1), lambda spec: spec.pop("seed")],
-        ids=["extra-key", "no-seed"],
+        "mutate, fragment",
+        [
+            (lambda p: p["spec"].update(surprise=1), "spec"),
+            (lambda p: p["spec"].pop("seed"), "spec"),
+            (lambda p: [p["input_scaler"][k].pop() for k in ("location", "scale")], "scaler"),
+            (lambda p: [p["output_scaler"][k].pop() for k in ("location", "scale")], "scaler"),
+            (lambda p: p["input_scaler"]["scale"].__setitem__(0, 0.0), "scaler"),
+            (lambda p: p["output_scaler"]["location"].__setitem__(0, float("nan")), "scaler"),
+            (lambda p: p["input_scaler"].update(kind="median"), "scaler"),
+        ],
+        ids=[
+            "extra-key", "no-seed", "input-scaler-short", "output-scaler-short",
+            "zero-scale", "nan-location", "other-kind",
+        ],
     )
-    def test_model_spec_with_other_keys_exits_5(self, completed, tmp_path, mutate):
+    def test_model_spec_with_other_keys_exits_5(self, completed, tmp_path, mutate, fragment):
         payload = json.loads((completed["run"] / "model.json").read_text())
-        mutate(payload["spec"])
+        mutate(payload)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         with pytest.raises(CorruptPayload):
@@ -906,7 +926,7 @@ class TestFailureExitCodes:
             "--model", str(model),
         )
         assert code == 5
-        assert err.startswith("error: 5: ") and "spec" in err
+        assert err.startswith("error: 5: ") and fragment in err
         assert len(err.rstrip("\n").splitlines()) == 1
 
     def test_summary_lists_only_verified_files(self, completed, tmp_path):

@@ -14,7 +14,7 @@ from epxai.analytics import (
 )
 from epxai.figures import InstanceStack, RenderedFigure, instance_stack, render_figure
 from epxai.markets import FeatureId, Partition
-from epxai.sshap import SshapLine, SshapTensor
+from epxai.sshap import SshapLines, SshapTensor
 
 _DATA_VALUE = re.compile(r'data-value="([^"]+)"')
 
@@ -41,23 +41,22 @@ def _heatmap(rng, n_blocks=2, signed=True):
     )
 
 
-def _lines(rng, n_lines=2, with_nan=False):
+def _lines(rng, n_lines=2, with_nan=False, baseline=12.5):
     grid = np.linspace(10.0, 90.0, 40)
-    out = []
-    for k in range(n_lines):
-        values = np.sin(grid / (8.0 + k)) * 5.0 + rng.normal(scale=0.1, size=40)
-        if with_nan and k == 0:
-            values[10:14] = np.nan
-        out.append(
-            SshapLine(
-                group=f"Series {k}",
-                grid=grid,
-                values=values,
-                bandwidth=5.0,
-                n_observations=120,
-            )
-        )
-    return out
+    values = np.array([
+        np.sin(grid / (8.0 + k)) * 5.0 + rng.normal(scale=0.1, size=40)
+        for k in range(n_lines)
+    ])
+    if with_nan:
+        values[0, 10:14] = np.nan
+    return SshapLines(
+        labels=tuple(f"Series {k}" for k in range(n_lines)),
+        grid=grid,
+        values=values,
+        bandwidth=5.0,
+        n_observations=120,
+        baseline=baseline,
+    )
 
 
 def _beeswarm(rng, n_rows=3, n_instances=4, group="Price D-1"):
@@ -107,8 +106,8 @@ class TestDeterminism:
         tensor, forecast = _stack(np.random.default_rng(6))
         stack = instance_stack(tensor, 1, forecast)
         for artifact in (grid, lines, table, swarm, stack):
-            first = render_figure(artifact, baseline=12.5)
-            second = render_figure(artifact, baseline=12.5)
+            first = render_figure(artifact)
+            second = render_figure(artifact)
             assert first.svg == second.svg
             assert first.csv == second.csv
 
@@ -195,11 +194,10 @@ class TestLineFigure:
         assert finite == _data_values(fig.svg)
 
     def test_baseline_draws_identity_reference(self):
-        lines = _lines(np.random.default_rng(15))
-        bare = render_figure(lines)
-        with_ref = render_figure(lines, baseline=30.0)
-        assert 'data-series="identity"' not in bare.svg
-        assert 'data-baseline="30.0"' in with_ref.svg
+        svg = render_figure(_lines(np.random.default_rng(15), baseline=30.0)).svg
+        assert svg.count('data-series="identity"') == 1
+        assert 'data-baseline="30.0"' in svg
+        assert ">price - baseline</text>" in svg
 
     def test_csv_carries_group_and_mode(self):
         lines = _lines(np.random.default_rng(16))
@@ -343,22 +341,15 @@ def _pinned_artifacts():
     )
     tensor, forecast = _stack(np.random.default_rng(106))
     return {
-        "heatmap-signed": (_heatmap(np.random.default_rng(101)), None),
-        "heatmap-magnitude": (
-            _heatmap(np.random.default_rng(102), n_blocks=1, signed=False), None,
+        "heatmap-signed": _heatmap(np.random.default_rng(101)),
+        "heatmap-magnitude": _heatmap(np.random.default_rng(102), n_blocks=1, signed=False),
+        "lines-gap-baseline": _lines(np.random.default_rng(103), with_nan=True),
+        "importance": ImportanceTable(
+            groups=("Price D-1", "Load Forecast D", "Day of week"),
+            values=np.abs(np.random.default_rng(104).normal(size=(24, 3))),
         ),
-        "lines-gap-baseline": (
-            _lines(np.random.default_rng(103), with_nan=True), 12.5,
-        ),
-        "importance": (
-            ImportanceTable(
-                groups=("Price D-1", "Load Forecast D", "Day of week"),
-                values=np.abs(np.random.default_rng(104).normal(size=(24, 3))),
-            ),
-            None,
-        ),
-        "beeswarm-escaped": (swarm, None),
-        "stack-negative": (instance_stack(tensor, 1, forecast), None),
+        "beeswarm-escaped": swarm,
+        "stack-negative": instance_stack(tensor, 1, forecast),
     }
 
 
@@ -394,8 +385,8 @@ _PINNED = {
 
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_rendered_bytes_are_pinned(case):
-    artifact, baseline = _pinned_artifacts()[case]
-    fig = render_figure(artifact, baseline=baseline)
+    artifact = _pinned_artifacts()[case]
+    fig = render_figure(artifact)
     if case == "stack-negative":
         assert (artifact.contributions < 0).any()
     if case == "beeswarm-escaped":

@@ -3,11 +3,12 @@
 import base64
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from epxai.data import NonFiniteInput, transform
+from epxai.data import NonFiniteInput, ScalerParams, transform
 from epxai.markets import ModelSpec, TrainingHyperparams, benchmark_spec
 from epxai.mlp import (
     MODEL_SCHEMA_VERSION,
@@ -586,6 +587,34 @@ class TestPersistence:
         layer = payload["layers"][0]
         layer["weights_row_major"] = mutate(layer["weights_row_major"])
         with pytest.raises(CorruptPayload):
+            load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda p: [p["input_scaler"][k].pop() for k in ("location", "scale")],
+            lambda p: [p["output_scaler"][k].pop() for k in ("location", "scale")],
+            lambda p: p["input_scaler"]["scale"].__setitem__(3, 0.0),
+            lambda p: p["output_scaler"]["scale"].__setitem__(0, -1.0),
+            lambda p: p["output_scaler"]["location"].__setitem__(0, math.nan),
+            lambda p: p["input_scaler"]["scale"].__setitem__(0, math.inf),
+            lambda p: p["output_scaler"].update(kind="median"),
+        ],
+        ids=[
+            "input-scaler-short", "output-scaler-short", "zero-scale",
+            "negative-scale", "nan-location", "infinite-scale", "other-kind",
+        ],
+    )
+    def test_scalers_that_do_not_fit_are_corrupt(self, mutate):
+        model = replace(
+            init_model(small_spec()),
+            input_scaler=ScalerParams("std", np.zeros(48), np.ones(48)),
+            output_scaler=ScalerParams("std", np.zeros(24), np.ones(24)),
+        )
+        payload = json.loads(save_model(model))
+        load_model(json.dumps(payload))
+        mutate(payload)
+        with pytest.raises(CorruptPayload, match="scaler"):
             load_model(json.dumps(payload))
 
     def test_schema_1_file_is_refused(self):

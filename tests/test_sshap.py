@@ -18,9 +18,8 @@ from epxai.markets import (
 )
 from epxai.sshap import (
     EmptyData,
-    GridMismatch,
     PartitionMismatch,
-    SshapLine,
+    SshapLines,
     SshapTensor,
     aggregate,
     slope_check,
@@ -152,7 +151,7 @@ class TestPartitionOps:
         partition = split_group(default_partition(config), "B", 12)
         grouped = aggregate(tensor, partition)
         np.testing.assert_array_equal(
-            grouped.values[:, :, grouped.group_index("B H0-H11")],
+            grouped.values[:, :, grouped.partition.labels.index("B H0-H11")],
             tensor.values[:, :, 24:36].sum(axis=2),
         )
 
@@ -194,60 +193,99 @@ class TestPartitionOps:
 class TestSshapLine:
     def test_matches_direct_kernel_regression(self):
         rng = np.random.default_rng(7)
-        values = rng.normal(0.0, 2.0, (6, 24, 1))
-        sshap = make_sshap(values)
+        values = rng.normal(0.0, 2.0, (6, 24, 3))
+        sshap = make_sshap(values, baseline=rng.normal(30.0, 5.0, 24), labels=("G", "H", "K"))
         prices = rng.normal(40.0, 10.0, (6, 24))
-        line = sshap_line(sshap, "G", prices, bandwidth=5.0)
-        expected = naive_kernel_curve(
-            line.grid, prices.ravel(), values[:, :, 0].ravel(), 5.0
-        )
-        np.testing.assert_allclose(line.values, expected, rtol=1e-9)
-        assert line.n_observations == 6 * 24
+        lines = sshap_line(sshap, prices, bandwidth=5.0)
+        assert lines.labels == ("G", "H", "K")
+        assert lines.values.shape == (3, 200)
+        for g in range(3):
+            expected = naive_kernel_curve(
+                lines.grid, prices.ravel(), values[:, :, g].ravel(), 5.0
+            )
+            np.testing.assert_allclose(lines.values[g], expected, rtol=1e-9)
+        assert lines.n_observations == 6 * 24
+        assert lines.bandwidth == 5.0
+        assert lines.baseline == float(sshap.baseline.mean())
 
     def test_default_grid_spans_percentiles(self):
         rng = np.random.default_rng(2)
         sshap = make_sshap(rng.normal(0.0, 1.0, (50, 24, 1)))
         prices = rng.normal(40.0, 10.0, (50, 24))
-        line = sshap_line(sshap, "G", prices, grid_size=200)
+        lines = sshap_line(sshap, prices, grid_size=200)
         lo, hi = np.percentile(prices.ravel(), [1.0, 99.0])
-        assert len(line.grid) == 200
-        np.testing.assert_allclose([line.grid[0], line.grid[-1]], [lo, hi])
+        assert len(lines.grid) == 200
+        np.testing.assert_allclose([lines.grid[0], lines.grid[-1]], [lo, hi])
 
     def test_far_grid_points_marked_absent(self):
-        values = np.full((1, 24, 1), 2.0)
-        sshap = make_sshap(values)
+        values = np.full((1, 24, 2), 2.0)
+        values[:, :, 1] = -3.0
+        sshap = make_sshap(values, labels=("G", "H"))
         prices = np.zeros((1, 24))
         grid = np.array([0.0, 5.0 * 40.0])  # 40 bandwidths away underflows
-        line = sshap_line(sshap, "G", prices, grid=grid, bandwidth=5.0)
-        np.testing.assert_allclose(line.values[0], 2.0, rtol=1e-12)
-        assert np.isnan(line.values[1])
+        lines = sshap_line(sshap, prices, grid=grid, bandwidth=5.0)
+        np.testing.assert_allclose(lines.values[:, 0], [2.0, -3.0], rtol=1e-12)
+        assert np.isnan(lines.values[:, 1]).all()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_bandwidth_marks_points_absent_quietly(self):
+        # the squared distances overflow to inf and inf - inf is NaN; those
+        # points are absent, and no numpy warning may escape
+        rng = np.random.default_rng(4)
+        sshap = make_sshap(rng.normal(0.0, 1.0, (3, 24, 2)), labels=("G", "H"))
+        prices = rng.normal(40.0, 10.0, (3, 24))
+        grid = np.array([prices[0, 0], prices.max() + 1.0])
+        lines = sshap_line(sshap, prices, grid=grid, bandwidth=1e-300)
+        assert np.isnan(lines.values[:, 1]).all()
+        with pytest.raises(EmptyData):
+            slope_check(lines)
 
     def test_bad_arguments(self):
         sshap = make_sshap(np.zeros((2, 24, 1)))
         prices = np.zeros((2, 24))
-        with pytest.raises(UnknownGroup):
-            sshap_line(sshap, "missing", prices)
         with pytest.raises(ValueError):
-            sshap_line(sshap, "G", prices, bandwidth=0.0)
+            sshap_line(sshap, prices, bandwidth=0.0)
         with pytest.raises(ValueError):
-            sshap_line(sshap, "G", np.zeros((3, 24)))
+            sshap_line(sshap, np.zeros((3, 24)))
+
+    def test_lines_are_linear_in_group_values(self):
+        # a merged group's line is the sum of its members' lines, and the
+        # two halves of a split group sum to the whole group's line
+        tensor, config = integer_tensor(n_instances=6, seed=11)
+        tensor.values += np.random.default_rng(12).normal(0.0, 0.3, tensor.values.shape)
+        prices = np.random.default_rng(13).normal(40.0, 10.0, (6, 24))
+        default = default_partition(config)
+        whole = sshap_line(aggregate(tensor, default), prices)
+        halves = sshap_line(aggregate(tensor, split_group(default, "A", 9)), prices)
+        merged = sshap_line(aggregate(tensor, merge_groups(default, "A+B", ["A", "B"])), prices)
+        for lines in (halves, merged):
+            np.testing.assert_array_equal(lines.grid, whole.grid)
+        tolerance = 1e-12 * np.abs(whole.values).max()
+        np.testing.assert_allclose(
+            halves.values[0] + halves.values[1], whole.values[0], rtol=0, atol=tolerance
+        )
+        np.testing.assert_allclose(
+            merged.values[0], whole.values[0] + whole.values[1], rtol=0, atol=tolerance
+        )
+        assert halves.labels == ("A H0-H8", "A H9-H23", "B", "Day of week")
 
 
 class TestSlopeCheck:
-    def line(self, grid, values, group="G"):
-        return SshapLine(
-            group=group,
+    def lines(self, grid, *values, baseline):
+        return SshapLines(
+            labels=tuple(f"G{k}" for k in range(len(values))),
             grid=grid,
-            values=values,
+            values=np.array(values),
             bandwidth=5.0,
             n_observations=100,
+            baseline=baseline,
         )
 
     def test_exact_linear_sum(self):
         grid = np.linspace(10.0, 90.0, 50)
-        a = self.line(grid, 1.5 * grid - 3.0, "A")
-        b = self.line(grid, 0.5 * grid - 4.0, "B")
-        result = slope_check([a, b], baseline_value=7.0)
+        result = slope_check(
+            self.lines(grid, 1.5 * grid - 3.0, 0.5 * grid - 4.0, baseline=7.0)
+        )
         np.testing.assert_allclose(result.slope, 2.0, rtol=1e-12)
         np.testing.assert_allclose(result.intercept, -7.0, rtol=1e-12)
         expected_dev = np.max(np.abs(2.0 * grid - 7.0 - (grid - 7.0)))
@@ -256,7 +294,7 @@ class TestSlopeCheck:
 
     def test_all_zero_curves(self):
         grid = np.linspace(20.0, 60.0, 30)
-        result = slope_check([self.line(grid, np.zeros(30))], baseline_value=35.0)
+        result = slope_check(self.lines(grid, np.zeros(30), baseline=35.0))
         assert result.slope == 0.0
         np.testing.assert_allclose(result.max_deviation, 60.0 - 35.0, rtol=1e-12)
 
@@ -265,27 +303,15 @@ class TestSlopeCheck:
         values = grid - 10.0
         values[:5] = np.nan  # absent points are dropped
         values[80:] = 999.0  # junk outside the band is ignored
-        result = slope_check(
-            [self.line(grid, values)], baseline_value=10.0, band=(5.0, 79.0)
-        )
+        result = slope_check(self.lines(grid, values, baseline=10.0), band=(5.0, 79.0))
         np.testing.assert_allclose(result.slope, 1.0, rtol=1e-12)
         np.testing.assert_allclose(result.max_deviation, 0.0, atol=1e-12)
         assert result.n_points == 75
 
-    def test_grid_mismatch(self):
-        a = self.line(np.linspace(0, 1, 10), np.zeros(10))
-        b = self.line(np.linspace(0, 2, 10), np.zeros(10))
-        with pytest.raises(GridMismatch):
-            slope_check([a, b], baseline_value=0.0)
-
     def test_empty_cases(self):
-        with pytest.raises(EmptyData):
-            slope_check([], baseline_value=0.0)
         grid = np.linspace(0.0, 1.0, 5)
         with pytest.raises(EmptyData):
-            slope_check(
-                [self.line(grid, np.zeros(5))], baseline_value=0.0, band=(2.0, 3.0)
-            )
+            slope_check(self.lines(grid, np.zeros(5), baseline=0.0), band=(2.0, 3.0))
 
     def test_self_consistent_lattice_recovers_identity(self):
         # Observations y = x - c on a uniform price lattice; inside a band
@@ -299,7 +325,6 @@ class TestSlopeCheck:
         values = (lattice - c).reshape(5, 24, 1)
         sshap = make_sshap(values, baseline=np.full(24, c))
         grid = np.arange(60.0, 240.0 + 1e-9, step)
-        line = sshap_line(sshap, "G", prices, bandwidth=bandwidth, grid=grid)
-        result = slope_check([line], baseline_value=c)
+        result = slope_check(sshap_line(sshap, prices, bandwidth=bandwidth, grid=grid))
         assert abs(result.slope - 1.0) <= 1e-9
         assert result.max_deviation <= 1e-9
