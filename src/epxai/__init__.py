@@ -56,7 +56,6 @@ _EXPORTS = {
     "ShapExplanation": "attribution",
     "AttributionTensor": "attribution",
     "sample_background": "attribution",
-    "jacobian": "attribution",
     "jacobian_batch": "attribution",
     "shap_mc": "attribution",
     "shap_exact": "attribution",

@@ -102,7 +102,6 @@ class BeeswarmRow:
 class BeeswarmTable:
     rows: list
     instance_ids: list
-    n_features_total: int
 
 
 @dataclass
@@ -211,11 +210,7 @@ def beeswarm_table(
         )
         for j in order
     ]
-    return BeeswarmTable(
-        rows=rows,
-        instance_ids=list(tensor.instance_ids),
-        n_features_total=len(tensor.feature_ids),
-    )
+    return BeeswarmTable(rows=rows, instance_ids=list(tensor.instance_ids))
 
 
 def performance_metrics(

@@ -2,10 +2,10 @@
 
 Two complementary views of a trained forecaster:
 
-* :func:`jacobian` gives the analytic derivative of every denormalised
-  output price with respect to every normalized input, computed by reverse
-  accumulation through the network and the output scaler. No sampling, no
-  truncation error.
+* :func:`jacobian_batch` gives the analytic derivative of every
+  denormalised output price with respect to every normalized input, for one
+  row or a batch, computed by reverse accumulation through the network and
+  the output scaler. No sampling, no truncation error.
 
 * :func:`shap_mc` estimates Shapley values by sampling (permutation,
   background row) pairs and walking the permutation, switching one feature
@@ -49,7 +49,6 @@ __all__ = [
     "ShapExplanation",
     "AttributionTensor",
     "sample_background",
-    "jacobian",
     "jacobian_batch",
     "shap_mc",
     "shap_exact",
@@ -190,7 +189,8 @@ def _output_derivative(model: TrainedModel, y_norm: np.ndarray) -> np.ndarray:
 
 
 def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
-    """Analytic Jacobians for a batch of raw rows: (n, 24, n_features).
+    """Analytic Jacobians of raw rows: (n, 24, n_features) for a batch,
+    (24, n_features) for a single 1-D row.
 
     Entry (h, i) is the derivative of the hour-h price (raw units) with
     respect to normalized input i, accumulated right to left through both
@@ -223,33 +223,34 @@ def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     return jac[0] if single else jac
 
 
-def jacobian(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
-    """Analytic Jacobian for one raw row: (24, n_features)."""
-    x_raw = np.asarray(x_raw, dtype=np.float64)
-    if x_raw.ndim != 1:
-        raise ValueError("jacobian takes a single 1-D feature row")
-    return jacobian_batch(model, x_raw)
-
-
-def _walk_predictions(interior, ends, x, zs, perms):
-    """Predictions along permutation walks: (n_pairs, n_features+1, 24).
+def _walk_estimates(interior, ends, x, zs, perms, antithetic):
+    """Per-pair Shapley estimates along permutation walks: (n_pairs, n_features, 24).
 
     Row k of a walk has the first k features (in permutation order) switched
     from the background row to the instance values. Rows 0 and n_features
     are the endpoints ``ends = (p(zs), p(x))``, which every walk of an
     instance shares; only rows 1..n_features-1 are built, from ``x`` and
-    ``zs``, and passed to ``interior``.
+    ``zs``, and passed to ``interior``. Each step's prediction delta is
+    credited to the feature it switches, so a pair's estimate sums over
+    features to ``p(x) - p(z_k)``. With ``antithetic`` each permutation is
+    also walked in reverse and the pair's estimate is the mean of the two.
     """
     n_pairs, n_f = perms.shape
     preds = np.empty((n_pairs, n_f + 1, 24))
     preds[:, 0], preds[:, n_f] = ends
-    if n_f > 1:
-        positions = np.argsort(perms, axis=1)  # positions[p, j]: step feature j switches
-        mask = positions[:, None, :] < np.arange(1, n_f)[None, :, None]
-        states = np.where(mask, x[None, None, :], zs[:, None, :])
-        interior_preds = _predict_checked(interior, states.reshape(-1, n_f))
-        preds[:, 1:n_f] = interior_preds.reshape(n_pairs, n_f - 1, 24)
-    return preds
+    pair_index = np.arange(n_pairs)[:, None]
+    estimates = []
+    for order in (perms, perms[:, ::-1]) if antithetic else (perms,):
+        if n_f > 1:
+            positions = np.argsort(order, axis=1)  # positions[p, j]: step feature j switches
+            mask = positions[:, None, :] < np.arange(1, n_f)[None, :, None]
+            states = np.where(mask, x[None, None, :], zs[:, None, :])
+            interior_preds = _predict_checked(interior, states.reshape(-1, n_f))
+            preds[:, 1:n_f] = interior_preds.reshape(n_pairs, n_f - 1, 24)
+        contrib = np.empty((n_pairs, n_f, 24))
+        contrib[pair_index, order, :] = preds[:, 1:, :] - preds[:, :-1, :]
+        estimates.append(contrib)
+    return 0.5 * (estimates[0] + estimates[1]) if antithetic else estimates[0]
 
 
 def _mixed_interior(model: TrainedModel, x_raw: np.ndarray, zs: np.ndarray):
@@ -274,15 +275,6 @@ def _mixed_interior(model: TrainedModel, x_raw: np.ndarray, zs: np.ndarray):
         return inverse_transform(model.output_scaler, y)
 
     return interior, x32, zs32
-
-
-def _walk_contributions(preds, perms):
-    """Scatter per-step prediction deltas back to feature order."""
-    n_pairs, n_f = perms.shape
-    diffs = preds[:, 1:, :] - preds[:, :-1, :]  # (P, n_f, 24), step order
-    contrib = np.empty_like(diffs)
-    contrib[np.arange(n_pairs)[:, None], perms, :] = diffs
-    return contrib
 
 
 def shap_mc(
@@ -337,14 +329,10 @@ def shap_mc(
         interior, x_walk, zs_walk = _mixed_interior(model, x_raw, zs)
     else:
         interior, x_walk, zs_walk = fn, x_raw, zs
-    preds = _walk_predictions(interior, ends, x_walk, zs_walk, perms)
-    estimates = _walk_contributions(preds, perms)
-    if antithetic:
-        preds_rev = _walk_predictions(interior, ends, x_walk, zs_walk, perms[:, ::-1])
-        estimates = 0.5 * (estimates + _walk_contributions(preds_rev, perms[:, ::-1]))
+    estimates = _walk_estimates(interior, ends, x_walk, zs_walk, perms, antithetic)
 
     values = estimates.mean(axis=0).T  # (24, n_f)
-    baseline = preds[:, 0, :].mean(axis=0)
+    baseline = ends[0].mean(axis=0)
     if n_pairs > 1:
         stderr = (estimates.std(axis=0, ddof=1) / np.sqrt(n_pairs)).T
     else:

@@ -14,7 +14,7 @@ import argparse
 import os
 import sys
 
-_THREAD_VARS = (
+THREAD_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
     "MKL_NUM_THREADS",
@@ -118,7 +118,7 @@ def _apply_thread_cap(threads) -> int | None:
     if threads < 1:
         print(f"error: 2: thread count must be >= 1, got {threads}", file=sys.stderr)
         return 2
-    for var in _THREAD_VARS:
+    for var in THREAD_VARS:
         if explicit:
             os.environ[var] = str(threads)
         else:

@@ -58,19 +58,30 @@ def _parse_float(token: str, line_number: int, col: str) -> float:
         raise MalformedRow(line_number, f"bad {col} value {token!r}") from None
 
 
+def _is_number(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def parse_hours(text: str) -> tuple:
     """The first hour since the epoch of a market CSV, and its repaired columns.
 
     The price, exog1 and exog2 columns come as ``array("d")`` float lists,
     one value per hour. Rows hold timestamp, price, exog1 and exog2 under an
-    optional header. Repeated hours are averaged, and gaps and missing cells
+    optional header: line 1 is a header when its timestamp does not parse and
+    none of its three value cells is a number. A leading byte-order mark is
+    dropped. Repeated hours are averaged, and gaps and missing cells
     filled by linear interpolation. Raises :class:`MalformedRow` (with line
     number) on rows that cannot be parsed, :class:`EmptyInput` when no data
     rows exist, and :class:`NonHourlyCadence` on a timestamp off the hour.
     """
     hours, cells = [], []
     # newline=None reads \r\n and \r line ends as \n, as text-mode files do
-    reader = csv.reader(io.StringIO(text, newline=None))
+    # a byte-order mark would hide the first timestamp of a header-less file
+    reader = csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline=None))
     line_number = 0
     # bound once, as the loop below runs once per hour of data
     fromisoformat, add_hour = datetime.datetime.fromisoformat, hours.append
@@ -87,7 +98,7 @@ def parse_hours(text: str) -> tuple:
             try:
                 ts = fromisoformat(stamp.strip())
             except ValueError:
-                if line_number == 1:
+                if line_number == 1 and not any(map(_is_number, (price, exog1, exog2))):
                     continue  # header row
                 raise MalformedRow(line_number, f"bad timestamp {stamp.strip()!r}") from None
             if ts.minute or ts.second or ts.microsecond:

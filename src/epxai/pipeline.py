@@ -25,6 +25,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
+from .cli import THREAD_VARS
 from .errors import (
     EpxaiError, check_bool, check_choice, check_float, check_int, check_label, check_object,
     check_str,
@@ -548,6 +549,9 @@ class _Stage:
                 record["outputs"].pop(rel, None)
         stages[self.name] = {
             "seconds": round(time.perf_counter() - self.t0, 3),
+            # the caps the process ran with: explain's sums, and so its
+            # output bytes, depend on the thread count
+            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
             "outputs": dict(sorted(self.outputs.items())),
         }
         _write_atomic(self.out / "manifest.json", _canonical_json(self.manifest).encode("utf-8"))

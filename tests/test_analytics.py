@@ -112,7 +112,6 @@ class TestBeeswarm:
         feature_values = np.arange(4 * n_feat, dtype=float).reshape(4, n_feat)
         table = beeswarm_table(tensor, feature_values, top_k=3)
         assert len(table.rows) == 3
-        assert table.n_features_total == n_feat
         assert table.rows[0].feature == tensor.feature_ids[30]
         assert table.rows[0].score == 50.0
         assert table.rows[1].feature == tensor.feature_ids[5]

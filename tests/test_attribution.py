@@ -11,9 +11,9 @@ from epxai.attribution import (
     EmptyBackground,
     NonFiniteModelOutput,
     TooManyFeatures,
+    _walk_estimates,
     attribution_to_csv,
     explain_dataset,
-    jacobian,
     jacobian_batch,
     sample_background,
     shap_exact,
@@ -286,6 +286,49 @@ class TestMonteCarloShapley:
             shap_mc(bad, np.zeros(3), BackgroundSet(np.zeros((4, 3))), n_pairs=2)
 
 
+def interaction_model(states):
+    """Linear terms plus two cross-feature products, so walk order matters."""
+    linear = states @ np.array([0.5, -1.0, 2.0, 0.25, -0.75])
+    cross = states[:, 0] * states[:, 2] - 0.5 * states[:, 1] * states[:, 3] * states[:, 4]
+    return (linear + cross)[:, None] * HOURS[None, :]
+
+
+class TestWalkEstimates:
+    """The per-pair contract of the walk core that ``shap_mc`` reduces."""
+
+    @staticmethod
+    def walk(fn, antithetic, n_pairs=9, seed=3, reverse=False):
+        rng = np.random.default_rng(seed)
+        zs = rng.normal(0.0, 1.0, (n_pairs, 5))
+        x = rng.normal(0.0, 1.0, 5)
+        perms = np.stack([rng.permutation(5) for _ in range(n_pairs)])
+        if reverse:
+            perms = perms[:, ::-1]
+        ends = (fn(zs), fn(x[None, :])[0])
+        return _walk_estimates(fn, ends, x, zs, perms, antithetic), x, zs
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_each_pair_sums_to_its_prediction_gap(self, antithetic):
+        estimates, x, zs = self.walk(interaction_model, antithetic)
+        assert estimates.shape == (9, 5, 24) and estimates.dtype == np.float64
+        gaps = interaction_model(x[None, :]) - interaction_model(zs)
+        np.testing.assert_allclose(estimates.sum(axis=1), gaps, rtol=0, atol=1e-12)
+
+    def test_antithetic_is_mean_of_both_walk_directions(self):
+        both, _, _ = self.walk(interaction_model, True)
+        forward, _, _ = self.walk(interaction_model, False)
+        reverse, _, _ = self.walk(interaction_model, False, reverse=True)
+        assert not np.array_equal(forward, reverse)
+        np.testing.assert_array_equal(both, 0.5 * (forward + reverse))
+
+    @pytest.mark.parametrize("antithetic", [True, False])
+    def test_linear_model_pairs_are_closed_form(self, antithetic):
+        coef = np.array([1.5, -0.5, 0.25, 2.0, -1.0])
+        estimates, x, zs = self.walk(make_linear(coef, 3.0), antithetic)
+        expected = (coef * (x - zs))[:, :, None] * HOURS[None, None, :]
+        np.testing.assert_allclose(estimates, expected, rtol=1e-12, atol=1e-12)
+
+
 class TestJacobian:
     def test_linear_selu_network_closed_form(self):
         # Positive weights and inputs keep selu in its linear region, so the
@@ -308,7 +351,7 @@ class TestJacobian:
         x = np.abs(np.random.default_rng(0).normal(1.0, 0.2, 5)) + 0.5
         w1, w2, w3 = model.weights
         expected = (SELU_LAMBDA**2 * (w1 @ w2 @ w3)).T * out_scale[:, None]
-        np.testing.assert_allclose(jacobian(model, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(jacobian_batch(model, x), expected, rtol=1e-12)
 
     @pytest.mark.parametrize("out_kind", ["std", "median", "arcsinh"])
     @pytest.mark.parametrize("activation", ["softplus", "selu"])
@@ -317,7 +360,7 @@ class TestJacobian:
             build_matrix, activation=activation, out_kind=out_kind, seed=5
         )
         x = features.values[17]
-        analytic = jacobian(model, x)
+        analytic = jacobian_batch(model, x)
 
         xn = transform(model.input_scaler, x)
         h = 1e-5
@@ -340,13 +383,8 @@ class TestJacobian:
         batch = jacobian_batch(model, rows)
         for i in range(7):
             np.testing.assert_allclose(
-                batch[i], jacobian(model, rows[i]), rtol=1e-12, atol=1e-13
+                batch[i], jacobian_batch(model, rows[i]), rtol=1e-12, atol=1e-13
             )
-
-    def test_rejects_matrix_input(self, build_matrix):
-        model, features = small_trained(build_matrix)
-        with pytest.raises(ValueError):
-            jacobian(model, features.values[:3])
 
 
 class TestExplainDataset:

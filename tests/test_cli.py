@@ -16,7 +16,7 @@ import pytest
 
 from conftest import _synthetic_market_csv
 from epxai import pipeline
-from epxai.cli import main
+from epxai.cli import THREAD_VARS, main
 from epxai.data import build_feature_matrix, parse_market_csv
 from epxai.errors import EpxaiError
 from epxai.marketcsv import DataError
@@ -122,11 +122,23 @@ class TestArgumentHandling:
         root, dataset = workspace
         config = root / "threads.json"
         config.write_text(json.dumps(base_config(dataset, root / "tout")))
-        monkeypatch.setenv("OMP_NUM_THREADS", "8")
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "8")  # undone after the test
         code, _, _ = run_cli("validate", "--config", str(config), "--threads", "2")
         assert code == 0
-        assert os.environ["OMP_NUM_THREADS"] == "2"
-        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+        assert {var: os.environ[var] for var in THREAD_VARS} == dict.fromkeys(THREAD_VARS, "2")
+
+    def test_manifest_records_thread_caps(self, workspace, monkeypatch):
+        root, dataset = workspace
+        config = root / "caps.json"
+        config.write_text(json.dumps(base_config(dataset, root / "caps")))
+        for var in THREAD_VARS:
+            monkeypatch.setenv(var, "1")  # undone after the test
+        for threads in ("3", "2"):
+            code, _, _ = run_cli("ingest", "--config", str(config), "--threads", threads)
+            assert code == 0
+            manifest = json.loads((root / "caps" / "manifest.json").read_text())
+            assert manifest["stages"]["ingest"]["threads"] == dict.fromkeys(THREAD_VARS, threads)
 
 
 class TestValidate:
@@ -833,6 +845,19 @@ class TestFailureExitCodes:
         code, _, err = run_cli(command, "--config", str(config))
         assert code == 3
         assert err.startswith("error: 3: line 61: ") and "field limit" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_headerless_bad_first_row_is_one_error_line(self, workspace, tmp_path):
+        rows = workspace[1].read_text().splitlines(keepends=True)
+        rows[1] = rows[1].replace(" 00:00:00,", " 25:00:00,", 1)
+        dataset = tmp_path / "syn.csv"
+        dataset.write_text("".join(rows[1:]))
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        code, _, err = run_cli("ingest", "--config", str(config))
+        assert code == 3
+        assert err.startswith("error: 3: line 1: bad timestamp ")
         assert len(err.rstrip("\n").splitlines()) == 1
         assert not (tmp_path / "run").exists()
 

@@ -134,6 +134,18 @@ class TestParseMarketCsv:
         assert exc.value.line_number == 2
         assert "bad timestamp 'timestamp'" in str(exc.value)
 
+    @pytest.mark.parametrize("first", ["2013-01-01 25:00:00,1.0,2.0,3.0",
+                                       "\ufeff2013-01-01 25:00:00,NA,2.0,NA",
+                                       "2013-01-01 25:00:00,price,exog1,3"],
+                             ids=["numbers", "byte-order mark and NA", "one number"])
+    def test_bad_timestamp_on_line_1_with_a_number_is_malformed(self, first):
+        # line 1 is a header only when none of its value cells is a number
+        lines = hourly_csv(n_hours=24).strip().split("\n")
+        with pytest.raises(MalformedRow) as exc:
+            parse_market_csv("\n".join([first] + lines[1:]), "DE")
+        assert exc.value.line_number == 1
+        assert "bad timestamp '2013-01-01 25:00:00'" in str(exc.value)
+
     def test_bad_exog2_cell_names_column_and_line(self):
         text = hourly_csv(n_hours=24).replace("306.0", " 3o6 ")
         with pytest.raises(MalformedRow) as exc:

@@ -71,7 +71,7 @@ def _beeswarm(rng, n_rows=3, n_instances=4, group="Price D-1"):
             )
         )
     ids = [f"2020-01-{d + 1:02d}" for d in range(n_instances)]
-    return BeeswarmTable(rows=rows, instance_ids=ids, n_features_total=48)
+    return BeeswarmTable(rows=rows, instance_ids=ids)
 
 
 def _stack(rng):

@@ -165,6 +165,15 @@ def test_crlf_parses_like_lf():
     assert [c.tobytes() for c in columns] == [c.tobytes() for c in lf_columns]
 
 
+@pytest.mark.parametrize("prefix", ["", "\ufeff"], ids=["plain", "byte-order mark"])
+def test_headerless_text_parses_every_row(prefix):
+    text = _text(_negative_zero())
+    start, *columns = parse_hours(prefix + text.split("\n", 1)[1])
+    header_start, *header_columns = parse_hours(prefix + text)
+    assert start == header_start
+    assert [c.tobytes() for c in columns] == [c.tobytes() for c in header_columns]
+
+
 def test_unclosed_quote_is_malformed_row():
     # The open quote reads on past csv's 131072-character field limit.
     rows = [",".join(row) for row in _rows(24 * 200, seed=11)]
