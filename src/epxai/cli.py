@@ -38,15 +38,7 @@ def _add_common(sub, config_required: bool = True) -> None:
     )
     sub.add_argument(
         "--out", metavar="DIR", default=None,
-        help="run output directory (overrides config and EPXAI_OUT)",
-    )
-    sub.add_argument(
-        "--seed", metavar="N", type=int, default=None,
-        help="master seed override",
-    )
-    sub.add_argument(
-        "--threads", metavar="N", type=int, default=None,
-        help="cap numerical threads (default: EPXAI_THREADS, else 1)",
+        help="run output directory (default: the config's out)",
     )
 
 
@@ -88,42 +80,12 @@ def build_parser() -> _Parser:
         "--out", metavar="DIR", default=None,
         help="also write oracle.json into this directory",
     )
-    p.add_argument("--threads", metavar="N", type=int, default=None, help=argparse.SUPPRESS)
-
+    for p in sub.choices.values():
+        p.add_argument(
+            "--threads", metavar="N", type=int, default=1,
+            help="thread count of every numerical pool (default: 1, whatever the shell exports)",
+        )
     return parser
-
-
-def _apply_thread_cap(threads) -> int | None:
-    """Set the numerical libraries' thread caps; explicit values win.
-
-    Called before numpy is imported anywhere in the process. Without an
-    explicit request, vars the caller already exported are left alone and
-    the rest default to single-threaded, which keeps reruns bit-identical.
-    """
-    explicit = threads is not None
-    if threads is None:
-        env = os.environ.get("EPXAI_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                print(
-                    f"error: 2: EPXAI_THREADS must be an integer, got {env!r}",
-                    file=sys.stderr,
-                )
-                return 2
-            explicit = True
-    if threads is None:
-        threads = 1
-    if threads < 1:
-        print(f"error: 2: thread count must be >= 1, got {threads}", file=sys.stderr)
-        return 2
-    for var in THREAD_VARS:
-        if explicit:
-            os.environ[var] = str(threads)
-        else:
-            os.environ.setdefault(var, str(threads))
-    return None
 
 
 def main(argv=None) -> int:
@@ -131,9 +93,13 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    failed = _apply_thread_cap(getattr(args, "threads", None))
-    if failed is not None:
-        return failed
+    if args.threads < 1:
+        print(f"error: 2: thread count must be >= 1, got {args.threads}", file=sys.stderr)
+        return 2
+    # before numpy loads: every pool gets the one count, and a cap the shell
+    # exported does not change the bits of a run
+    for var in THREAD_VARS:
+        os.environ[var] = str(args.threads)
 
     from .pipeline import dispatch
 

@@ -25,7 +25,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
-from .cli import THREAD_VARS
 from .errors import (
     EpxaiError, check_bool, check_choice, check_float, check_int, check_label, check_object,
     check_str,
@@ -221,10 +220,7 @@ class RunConfig:
 
 
 def load_config(
-    path: Path,
-    out_override: str | None = None,
-    seed_override: int | None = None,
-    check_paths: bool = False,
+    path: Path, out_override: str | None = None, check_paths: bool = False
 ) -> RunConfig:
     """Read and resolve a config file; all problems raise :class:`ConfigError`."""
     path = Path(path)
@@ -237,20 +233,12 @@ def load_config(
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return resolve_config(
-        raw,
-        base_dir=path.parent,
-        out_override=out_override,
-        seed_override=seed_override,
-        check_paths=check_paths,
+        raw, base_dir=path.parent, out_override=out_override, check_paths=check_paths
     )
 
 
 def resolve_config(
-    raw,
-    base_dir: Path,
-    out_override: str | None = None,
-    seed_override: int | None = None,
-    check_paths: bool = False,
+    raw, base_dir: Path, out_override: str | None = None, check_paths: bool = False
 ) -> RunConfig:
     """Validate a raw config mapping and fill every default.
 
@@ -261,7 +249,7 @@ def resolve_config(
     ConfigError naming its key.
     """
     try:
-        echo, market = _resolve_echo(raw, Path(base_dir), out_override, seed_override)
+        echo, market = _resolve_echo(raw, Path(base_dir), out_override)
         partitions = {"default": default_partition(market)}
         model = echo["model"]
         model_spec = ModelSpec(
@@ -300,7 +288,7 @@ def resolve_config(
     )
 
 
-def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
+def _resolve_echo(raw, base_dir: Path, out_override) -> tuple:
     """The echo and market of a raw config; a bad value raises ValueError."""
     given = {None: check_object(raw, "config", _TOP_KEYS)}
     market_id = raw.get("market_id")
@@ -336,9 +324,6 @@ def _resolve_echo(raw, base_dir: Path, out_override, seed_override) -> tuple:
         else:
             value = default(echo, bench) if callable(default) else default
         value = checker(value, name)
-        if name == "seed" and seed_override is not None:
-            # the config's own seed is still checked before --seed replaces it
-            value = checker(seed_override, name)
         (echo if section is None else echo[section])[key] = value
     return echo, market
 
@@ -465,6 +450,7 @@ class _Stage:
     def __init__(self, args, name: str, parse):
         self.config = config = _config_from_args(args)
         self.name, self.out, self.outputs = name, _run_dir(args, config), {}
+        self.threads = args.threads
         self.t0 = time.perf_counter()
         digest = _sha256_text(_canonical_json(config.settings))
         self.manifest = {
@@ -532,7 +518,7 @@ class _Stage:
         self.write(f"figures/{stem}.svg", rendered.svg)
         self.write(f"tables/{stem}.csv", rendered.csv)
 
-    def finish(self, section: dict | None, message: str) -> int:
+    def finish(self, section: dict | None, message: str, **build) -> int:
         if section:
             # every report names its market and settings, so report reads
             # both from it; the absolute dataset and run paths stay in
@@ -549,14 +535,28 @@ class _Stage:
                 record["outputs"].pop(rel, None)
         stages[self.name] = {
             "seconds": round(time.perf_counter() - self.t0, 3),
-            # the caps the process ran with: explain's sums, and so its
-            # output bytes, depend on the thread count
-            "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+            # the count every pool ran with: explain's sums, and so its
+            # output bytes, depend on it
+            "threads": self.threads,
+            **build,
             "outputs": dict(sorted(self.outputs.items())),
         }
         _write_atomic(self.out / "manifest.json", _canonical_json(self.manifest).encode("utf-8"))
         print(f"{self.name}: {message}")
         return 0
+
+
+def _numpy_build() -> dict:
+    """numpy's version and its BLAS build, which with the thread count set the
+    bits of a run; ``blas`` is None on a numpy whose show_config has no ``mode``."""
+    import numpy as np
+
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = {"name": blas["name"], "version": blas["version"]}
+    except (TypeError, KeyError):
+        blas = None
+    return {"numpy": np.__version__, "blas": blas}
 
 
 def cmd_validate(args) -> int:
@@ -630,7 +630,7 @@ def cmd_train(args) -> int:
     }, (
         f"{len(trained.history)} epochs, train MAE {fit['mae']:.3f} "
         f"{config.market.currency}/MWh (rMAE {fit['rmae']:.3f}) -> {stage.out / 'model.json'}"
-    ))
+    ), **_numpy_build())
 
 
 def _instance_subset(features, config: RunConfig) -> np.ndarray:
@@ -791,7 +791,7 @@ def cmd_explain(args) -> int:
     }, (
         f"{len(indices)} instances, slope {check.slope:.3f}, "
         f"non-linearity {complexity.non_linearity:.3f} -> {stage.out}"
-    ))
+    ), **_numpy_build())
 
 
 def _markdown_table(header: list, rows: list) -> list:
@@ -926,28 +926,18 @@ def cmd_oracle(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def _out_override(args) -> str | None:
-    """``--out``, else ``EPXAI_OUT``: the run directory that replaces the config's ``out``."""
-    return getattr(args, "out", None) or os.environ.get("EPXAI_OUT")
-
-
 def _run_dir(args, config: RunConfig | None) -> Path:
-    """The run directory: ``--out``, else ``EPXAI_OUT``, else the config's ``out``."""
-    out = config.out if config is not None else _out_override(args)
+    """The run directory: ``--out``, else the config's ``out``."""
+    out = config.out if config is not None else args.out
     if not out:
-        raise ConfigError('no run directory: pass --out, set EPXAI_OUT or give the config "out"')
+        raise ConfigError('no run directory: pass --out or give the config "out"')
     return Path(out)
 
 
 def _config_from_args(args, check_paths: bool = False) -> RunConfig:
     if not getattr(args, "config", None):
         raise ConfigError("a --config file is required")
-    return load_config(
-        Path(args.config),
-        out_override=_out_override(args),
-        seed_override=getattr(args, "seed", None),
-        check_paths=check_paths,
-    )
+    return load_config(Path(args.config), out_override=args.out, check_paths=check_paths)
 
 
 _COMMANDS = {
@@ -967,3 +957,9 @@ def dispatch(args) -> int:
     except EpxaiError as exc:
         print(f"error: {exc.exit_code}: {exc}", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        # a size the config allows but the host cannot allocate: model.hidden1,
+        # lines.grid_size and attribution.n_pairs are allocated before the
+        # command's first write, so nothing is left half-written
+        print(f"error: 1: out of memory: {exc}", file=sys.stderr)
+        return 1

@@ -91,6 +91,15 @@ def completed(workspace):
             "run": run_dir, "codes": codes}
 
 
+def _reseeded(completed, tmp_path) -> Path:
+    """A copy of the completed run's config file with another master seed."""
+    config = json.loads(completed["config"].read_text())
+    config["seed"] = 8
+    path = tmp_path / "reseeded.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 class TestArgumentHandling:
     def test_no_command_exits_2(self):
         code, _, err = run_cli()
@@ -112,12 +121,6 @@ class TestArgumentHandling:
         assert code == 2
         assert "thread count" in err
 
-    def test_threads_env_must_be_integer(self, monkeypatch):
-        monkeypatch.setenv("EPXAI_THREADS", "soup")
-        code, _, err = run_cli("validate", "--config", "x.json")
-        assert code == 2
-        assert "EPXAI_THREADS" in err
-
     def test_explicit_threads_exported(self, workspace, monkeypatch):
         root, dataset = workspace
         config = root / "threads.json"
@@ -134,11 +137,30 @@ class TestArgumentHandling:
         config.write_text(json.dumps(base_config(dataset, root / "caps")))
         for var in THREAD_VARS:
             monkeypatch.setenv(var, "1")  # undone after the test
-        for threads in ("3", "2"):
-            code, _, _ = run_cli("ingest", "--config", str(config), "--threads", threads)
+        for threads in (3, 2):
+            code, _, _ = run_cli("ingest", "--config", str(config), "--threads", str(threads))
             assert code == 0
             manifest = json.loads((root / "caps" / "manifest.json").read_text())
-            assert manifest["stages"]["ingest"]["threads"] == dict.fromkeys(THREAD_VARS, threads)
+            assert manifest["stages"]["ingest"]["threads"] == threads
+
+    def test_default_run_ignores_exported_thread_caps(self, workspace, tmp_path):
+        # each check runs in a fresh interpreter whose shell exported caps of
+        # 2; without --threads every pool still runs single-threaded
+        root, dataset = workspace
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        exported = dict.fromkeys(THREAD_VARS, "2")
+        run = "import sys\nfrom epxai.cli import main\nassert main(sys.argv[1:]) == 0"
+        _fresh_run(run, "ingest", "--config", str(config), env=exported)
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert manifest["stages"]["ingest"]["threads"] == 1
+        show = (
+            "import json, os, sys\nfrom epxai.cli import THREAD_VARS, main\n"
+            "assert main(['validate', '--config', sys.argv[1]]) == 0\n"
+            "print(json.dumps({var: os.environ[var] for var in THREAD_VARS}))"
+        )
+        stdout = _fresh_run(show, str(config), env=exported)
+        assert json.loads(stdout.splitlines()[-1]) == dict.fromkeys(THREAD_VARS, "1")
 
 
 class TestValidate:
@@ -182,8 +204,8 @@ class TestValidate:
         dataset = tmp_path / "np.csv"
         dataset.write_text("placeholder\n")
         path = tmp_path / "np.json"
-        path.write_text(json.dumps({"market_id": "NP", "dataset": "np.csv"}))
-        code, out, err = run_cli("validate", "--config", str(path), "--seed", "11")
+        path.write_text(json.dumps({"market_id": "NP", "dataset": "np.csv", "seed": 11}))
+        code, out, err = run_cli("validate", "--config", str(path))
         assert (code, err) == (0, "")
 
         def sv(label, source, day_lag):
@@ -505,14 +527,14 @@ class TestRunPipeline:
             assert (code, err) == (0, ""), command
         assert (tmp_path / "configs/rel/summary.md").is_file()
 
-    def test_out_env_variable_supplies_run_dir(self, completed, monkeypatch, tmp_path):
-        config = base_config(completed["dataset"], tmp_path / "ignored")
-        del config["out"]
-        path = tmp_path / "envout.json"
-        path.write_text(json.dumps(config))
-        monkeypatch.setenv("EPXAI_OUT", str(tmp_path / "env_run"))
-        assert run_cli("ingest", "--config", str(path))[0] == 0
-        assert (tmp_path / "env_run" / "tables/dataset.csv").is_file()
+    def test_manifest_records_numpy_build(self, completed):
+        stages = json.loads((completed["run"] / "manifest.json").read_text())["stages"]
+        for name in ("train", "explain"):
+            assert stages[name]["numpy"] == np.__version__
+            blas = stages[name]["blas"]
+            assert blas is None or sorted(blas) == ["name", "version"]
+        # ingest loads no numpy, so it records no build
+        assert "numpy" not in stages["ingest"] and "blas" not in stages["ingest"]
 
 
 class TestFailureExitCodes:
@@ -575,6 +597,7 @@ class TestFailureExitCodes:
         code, _, err = run_cli("report", "--out", str(tmp_path / "void"))
         assert code == 6
         assert err.startswith("error: 6:")
+        assert len(err.rstrip("\n").splitlines()) == 1
 
     def test_report_with_missing_outputs_exits_6(self, completed, tmp_path):
         stale = tmp_path / "stale"
@@ -705,8 +728,7 @@ class TestFailureExitCodes:
         shutil.copytree(completed["run"], copy)
         before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
         code, _, err = run_cli(
-            "train", "--config", str(completed["config"]), "--out", str(copy),
-            "--seed", "8",
+            "train", "--config", str(_reseeded(completed, tmp_path)), "--out", str(copy)
         )
         assert code == 2
         assert err.startswith("error: 2:") and "different config" in err
@@ -734,6 +756,27 @@ class TestFailureExitCodes:
         assert err.startswith(f"error: {code}: ") and fragment in err
         assert len(err.rstrip("\n").splitlines()) == 1
         assert files() == before
+
+    # each array below exceeds the 128 TiB x86-64 user address space, so its
+    # allocation fails at once, even on a host that overcommits memory
+    def test_unallocatable_grid_is_one_error_line(self, workspace, tmp_path):
+        def huge_grid(config):
+            config["lines"]["grid_size"] = 10**14
+
+        self._refused_explain(workspace, tmp_path, huge_grid, 1, "out of memory")
+        assert not (tmp_path / "run" / "tables" / "shap.csv").exists()
+
+    def test_unallocatable_network_is_one_error_line(self, workspace, tmp_path):
+        config = base_config(workspace[1], tmp_path / "run")
+        config["model"]["hidden1"] = 10**12
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("ingest", "--config", str(path))[0] == 0
+        code, _, err = run_cli("train", "--config", str(path))
+        assert code == 1
+        assert err.startswith("error: 1: out of memory: ")
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (tmp_path / "run" / "model.json").exists()
 
     def test_narrow_band_explain_writes_nothing(self, workspace, tmp_path):
         def narrow(config):
@@ -861,6 +904,18 @@ class TestFailureExitCodes:
         assert len(err.rstrip("\n").splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
+    def test_headerless_bom_dataset_keeps_first_hour(self, completed, tmp_path):
+        # a byte-order mark before the first data row is not a header
+        text = completed["dataset"].read_text()
+        dataset = tmp_path / "syn.csv"
+        dataset.write_text("\ufeff" + text.split("\n", 1)[1])
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        assert run_cli("ingest", "--config", str(config))[0] == 0
+        assert sha(tmp_path / "run" / "tables" / "dataset.csv") == sha(
+            completed["run"] / "tables" / "dataset.csv"
+        )
+
     def test_crlf_dataset_hash_is_file_sha256(self, completed, tmp_path):
         dataset = tmp_path / "syn.csv"
         dataset.write_bytes(completed["dataset"].read_bytes().replace(b"\n", b"\r\n"))
@@ -986,24 +1041,29 @@ class TestFailureExitCodes:
         report = json.loads((run / "report.json").read_text())
         assert "stray" not in report and "performance" in report
 
-    def test_changed_config_same_dir_exits_2(self, completed):
-        code, _, err = run_cli(
-            "train", "--config", str(completed["config"]), "--seed", "8"
-        )
+    def test_changed_config_same_dir_exits_2(self, completed, tmp_path):
+        # the edited config names the finished run's directory
+        code, _, err = run_cli("train", "--config", str(_reseeded(completed, tmp_path)))
         assert code == 2
         assert "different config" in err
 
 
-def _fresh_modules(code: str, *argv) -> set:
-    """Modules a fresh interpreter holds after running ``code`` with ``argv``."""
+def _fresh_run(code: str, *argv, env=None) -> str:
+    """Stdout of a fresh interpreter that runs ``code`` with ``argv``; ``env``
+    adds to this process's environment."""
     src = Path(pipeline.__file__).parents[1]
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(src)}
     result = subprocess.run(
         [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    return set(json.loads(result.stdout.splitlines()[-1]))
+    return result.stdout
+
+
+def _fresh_modules(code: str, *argv) -> set:
+    """Modules a fresh interpreter holds after running ``code`` with ``argv``."""
+    code += "\nimport json, sys\nprint(json.dumps(sorted(sys.modules)))"
+    return set(json.loads(_fresh_run(code, *argv).splitlines()[-1]))
 
 
 class TestImportGraph:
