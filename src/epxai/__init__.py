@@ -74,12 +74,10 @@ _EXPORTS = {
     "BeeswarmTable": "analytics",
     "PerformanceReport": "analytics",
     "ComplexityReport": "analytics",
-    "NaiveForecast": "analytics",
     "heatmap": "analytics",
     "hourly_importance": "analytics",
     "beeswarm_table": "analytics",
     "performance_metrics": "analytics",
-    "naive_forecast": "analytics",
     "complexity_metrics": "analytics",
     # figures
     "RenderedFigure": "figures",

@@ -3,9 +3,11 @@
 Heatmaps condense an attribution tensor into 24x24 blocks (output hour by
 input hour, one block per hourly super-variable); rankings order features
 or groups by mean absolute contribution; performance metrics follow the
-benchmark definitions, with the naive yesterday-forecast as the scale for
-the relative MAE; complexity metrics summarise how non-linear and how
-hour-inhomogeneous a trained forecaster is.
+benchmark definitions, with the naive forecast (each delivery day's
+previous-day prices, laid out by :func:`epxai.data.build_feature_matrix`
+as ``FeatureMatrix.naive``) as the scale for the relative MAE; complexity
+metrics summarise how non-linear and how hour-inhomogeneous a trained
+forecaster is.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import HourlySeries, InsufficientHistory, NonFiniteInput, _delivery_days
+from .data import NonFiniteInput
 from .errors import EpxaiError
 from .mlp import TooFewInstances
 
@@ -33,13 +35,11 @@ __all__ = [
     "BeeswarmRow",
     "BeeswarmTable",
     "PerformanceReport",
-    "NaiveForecast",
     "ComplexityReport",
     "heatmap",
     "hourly_importance",
     "beeswarm_table",
     "performance_metrics",
-    "naive_forecast",
     "complexity_metrics",
 ]
 
@@ -111,15 +111,6 @@ class PerformanceReport:
     smape: float
     rmse: float
     n_observations: int
-
-
-@dataclass
-class NaiveForecast:
-    """Yesterday's 24 prices replayed as today's forecast."""
-
-    days: np.ndarray  # datetime64[D]
-    predicted: np.ndarray  # (n_days, 24)
-    actual: np.ndarray  # (n_days, 24)
 
 
 @dataclass
@@ -251,17 +242,6 @@ def performance_metrics(
         smape=smape,
         rmse=rmse,
         n_observations=int(predicted.size),
-    )
-
-
-def naive_forecast(series: HourlySeries) -> NaiveForecast:
-    """Persistence forecast: each day predicted by the previous day's prices."""
-    dates, blocks = _delivery_days(series)
-    if len(dates) < 2:
-        raise InsufficientHistory("naive forecast needs at least 2 full days")
-    prices = blocks["price"]
-    return NaiveForecast(
-        days=dates[1:], predicted=prices[:-1].copy(), actual=prices[1:].copy()
     )
 
 

@@ -407,7 +407,8 @@ def explain_dataset(
     else:
         instance_indices = np.asarray(instance_indices, dtype=np.intp)
     rows = features.values[instance_indices]
-    ids = [str(features.instances[i]) for i in instance_indices]
+    all_ids = features.instance_ids()
+    ids = [all_ids[i] for i in instance_indices]
 
     draw_rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
     draws = draw_rng.integers(0, background.size, size=n_pairs)

@@ -1,11 +1,14 @@
 """Hourly market series as arrays, feature construction, and scaling.
 
 The market CSV is parsed, repaired and written by :mod:`epxai.marketcsv`;
-:func:`parse_market_csv` turns its columns into :class:`HourlySeries`
-arrays. Model inputs are built per delivery day: for each super-variable
-(a series at a fixed day lag) the 24 hourly values of the lagged day, plus
-optionally a day-of-week integer. Targets are the 24 prices of the
-delivery day itself.
+:func:`parse_market_csv` turns its first hour and columns into an
+:class:`HourlySeries`. :func:`build_feature_matrix` is the one place that
+cuts the hours into delivery days (midnight-aligned blocks of 24 hours).
+Model inputs are built per delivery day: for each super-variable (a series
+at a fixed day lag) the 24 hourly values of the lagged day, plus optionally
+a day-of-week integer. Targets are the 24 prices of the delivery day
+itself, and the naive forecast behind the relative MAE is the 24 prices of
+the day before.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marketcsv import DataError, EmptyInput, NonHourlyCadence, parse_hours
-from .markets import SCALER_KINDS, FeatureId, MarketConfig
+from .marketcsv import DataError, EmptyInput, parse_hours
+from .markets import SCALER_KINDS, SOURCES, FeatureId, MarketConfig
 
 __all__ = [
     "InsufficientHistory",
@@ -55,48 +58,46 @@ _EPOCH_WEEKDAY = 3
 
 @dataclass(frozen=True)
 class HourlySeries:
-    """Contiguous hourly market data: price plus two exogenous series."""
+    """Price plus two exogenous series, one value per hour from ``start`` on."""
 
     market_id: str
-    timestamps: np.ndarray  # datetime64[h], strictly contiguous
+    start: int  # first hour, in hours since 1970-01-01 00:00
     price: np.ndarray
     exog1: np.ndarray
     exog2: np.ndarray
 
     def __post_init__(self):
-        n = len(self.timestamps)
+        n = len(self.price)
         if n == 0:
             raise EmptyInput("series has no rows")
-        for name in ("price", "exog1", "exog2"):
+        for name in SOURCES:
             arr = getattr(self, name)
             if len(arr) != n:
-                raise ValueError(f"{name} length {len(arr)} != {n} timestamps")
+                raise ValueError(f"{name} has {len(arr)} values, price has {n}")
             if not np.all(np.isfinite(arr)):
                 raise NonFiniteInput(f"{name} contains non-finite values")
-        hours = self.timestamps.astype("datetime64[h]").astype(np.int64)
-        if n > 1 and not np.all(np.diff(hours) == 1):
-            raise NonHourlyCadence("timestamps are not contiguous hourly")
 
     @property
     def n_hours(self) -> int:
-        return len(self.timestamps)
+        return len(self.price)
 
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Per-day model inputs and targets in raw (unscaled) units."""
+    """Per-day model inputs, targets and naive forecast in raw (unscaled) units."""
 
     market_id: str
     instances: np.ndarray  # datetime64[D], one delivery day per row
     columns: tuple[FeatureId, ...]
     values: np.ndarray  # (n_instances, n_features)
     targets: np.ndarray  # (n_instances, 24) delivery-day prices
+    naive: np.ndarray  # (n_instances, 24) prices of the day before
 
     def __post_init__(self):
         if self.values.shape != (len(self.instances), len(self.columns)):
             raise ValueError("values shape does not match instances/columns")
-        if self.targets.shape != (len(self.instances), 24):
-            raise ValueError("targets must be (n_instances, 24)")
+        if not self.targets.shape == self.naive.shape == (len(self.instances), 24):
+            raise ValueError("targets and naive must be (n_instances, 24)")
 
     @property
     def n_instances(self) -> int:
@@ -136,58 +137,44 @@ class ScalerParams:
 def parse_market_csv(raw_text: str, market_id: str) -> HourlySeries:
     """Parse and repair a market CSV (see :func:`epxai.marketcsv.parse_hours`)."""
     start, *columns = parse_hours(raw_text)
-    stamps = np.arange(start, start + len(columns[0])).astype("datetime64[h]")
-    return HourlySeries(market_id, stamps, *(np.array(column) for column in columns))
-
-
-def _delivery_days(series: HourlySeries):
-    """The series' midnight-aligned full days.
-
-    Returns their dates (datetime64[D]) and, by column name, a (n_days, 24)
-    view of the price and the two exogenous series on those days.
-    """
-    start = int(-series.timestamps[0].astype(np.int64)) % 24
-    n_days = max((series.n_hours - start) // 24, 0)
-    stop = start + n_days * 24
-    blocks = {
-        name: getattr(series, name)[start:stop].reshape(n_days, 24)
-        for name in ("price", "exog1", "exog2")
-    }
-    return series.timestamps[start:stop:24].astype("datetime64[D]"), blocks
+    return HourlySeries(market_id, start, *(np.array(column) for column in columns))
 
 
 def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureMatrix:
-    """Lay out per-day inputs (lagged 24-hour blocks) and 24-hour targets.
+    """Lay out per-day inputs (lagged 24-hour blocks), targets and naive forecast.
 
-    The first usable delivery day is the first midnight-aligned day with
+    Delivery days are the series' midnight-aligned full days; leading and
+    trailing partial days are dropped. The first usable delivery day has
     ``max(config.max_day_lag, 1)`` full days of history before it: a market
     whose inputs are all same-day still skips its first day, so every
-    delivery day has the previous day's prices behind the naive forecast.
+    delivery day has the previous day's prices as its naive forecast.
     Raises :class:`InsufficientHistory` when no delivery day qualifies.
     """
-    day_stamps, day_blocks = _delivery_days(series)
+    first = -series.start % 24  # hours before the first midnight
+    n_days = max((series.n_hours - first) // 24, 0)
     max_lag = max(config.max_day_lag, 1)
-    n_inst = len(day_stamps) - max_lag
-    if n_inst <= 0:
+    if n_days <= max_lag:
         raise InsufficientHistory(
-            f"need more than {max_lag} full days (max day_lag, at least 1), have {len(day_stamps)}"
+            f"need more than {max_lag} full days (max day_lag, at least 1), have {n_days}"
         )
+    days = (series.start + first) // 24 + np.arange(max_lag, n_days)
 
-    parts: list[np.ndarray] = []
-    for sv in config.super_variables:
-        offset = max_lag - sv.day_lag
-        parts.append(day_blocks[sv.source][offset : offset + n_inst])
+    def lagged(source: str, day_lag: int) -> np.ndarray:
+        """(n_instances, 24) hours of ``source`` on the day ``day_lag`` days before each row."""
+        full_days = getattr(series, source)[first : first + n_days * 24].reshape(n_days, 24)
+        return full_days[max_lag - day_lag : n_days - day_lag]
+
+    parts = [lagged(sv.source, sv.day_lag) for sv in config.super_variables]
     if config.include_day_of_week:
-        day_index = day_stamps[max_lag:].astype(np.int64)
-        weekday = ((day_index + _EPOCH_WEEKDAY) % 7).astype(np.float64)
-        parts.append(weekday[:, None])
+        parts.append(((days + _EPOCH_WEEKDAY) % 7).astype(np.float64)[:, None])
 
     return FeatureMatrix(
         market_id=config.market_id,
-        instances=day_stamps[max_lag:],
+        instances=days.astype("datetime64[D]"),
         columns=tuple(fid for _, members in config.groups for fid in members),
         values=np.hstack(parts),
-        targets=day_blocks["price"][max_lag:].copy(),
+        targets=lagged("price", 0).copy(),
+        naive=lagged("price", 1).copy(),
     )
 
 

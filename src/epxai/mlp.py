@@ -359,7 +359,7 @@ def train(
     hidden_sizes = (spec.layer_sizes[1], spec.layer_sizes[2])
 
     best_val = math.inf
-    best = None  # float64 copy of the best epoch's weights; set by the first epoch
+    best = None  # float64 copy of the best epoch's weights
     stall = 0
     history: list[dict] = []
 
@@ -392,7 +392,6 @@ def train(
         record = {"epoch": epoch, "train_loss": epoch_loss, "val_mae": None}
         history.append(record)
         if not n_val:
-            best = work.astype(np.float64)
             continue
         # the float64 inputs promote the float32 weights exactly, so validation
         # reads the very values of the float64 copy that a new best epoch saves
@@ -410,8 +409,10 @@ def train(
             if stall > hp.early_stop_patience:
                 break
 
+    # without a validation slice the last epoch's weights are kept
+    final = best if n_val else work.astype(np.float64)
     return replace(
-        best, input_scaler=input_scaler, output_scaler=output_scaler, history=history
+        final, input_scaler=input_scaler, output_scaler=output_scaler, history=history
     )
 
 

@@ -225,7 +225,7 @@ def load_config(
     """Read and resolve a config file; all problems raise :class:`ConfigError`."""
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
@@ -582,7 +582,7 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     import numpy as np
 
-    from .analytics import naive_forecast, performance_metrics
+    from .analytics import performance_metrics
     from .data import build_feature_matrix, parse_market_csv
     from .mlp import (
         count_parameters, init_model, n_train_instances, predict_prices, save_model, train,
@@ -598,13 +598,10 @@ def cmd_train(args) -> int:
 
     predictions = predict_prices(trained, features.values)
     n = features.n_instances
-    # the feature matrix and the naive forecast both end on the series' last
-    # full day, and the matrix starts no earlier than the forecast's first day
-    naive = naive_forecast(series).predicted[-n:]
     n_train = n_train_instances(n, config.training.validation_fraction)
     ranges = {"train": slice(0, n_train), "validation": slice(n_train, n)}
     scopes = {
-        scope: asdict(performance_metrics(predictions[r], features.targets[r], naive[r]))
+        scope: asdict(performance_metrics(predictions[r], features.targets[r], features.naive[r]))
         for scope, r in ranges.items()
         if r.start < r.stop
     }

@@ -81,6 +81,7 @@ def _build_matrix(n_instances=60, n_groups=2, seed=0, noise=0.02):
         columns=columns,
         values=values,
         targets=targets,
+        naive=np.vstack([targets[:1], targets[:-1]]),
     )
 
 

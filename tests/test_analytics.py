@@ -11,16 +11,13 @@ from epxai.analytics import (
     complexity_metrics,
     heatmap,
     hourly_importance,
-    naive_forecast,
     performance_metrics,
 )
 from epxai.attribution import AttributionTensor
-from epxai.data import InsufficientHistory, NonFiniteInput, parse_market_csv
+from epxai.data import NonFiniteInput
 from epxai.markets import FeatureId, Partition
 from epxai.mlp import TooFewInstances
 from epxai.sshap import SshapTensor
-
-from test_data import hourly_csv
 
 
 def hourly_tensor(n_instances=3, groups=("A", "B"), kind="shap",
@@ -172,34 +169,6 @@ class TestPerformanceMetrics:
             )
         with pytest.raises(LengthMismatch):
             performance_metrics(np.empty(0), np.empty(0), np.empty(0))
-
-
-class TestNaiveForecast:
-    def test_shifts_days_by_one(self):
-        def encode(d, h):
-            price = (d + 1) * 10.0
-            return (price, 0.0, 0.0)
-
-        series = parse_market_csv(hourly_csv(n_hours=3 * 24, encode=encode), "XX")
-        result = naive_forecast(series)
-        assert [str(d) for d in result.days] == ["2013-01-02", "2013-01-03"]
-        np.testing.assert_array_equal(result.predicted[0], np.full(24, 10.0))
-        np.testing.assert_array_equal(result.actual[0], np.full(24, 20.0))
-        np.testing.assert_array_equal(result.predicted[1], np.full(24, 20.0))
-
-    def test_alternating_prices_give_exact_mae(self):
-        def encode(d, h):
-            return (5.0 if d % 2 == 0 else 9.0, 0.0, 0.0)
-
-        series = parse_market_csv(hourly_csv(n_hours=6 * 24, encode=encode), "XX")
-        result = naive_forecast(series)
-        mae = float(np.abs(result.predicted - result.actual).mean())
-        assert mae == 4.0
-
-    def test_needs_two_days(self):
-        series = parse_market_csv(hourly_csv(n_hours=24), "XX")
-        with pytest.raises(InsufficientHistory):
-            naive_forecast(series)
 
 
 class TestComplexityMetrics:

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from datetime import date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -178,6 +179,23 @@ class TestValidate:
         # defaults are materialized in the echo
         assert echo["attribution"]["antithetic"] is True
         assert echo["lines"]["bandwidth"] == 5.0
+
+    def test_byte_order_mark_config_reads_like_the_plain_file(self, workspace):
+        root, dataset = workspace
+        text = json.dumps(base_config(dataset, root / "bom_out"))
+        (root / "plain.json").write_text(text, encoding="utf-8")
+        (root / "bom.json").write_text("\ufeff" + text, encoding="utf-8")
+        echoes, digests = [], []
+        for name in ("plain", "bom"):
+            config = str(root / f"{name}.json")
+            code, out, err = run_cli("validate", "--config", config)
+            assert (code, err) == (0, ""), name
+            echoes.append(out)
+            run = root / f"{name}_run"
+            assert run_cli("ingest", "--config", config, "--out", str(run))[0] == 0, name
+            digests.append(json.loads((run / "manifest.json").read_text())["config_digest"])
+        assert echoes[0] == echoes[1]
+        assert digests[0] == digests[1]
 
     def test_partitions_resolve_with_config(self, workspace):
         root, dataset = workspace
@@ -394,6 +412,34 @@ class TestRunPipeline:
     def test_model_beats_naive_on_synthetic_market(self, completed):
         report = json.loads((completed["run"] / "report.json").read_text())
         assert report["performance"]["train"]["rmae"] < 1.0
+
+    def test_rmae_scales_by_the_previous_days_prices(self, completed):
+        # each delivery day's naive forecast is the 24 prices of the day
+        # before, recomputed here from the ingested hours
+        run = completed["run"]
+        prices: dict = {}
+        for row in (run / "tables/dataset.csv").read_text().splitlines()[1:]:
+            stamp, price = row.split(",")[:2]
+            prices.setdefault(date.fromisoformat(stamp[:10]), []).append(float(price))
+        data = json.loads((run / "report.json").read_text())["data"]
+        first = date.fromisoformat(data["first_day"])
+        days = [first + timedelta(i) for i in range(data["n_instances"])]
+        assert str(days[-1]) == data["last_day"]
+        lines = (run / "tables/performance.csv").read_text().splitlines()
+        rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+        assert [row["scope"] for row in rows] == ["train", "validation"]
+        start = 0
+        for row in rows:
+            scope_days = days[start : start + int(row["n_observations"]) // 24]
+            start += len(scope_days)
+            errors = []
+            for day in scope_days:
+                actual, naive = prices[day], prices[day - timedelta(1)]
+                assert len(actual) == len(naive) == 24
+                errors += [abs(a - b) for a, b in zip(actual, naive)]
+            naive_mae = sum(errors) / len(errors)
+            assert abs(float(row["rmae"]) - float(row["mae"]) / naive_mae) <= 1e-12, row
+        assert start == len(days)
 
     def test_sshap_table_shapes(self, completed):
         run = completed["run"]

@@ -33,7 +33,7 @@ def _series_csv_reference(series):
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["timestamp", "price", "exog1", "exog2"])
-    stamps = series.timestamps.astype("datetime64[s]")
+    stamps = (np.datetime64(series.start, "h") + np.arange(series.n_hours)).astype("datetime64[s]")
     for i in range(series.n_hours):
         writer.writerow(
             [
@@ -80,7 +80,7 @@ def test_hours_csv_matches_reference():
     values = _values((3, 30), seed=1)
     series = HourlySeries(
         market_id="DE",
-        timestamps=np.arange(-6, 24).astype("datetime64[h]"),
+        start=-6,
         price=values[0],
         exog1=values[1],
         exog2=values[2],

@@ -50,7 +50,7 @@ class TestParseMarketCsv:
         assert series.market_id == "NP"
         np.testing.assert_allclose(series.price, 100.0 + np.arange(48))
         np.testing.assert_allclose(series.exog2, 300.0 + np.arange(48))
-        assert str(series.timestamps[0]) == "2013-01-01T00"
+        assert series.start == np.datetime64("2013-01-01T00", "h").astype(np.int64)
 
     def test_rows_sorted_before_use(self):
         text = hourly_csv(n_hours=24)
@@ -112,7 +112,7 @@ class TestParseMarketCsv:
         series = parse_market_csv(hourly_csv(), "NP")
         again = parse_market_csv(hours_csv(*parse_hours(hourly_csv())), "NP")
         np.testing.assert_array_equal(series.price, again.price)
-        np.testing.assert_array_equal(series.timestamps, again.timestamps)
+        assert series.start == again.start
 
     def test_blank_and_comma_only_rows_skipped(self):
         text = hourly_csv(n_hours=24)
@@ -121,7 +121,7 @@ class TestParseMarketCsv:
         series = parse_market_csv("\n".join(padded) + "\n", "DE")
         reference = parse_market_csv(text, "DE")
         np.testing.assert_array_equal(series.price, reference.price)
-        np.testing.assert_array_equal(series.timestamps, reference.timestamps)
+        assert series.start == reference.start
 
     @pytest.mark.parametrize("first", ["timestamp,price,exog1,exog2",
                                        "2012-12-31 23:00:00,1.0,2.0,3.0"])
@@ -172,7 +172,7 @@ class TestParseMarketCsv:
         )
         series = parse_market_csv(shifted, "DE")
         reference = parse_market_csv(text, "DE")
-        np.testing.assert_array_equal(series.timestamps, reference.timestamps)
+        assert series.start == reference.start
         np.testing.assert_array_equal(series.price, reference.price)
 
     def test_off_hour_message_has_no_offset(self):
@@ -183,8 +183,7 @@ class TestParseMarketCsv:
 
     def test_pre_1970_timestamps(self):
         series = parse_market_csv(hourly_csv(start="1969-12-31 20:00", n_hours=8), "DE")
-        expected = np.arange(-4, 4).astype("datetime64[h]")
-        np.testing.assert_array_equal(series.timestamps, expected)
+        assert series.start == -4
         np.testing.assert_array_equal(series.price, 100.0 + np.arange(8))
 
     def test_repeated_hour_averaged_in_place(self):
@@ -201,18 +200,9 @@ class TestParseMarketCsv:
 
 
 class TestHourlySeries:
-    def test_gap_rejected_on_direct_construction(self):
-        stamps = np.array(["2013-01-01T00", "2013-01-01T02"], dtype="datetime64[h]")
-        one = np.ones(2)
-        with pytest.raises(NonHourlyCadence):
-            HourlySeries("DE", stamps, one, one, one)
-
     def test_non_finite_rejected(self):
-        stamps = np.arange(
-            np.datetime64("2013-01-01T00", "h"), np.datetime64("2013-01-01T02", "h")
-        )
         with pytest.raises(NonFiniteInput):
-            HourlySeries("DE", stamps, np.array([1.0, np.nan]), np.ones(2), np.ones(2))
+            HourlySeries("DE", 0, np.array([1.0, np.nan]), np.ones(2), np.ones(2))
 
 
 class TestBuildFeatureMatrix:
@@ -267,6 +257,22 @@ class TestBuildFeatureMatrix:
         # Hours 05:00-23:00 of Jan 1 cannot form a day; first full day is Jan 2.
         assert str(fm.instances[0]) == "2013-01-09"
 
+    def test_pre_1970_start_in_the_middle_of_a_day(self):
+        # 1969-12-20 13:00: the first midnight is 11 hours in, on 1969-12-21,
+        # and day lag 7 makes 1969-12-28 (a Sunday) the first delivery day
+        series = parse_market_csv(hourly_csv(start="1969-12-20 13:00", n_hours=14 * 24), "XX")
+        assert series.start == -275
+        fm = build_feature_matrix(series, self.make_config())
+        assert fm.instance_ids() == [
+            "1969-12-28", "1969-12-29", "1969-12-30", "1969-12-31", "1970-01-01", "1970-01-02"
+        ]
+        dow = fm.values[:, fm.columns.index(FeatureId("Day of week", None))]
+        np.testing.assert_array_equal(dow, [6, 0, 1, 2, 3, 4])
+        # the day before the first instance, 1969-12-27, starts 11 + 6 * 24 hours in
+        np.testing.assert_array_equal(fm.naive[0], 100.0 + 155 + np.arange(24))
+        np.testing.assert_array_equal(fm.targets[0], 100.0 + 179 + np.arange(24))
+        np.testing.assert_array_equal(fm.naive[1:], fm.targets[:-1])
+
     def test_insufficient_history(self):
         series = parse_market_csv(hourly_csv(n_hours=7 * 24), "XX")
         with pytest.raises(InsufficientHistory):
@@ -285,6 +291,34 @@ class TestBuildFeatureMatrix:
         np.testing.assert_array_equal(fm.values[0], [20000 + 100 + h for h in range(24)])
         with pytest.raises(InsufficientHistory, match="need more than 1 full days"):
             build_feature_matrix(parse_market_csv(hourly_csv(n_hours=24), "XX"), config)
+
+
+class TestNaiveForecast:
+    """``FeatureMatrix.naive``: each delivery day is forecast by the previous day's prices."""
+
+    def features(self, n_days, encode=None):
+        config = MarketConfig(
+            market_id="XX",
+            currency="EUR",
+            super_variables=(SuperVariable("Load Forecast D", "exog1", 0),),
+        )
+        text = hourly_csv(n_hours=n_days * 24, encode=encode)
+        return build_feature_matrix(parse_market_csv(text, "XX"), config)
+
+    def test_shifts_days_by_one(self):
+        fm = self.features(3, lambda d, h: ((d + 1) * 10.0, 0.0, 0.0))
+        assert fm.instance_ids() == ["2013-01-02", "2013-01-03"]
+        np.testing.assert_array_equal(fm.naive[0], np.full(24, 10.0))
+        np.testing.assert_array_equal(fm.targets[0], np.full(24, 20.0))
+        np.testing.assert_array_equal(fm.naive[1], np.full(24, 20.0))
+
+    def test_alternating_prices_give_exact_mae(self):
+        fm = self.features(6, lambda d, h: (5.0 if d % 2 == 0 else 9.0, 0.0, 0.0))
+        assert float(np.abs(fm.naive - fm.targets).mean()) == 4.0
+
+    def test_needs_two_days(self):
+        with pytest.raises(InsufficientHistory):
+            self.features(1)
 
 
 class TestScalers:

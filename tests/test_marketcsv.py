@@ -46,12 +46,13 @@ def _reference_series(text: str) -> HourlySeries:
         if not np.any(known):
             raise EmptyInput(f"column {SOURCES[c]} has no usable values")
         grid[:, c] = np.interp(np.arange(len(full)), np.flatnonzero(known), col[known])
-    return HourlySeries("DE", full.astype("datetime64[h]"), grid[:, 0], grid[:, 1], grid[:, 2])
+    return HourlySeries("DE", int(full[0]), grid[:, 0], grid[:, 1], grid[:, 2])
 
 
 def _reference_csv(series: HourlySeries) -> str:
     """The numpy ``dataset.csv`` writer that ran before the stdlib one."""
-    stamps = np.datetime_as_string(series.timestamps.astype("datetime64[s]"))
+    hours = np.datetime64(series.start, "h") + np.arange(series.n_hours)
+    stamps = np.datetime_as_string(hours.astype("datetime64[s]"))
     rows = zip(
         stamps.tolist(), series.price.tolist(), series.exog1.tolist(), series.exog2.tolist()
     )
@@ -138,7 +139,7 @@ def test_repair_matches_numpy_reference(case):
     text = _text(CASES[case]())
     series = parse_market_csv(text, "DE")
     reference = _reference_series(text)
-    np.testing.assert_array_equal(series.timestamps, reference.timestamps)
+    assert series.start == reference.start
     for name in SOURCES:
         assert getattr(series, name).tobytes() == getattr(reference, name).tobytes(), name
     assert hours_csv(*parse_hours(text)) == _reference_csv(reference)
