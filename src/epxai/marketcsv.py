@@ -13,6 +13,7 @@ import csv
 import datetime
 import io
 import math
+import re
 
 from .errors import EpxaiError
 from .markets import SOURCES
@@ -46,6 +47,13 @@ class NonHourlyCadence(DataError):
 _EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
 _NA_TOKENS = {"", "na", "nan", "null", "none"}
 _CLOCKS = [f" {clock:02d}:00:00" for clock in range(24)]
+# The timestamps read alike on every supported Python: YYYY-MM-DD, optionally
+# a space or T, HH[:MM[:SS[.fff[fff]]]] and an offset (+HH:MM[:SS[.ffffff]] or
+# Z). From 3.11 on fromisoformat also reads basic, week and basic-time forms
+# (20130101, 2013-W01-2, T000000), which the pattern refuses, and Z, which
+# 3.10 reads once written +00:00.
+_STAMP = re.compile(r"(?a)\d{4}-\d\d-\d\d(?:[ T]\d\d(?::\d\d(?::\d\d(?:\.\d{3}(?:\d{3})?)?)?)?"
+                    r"(?:Z|[+-]\d\d:\d\d(?::\d\d(?:\.\d{6})?)?)?)?")
 
 
 def _parse_float(token: str, line_number: int, col: str) -> float:
@@ -56,6 +64,14 @@ def _parse_float(token: str, line_number: int, col: str) -> float:
         return float(token)
     except ValueError:
         raise MalformedRow(line_number, f"bad {col} value {token!r}") from None
+
+
+def _checked(stamp: str) -> str:
+    # a stamp of the accepted form, its Z written as Python 3.10 reads it
+    stamp = stamp.strip()
+    if not _STAMP.fullmatch(stamp):
+        raise ValueError(stamp)
+    return stamp.replace("Z", "+00:00")
 
 
 def _is_number(token: str) -> bool:
@@ -96,7 +112,9 @@ def parse_hours(text: str) -> tuple:
                     raise MalformedRow(line_number, f"expected 4 columns, got {len(fields)}")
             stamp, price, exog1, exog2 = fields
             try:
-                ts = fromisoformat(stamp.strip())
+                # a stamp with these at 4, 7, 10, 13 and 16 parses only as
+                # YYYY-MM-DD HH:MM:SS or YYYY-MM-DDTHH:MM:SS: most skip the pattern
+                ts = fromisoformat(stamp if stamp[4::3] in {"-- ::", "--T::"} else _checked(stamp))
             except ValueError:
                 if line_number == 1 and not any(map(_is_number, (price, exog1, exog2))):
                     continue  # header row

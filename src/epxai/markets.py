@@ -3,7 +3,8 @@
 A market is a set of super-variables (a named input series at a fixed day
 lag, 24 hourly features each) plus optionally a day-of-week input; a model
 spec fixes the network shape, activation, regularisation and scalers. The
-five benchmark markets come with both built in. A partition labels groups
+five benchmark markets come with both built in, which are the defaults of
+a run config's ``market`` and ``model`` keys. A partition labels groups
 of a market's inputs for grouped Shapley values; :func:`split_group` and
 :func:`merge_groups` alone decide which splits and merges are allowed.
 
@@ -15,15 +16,14 @@ them again.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .errors import EpxaiError, check_bool, check_int, check_label, check_object, check_str
+from .errors import EpxaiError
 
 __all__ = [
     "SOURCES", "SCALER_KINDS", "MARKET_IDS", "DAY_OF_WEEK_LABEL", "ACTIVATIONS",
     "INIT_SCHEMES", "SuperVariable", "FeatureId", "MarketConfig", "ModelSpec",
-    "TrainingHyperparams", "market_config", "market_config_to_dict",
-    "market_config_from_dict", "benchmark_spec", "SshapError", "UnknownGroup",
+    "TrainingHyperparams", "market_config", "benchmark_spec", "SshapError", "UnknownGroup",
     "NotHourlyGroup", "Partition", "default_partition", "split_group", "merge_groups",
 ]
 
@@ -219,39 +219,6 @@ def market_config(market_id: str) -> MarketConfig:
     """Built-in configuration for one of the five benchmark markets."""
     currency, day_of_week, svs, _ = _preset(market_id)
     return MarketConfig(market_id, currency, tuple(SuperVariable(*sv) for sv in svs), day_of_week)
-
-
-def market_config_to_dict(config: MarketConfig) -> dict:
-    echo = asdict(config)
-    return {**echo, "super_variables": list(echo["super_variables"])}
-
-
-def market_config_from_dict(payload: dict) -> MarketConfig:
-    """Build a MarketConfig from its JSON form; raises ValueError on bad shape."""
-    keys = ("market_id", "currency", "include_day_of_week", "super_variables")
-    check_object(payload, "market", keys)
-    try:
-        svs = []
-        for k, entry in enumerate(payload["super_variables"]):
-            where = f"market.super_variables[{k}]"
-            check_object(entry, where, ("label", "source", "day_lag"))
-            svs.append(
-                SuperVariable(
-                    label=check_label(entry["label"], f"{where}.label"),
-                    source=entry["source"],
-                    day_lag=check_int(entry["day_lag"], f"{where}.day_lag"),
-                )
-            )
-        return MarketConfig(
-            market_id=check_str(payload["market_id"], "market.market_id"),
-            currency=check_str(payload.get("currency", "EUR"), "market.currency"),
-            super_variables=tuple(svs),
-            include_day_of_week=check_bool(
-                payload.get("include_day_of_week", False), "market.include_day_of_week"
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"bad market config: {exc}") from exc
 
 
 def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:

@@ -6,6 +6,8 @@ directory: ``model.json``, ``report.json``, ``manifest.json``,
 deterministic for a fixed config, dataset, and thread count; the manifest
 records sha256 hashes so two runs can be compared file by file. Wall-clock
 timings and absolute paths live only in the manifest, never in hashed outputs.
+Each config key but ``market_id``, ``dataset`` and ``out`` is a row of
+``_KEYS``; the ``market`` and ``model`` rows default to the market's preset.
 
 Loading this module loads the numpy-free layers (:mod:`epxai.markets`,
 :mod:`epxai.marketcsv`); each command imports the numeric layers it runs at
@@ -31,9 +33,9 @@ from .errors import (
 )
 from .marketcsv import DataError
 from .markets import (
-    ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, MarketConfig, ModelSpec, SshapError,
-    TrainingHyperparams, benchmark_spec, default_partition, market_config,
-    market_config_from_dict, market_config_to_dict, merge_groups, split_group,
+    ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, SOURCES, MarketConfig, ModelSpec,
+    SshapError, SuperVariable, TrainingHyperparams, benchmark_spec, default_partition,
+    market_config, merge_groups, split_group,
 )
 
 __all__ = [
@@ -93,6 +95,8 @@ def _entries(*fields):
     entry's values in field order.
     """
     def checker(value, name):
+        if not isinstance(value, (list, tuple, type(None))):
+            raise ValueError(f"'{name}' must be a list of objects, got {value!r}")
         entries = []
         for k, entry in enumerate(value or []):
             where = f"{name}[{k}]"
@@ -131,28 +135,37 @@ def _dates(value, name: str) -> list:
     return list(value)
 
 
-def _master_seed(echo: dict, bench: ModelSpec) -> int:
+def _master_seed(echo: dict, preset: dict) -> int:
     return echo["seed"]
 
 
 def _bench(field: str, index: int | None = None):
-    """Default read from ``benchmark_spec(market_id)``."""
-    def default(echo: dict, bench: ModelSpec):
-        value = getattr(bench, field)
+    """Default read from a market_config or benchmark_spec field of the preset."""
+    def default(echo: dict, preset: dict):
+        value = preset[field]
         return value if index is None else value[index]
     return default
 
 
-# Every key of the run config except market_id, dataset, out and market:
-# (section or None for top level, key, checker, default). A checker is called
-# as checker(value, dotted_name) and returns the value's echo form; a callable
-# default as default(echo_so_far, benchmark_spec(market_id)). Rows resolve in
-# order, so the master seed is known before the seeds it fills. The training
-# rows default to the TrainingHyperparams class attributes.
+# Every key of the run config except market_id, dataset and out: (section or
+# None for top level, key, checker, default). A checker is called as
+# checker(value, dotted_name) and returns the value's echo form; a callable
+# default as default(echo_so_far, preset), where preset maps each field of
+# market_config(market_id) and benchmark_spec(market_id) to its JSON form.
+# Rows resolve in order, so the master seed is known before the seeds it
+# fills. The market and model rows default to the market's preset, the
+# training rows to the TrainingHyperparams class attributes.
 _HP = TrainingHyperparams
 _SEED = _scalar(check_int, lo=0, hi=2**64 - 1)
 _KEYS = (
     (None, "seed", _SEED, 0),
+    ("market", "market_id", _scalar(check_str), _bench("market_id")),
+    ("market", "currency", _scalar(check_str), _bench("currency")),
+    ("market", "super_variables", _entries(
+        ("label", check_label), ("source", _scalar(check_choice, choices=SOURCES)),
+        ("day_lag", _scalar(check_int, lo=0)),
+    ), _bench("super_variables")),
+    ("market", "include_day_of_week", _scalar(check_bool), _bench("include_day_of_week")),
     ("model", "hidden1", _scalar(check_int, lo=1), _bench("layer_sizes", 1)),
     ("model", "hidden2", _scalar(check_int, lo=1), _bench("layer_sizes", 2)),
     ("model", "activation", _scalar(check_choice, choices=ACTIVATIONS), _bench("activation")),
@@ -185,7 +198,7 @@ _KEYS = (
     (None, "beeswarm_top_k", _scalar(check_int, lo=1), 20),
 )
 
-_TOP_KEYS = {"market_id", "dataset", "out", "market"} | {
+_TOP_KEYS = {"market_id", "dataset", "out"} | {
     section or key for section, key, _, _ in _KEYS
 }
 
@@ -249,7 +262,12 @@ def resolve_config(
     ConfigError naming its key.
     """
     try:
-        echo, market = _resolve_echo(raw, Path(base_dir), out_override)
+        echo = _resolve_echo(raw, Path(base_dir), out_override)
+        market_id, market = echo["market_id"], echo["market"]
+        if market["market_id"] != market_id:
+            raise ValueError(f"market config is for {market['market_id']!r}, run is {market_id!r}")
+        svs = tuple(SuperVariable(**sv) for sv in market["super_variables"])
+        market = MarketConfig(**{**market, "super_variables": svs})
         partitions = {"default": default_partition(market)}
         model = echo["model"]
         model_spec = ModelSpec(
@@ -288,8 +306,8 @@ def resolve_config(
     )
 
 
-def _resolve_echo(raw, base_dir: Path, out_override) -> tuple:
-    """The echo and market of a raw config; a bad value raises ValueError."""
+def _resolve_echo(raw, base_dir: Path, out_override) -> dict:
+    """The echo of a raw config; a bad value raises ValueError."""
     given = {None: check_object(raw, "config", _TOP_KEYS)}
     market_id = raw.get("market_id")
     if market_id not in MARKET_IDS:
@@ -300,32 +318,21 @@ def _resolve_echo(raw, base_dir: Path, out_override) -> tuple:
         "dataset": _path(raw.get("dataset"), "dataset", base_dir),
         "out": None if out is None else _path(out, "out", base_dir),
     }
-    market_raw = raw.get("market")
-    if market_raw is None:
-        market = market_config(market_id)
-    else:
-        market = market_config_from_dict(market_raw)
-        if market.market_id != market_id:
-            raise ValueError(
-                f"market config is for {market.market_id!r}, run is {market_id!r}"
-            )
-    echo["market"] = market_config_to_dict(market)
-
     for section in dict.fromkeys(s for s, _, _, _ in _KEYS if s):
         value = raw.get(section)
         keys = [k for s, k, _, _ in _KEYS if s == section]
         given[section] = check_object({} if value is None else value, section, keys)
         echo[section] = {}
-    bench = benchmark_spec(market_id)
+    preset = {**asdict(market_config(market_id)), **asdict(benchmark_spec(market_id))}
     for section, key, checker, default in _KEYS:
         name = key if section is None else f"{section}.{key}"
         if key in given[section]:
             value = given[section][key]
         else:
-            value = default(echo, bench) if callable(default) else default
+            value = default(echo, preset) if callable(default) else default
         value = checker(value, name)
         (echo if section is None else echo[section])[key] = value
-    return echo, market
+    return echo
 
 
 def _canonical_json(obj) -> str:
@@ -664,19 +671,19 @@ def _sshap_csv(tensor) -> str:
     return tensor_csv(header, tensor.instance_ids, tensor.values, prefixes)
 
 
-def _load_model_file(path: Path):
+def _load_model_file(path: Path) -> tuple:
     from .mlp import ModelError, load_model
 
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
+        trained = load_model(data.decode("utf-8"))
     except FileNotFoundError:
         raise ModelMismatch(f"model file not found: {path}; run train first") from None
     except (OSError, UnicodeDecodeError) as exc:
         raise ModelMismatch(f"cannot read model file {path}: {exc}") from exc
-    try:
-        return load_model(text)
     except ModelError as exc:
         raise ModelMismatch(f"model file {path}: {exc}") from exc
+    return trained, hashlib.sha256(data).hexdigest()
 
 
 def cmd_explain(args) -> int:
@@ -694,7 +701,12 @@ def cmd_explain(args) -> int:
     attribution = config.echo["attribution"]
     smoothing = config.echo["lines"]
     model_path = Path(args.model) if getattr(args, "model", None) else stage.out / "model.json"
-    trained = _load_model_file(model_path)
+    trained, model_sha256 = _load_model_file(model_path)
+    # the run's own model.json must still be the file a stage recorded, as
+    # report.json must be
+    recorded = _recorded_hash(stage.manifest, "model.json")
+    if model_path == stage.out / "model.json" and recorded not in (None, model_sha256):
+        raise IncompleteRun(f"run file {model_path} does not match its manifest hash")
     if trained.spec != config.model_spec:
         raise ModelMismatch(
             f"model file {model_path} was trained with different settings than "
@@ -788,7 +800,7 @@ def cmd_explain(args) -> int:
     }, (
         f"{len(indices)} instances, slope {check.slope:.3f}, "
         f"non-linearity {complexity.non_linearity:.3f} -> {stage.out}"
-    ), **_numpy_build())
+    ), model_sha256=model_sha256, **_numpy_build())
 
 
 def _markdown_table(header: list, rows: list) -> list:

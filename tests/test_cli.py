@@ -270,10 +270,50 @@ class TestValidate:
             + "\nconfig ok: NP, 144 features\n"
         )
 
+    @pytest.mark.parametrize("market_id", ["DE", "FR", "BE", "NP", "PJM"])
+    def test_preset_echo_validates_to_itself(self, tmp_path, market_id):
+        (tmp_path / "data.csv").write_text("placeholder\n")
+        path = tmp_path / "minimal.json"
+        path.write_text(json.dumps({"market_id": market_id, "dataset": "data.csv"}))
+        code, out, err = run_cli("validate", "--config", str(path))
+        assert (code, err) == (0, "")
+        echo = json.loads(out[:out.rindex("config ok:")])
+        again = tmp_path / "echo.json"
+        again.write_text(json.dumps(echo))
+        assert run_cli("validate", "--config", str(again)) == (0, out, "")
+        digests = [
+            pipeline._sha256_text(pipeline._canonical_json(load_config(p).settings))
+            for p in (path, again)
+        ]
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize(
+        "market_id, key, value",
+        [("PJM", "currency", "USD"), ("PJM", "market_id", "PJM"),
+         ("DE", "include_day_of_week", True), ("BE", "include_day_of_week", True)],
+    )
+    def test_partial_market_section_takes_preset_defaults(self, tmp_path, market_id, key, value):
+        svs = [{"label": "Price D-1", "source": "price", "day_lag": 1}]
+        raw = {"market_id": market_id, "dataset": "data.csv", "market": {"super_variables": svs}}
+        config = resolve_config(raw, base_dir=tmp_path)
+        assert config.echo["market"][key] == value
+        assert getattr(config.market, key) == value
+        assert config.echo["market"]["super_variables"] == svs
+
     @pytest.mark.parametrize(
         "mutate, fragment",
         [
             (lambda c: c.update(surprise=1), "surprise"),
+            (lambda c: c["market"].update(market_id="DE"), "market config is for 'DE', run is 'FR'"),
+            (lambda c: c["market"]["super_variables"][0].update(source="prices"),
+             "market.super_variables[0].source"),
+            (lambda c: c["market"]["super_variables"][1].update(day_lag=-1),
+             "market.super_variables[1].day_lag"),
+            (lambda c: c["market"]["super_variables"][1].pop("label"),
+             "market.super_variables[1].label"),
+            (lambda c: c["market"].update(super_variables=5), "market.super_variables"),
+            (lambda c: c["market"].update(super_variables=[]), "at least one super-variable"),
+            (lambda c: c["partition"].update(splits=5), "partition.splits"),
             (lambda c: c.update(market_id="XX"), "market_id"),
             (lambda c: c["partition"]["splits"].append({"group": "Price D-1", "hour": 24}), "hour"),
             (lambda c: c["lines"].update(band=[80, 20]), "band"),
@@ -555,6 +595,9 @@ class TestRunPipeline:
         model = str(completed["run"] / "model.json")
         code, _, err = run_cli("explain", "--config", config, "--out", str(run), "--model", model)
         assert (code, err) == (0, "")
+        # the record names the model explained, which lives outside this run
+        explain = json.loads((run / "manifest.json").read_text())["stages"]["explain"]
+        assert explain["model_sha256"] == sha(Path(model))
         code, _, err = run_cli("report", "--out", str(run))
         assert (code, err) == (0, "")
         summary = (run / "summary.md").read_text()
@@ -572,6 +615,10 @@ class TestRunPipeline:
             code, _, err = run_cli(command, "--config", "configs/run.json", "--out", "rel")
             assert (code, err) == (0, ""), command
         assert (tmp_path / "configs/rel/summary.md").is_file()
+
+    def test_explain_records_model_sha256(self, completed):
+        explain = json.loads((completed["run"] / "manifest.json").read_text())["stages"]["explain"]
+        assert explain["model_sha256"] == sha(completed["run"] / "model.json")
 
     def test_manifest_records_numpy_build(self, completed):
         stages = json.loads((completed["run"] / "manifest.json").read_text())["stages"]
@@ -752,6 +799,26 @@ class TestFailureExitCodes:
         assert len(err.rstrip("\n").splitlines()) == 1
         assert files() == before
         assert run_cli("report", "--out", str(copy))[0] == 6
+
+    def test_explain_refuses_swapped_model_json(self, completed, tmp_path):
+        # a model of the same spec, trained with another training seed
+        other = base_config(completed["dataset"], tmp_path / "other")
+        other["training"]["seed"] = 99
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(other))
+        assert run_cli("train", "--config", str(path))[0] == 0
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        shutil.copy(tmp_path / "other/model.json", copy / "model.json")
+        assert sha(copy / "model.json") != sha(completed["run"] / "model.json")
+        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        code, out, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy)
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith("error: 6: ") and "model.json" in err and "hash" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
     def test_explain_schema_1_model_exits_5(self, completed, tmp_path):
         payload = json.loads((completed["run"] / "model.json").read_text())

@@ -22,8 +22,6 @@ from epxai.markets import (
     SuperVariable,
     benchmark_spec,
     market_config,
-    market_config_from_dict,
-    market_config_to_dict,
 )
 
 
@@ -395,15 +393,7 @@ class TestMarketPresets:
         for market_id in ("FR", "NP", "PJM"):
             assert not market_config(market_id).include_day_of_week
 
-    def test_config_dict_roundtrip(self):
-        for market_id in ("DE", "FR", "BE", "NP", "PJM"):
-            config = market_config(market_id)
-            again = market_config_from_dict(market_config_to_dict(config))
-            assert again == config
-
     def test_bad_config_dict(self):
-        with pytest.raises(ValueError):
-            market_config_from_dict({"market_id": "DE"})
         with pytest.raises(ValueError):
             market_config("XX")
         with pytest.raises(ValueError):

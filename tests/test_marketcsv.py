@@ -183,3 +183,34 @@ def test_unclosed_quote_is_malformed_row():
         parse_hours("\n".join([HEADER, *rows]) + "\n")
     assert exc.value.line_number == 61
     assert "field larger than field limit" in str(exc.value)
+
+
+# Each stamp reads as 2013-01-01 00:00 on every supported Python; an offset is dropped.
+ACCEPTED_STAMPS = [
+    "2013-01-01 00:00:00", "2013-01-01T00:00:00", "2013-01-01", "2013-01-01T00",
+    "2013-01-01 00:00", "2013-01-01 00:00:00.000", "2013-01-01T00:00:00.000000",
+    "2013-01-01T00:00:00Z", "2013-01-01T00Z", "2013-01-01T00:00:00.000Z",
+    "2013-01-01T00:00:00+01:00", "2013-01-01T00+01:00", "2013-01-01T00:00:00-05:00:00.000000",
+]
+# From Python 3.11 on datetime.fromisoformat reads most of these; no version may.
+# Each is quoted in the CSV, so the comma of one stays in its field.
+REFUSED_STAMPS = [
+    "20130101T000000", "20130101", "2013-W01-2 00:00", "2013-W01-2", "2013-001",
+    "2013-01-01T000000", "2013-01-01T0000", "2013-01-01 00:00:00,000", "2013-01-01 00:00:00.0",
+    "2013-01-01T00:00:00+0100", "2013-01-01T00:00:00-01", "2013-01-01x00:00:00",
+    "2013-01-01+00:00", "2013-01-01Z", "2013-01-01 00:00:0", "２013-01-01 00:00:00",
+]
+
+
+@pytest.mark.parametrize("stamp", ACCEPTED_STAMPS)
+def test_accepted_timestamp_forms(stamp):
+    start, *_ = parse_hours(f'{HEADER}\n"{stamp}",1,2,3\n2013-01-01 01:00:00,4,5,6\n')
+    assert start == (datetime(2013, 1, 1) - datetime(1970, 1, 1)).days * 24
+
+
+@pytest.mark.parametrize("stamp", REFUSED_STAMPS)
+def test_refused_timestamp_forms(stamp):
+    with pytest.raises(MalformedRow) as exc:
+        parse_hours(f'{HEADER}\n"{stamp}",1,2,3\n2013-01-01 01:00:00,4,5,6\n')
+    assert exc.value.line_number == 2
+    assert str(exc.value) == f"line 2: bad timestamp {stamp!r}"
