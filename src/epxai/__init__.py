@@ -80,7 +80,6 @@ _EXPORTS = {
     "performance_metrics": "analytics",
     "complexity_metrics": "analytics",
     # figures
-    "RenderedFigure": "figures",
     "InstanceStack": "figures",
     "instance_stack": "figures",
     "render_figure": "figures",

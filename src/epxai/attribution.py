@@ -445,29 +445,29 @@ def explain_dataset(
     return shap_tensor, grad_tensor
 
 
-def tensor_csv(header: str, instance_ids, values: np.ndarray, prefixes) -> str:
-    """CSV text of an (n_instances, 24, n_columns) tensor, one row per value.
+def tensor_csv(header: str, instance_ids, values: np.ndarray, prefixes, out) -> None:
+    """Write the CSV of an (n_instances, 24, n_columns) tensor into text stream ``out``.
 
     Row ``(k, h, j)`` reads ``instance_ids[k],h,`` then ``prefixes[j]`` then
     the value in shortest round-trip form, so equal tensors always serialize
-    to byte-identical text. The text is joined one instance at a time, which
-    keeps the peak memory near twice the size of the output.
+    to byte-identical text. The text is formatted and written one instance
+    at a time, so the memory it takes is one instance's rows, whatever the
+    size of the file.
     """
-    chunks = [header + "\n"]
+    out.write(header + "\n")
     for instance_id, block in zip(instance_ids, values):
-        rows = [
+        out.write("".join([
             f"{instance_id},{h},{prefix}{value!r}\n"
             for h, row in enumerate(block.tolist())
             for prefix, value in zip(prefixes, row)
-        ]
-        chunks.append("".join(rows))
-    return "".join(chunks)
+        ]))
 
 
-def attribution_to_csv(tensor: AttributionTensor) -> str:
-    """Flat CSV of a tensor: instance, output hour, feature, value."""
+def attribution_to_csv(tensor: AttributionTensor, out) -> None:
+    """Write a tensor's flat CSV into text stream ``out``: instance, output
+    hour, feature, value."""
     prefixes = [
         f"{fid.group},{'' if fid.hour is None else fid.hour}," for fid in tensor.feature_ids
     ]
     header = "instance_id,output_hour,group,input_hour,value"
-    return tensor_csv(header, tensor.instance_ids, tensor.values, prefixes)
+    tensor_csv(header, tensor.instance_ids, tensor.values, prefixes, out)

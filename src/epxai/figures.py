@@ -1,11 +1,12 @@
 """Deterministic SVG rendering of analytics artefacts, with companion CSVs.
 
-Every figure is built by plain string assembly: fixed coordinate formatting,
-no randomness (beeswarm jitter comes from a golden-ratio sequence), no
-external assets. Each plotted datum carries a ``data-value`` attribute with
-the exact shortest round-trip float text, and the companion CSV holds the
-same numbers, so the CSV is the machine-readable source of truth and the
-SVG can always be checked against it byte for byte.
+Every figure is written element by element into the text stream it is
+handed, with its companion CSV row by row into a second stream: fixed
+coordinate formatting, no randomness (beeswarm jitter comes from a
+golden-ratio sequence), no external assets. Each plotted datum carries a
+``data-value`` attribute with the exact shortest round-trip float text, and
+the companion CSV holds the same numbers, so the CSV is the machine-readable
+source of truth and the SVG can always be checked against it byte for byte.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable
 from .sshap import SshapLines, SshapTensor
 
 __all__ = [
-    "RenderedFigure",
     "InstanceStack",
     "instance_stack",
     "render_figure",
@@ -31,12 +31,6 @@ _CATEGORICAL = (
 )
 
 _GOLDEN = 0.6180339887498949
-
-
-@dataclass
-class RenderedFigure:
-    svg: str
-    csv: str
 
 
 @dataclass
@@ -98,26 +92,28 @@ def _color(k: int) -> str:
     return _CATEGORICAL[k % len(_CATEGORICAL)]
 
 
-def _hex_to_rgb(color: str):
-    return tuple(int(color[i : i + 2], 16) for i in (1, 3, 5))
+def _rgb(color: str) -> np.ndarray:
+    return np.array([int(color[i : i + 2], 16) for i in (1, 3, 5)], dtype=np.float64)
 
 
-def _mix(c1: str, c2: str, t: float) -> str:
-    a, b = _hex_to_rgb(c1), _hex_to_rgb(c2)
-    return "#{:02x}{:02x}{:02x}".format(
-        *(round(x + (y - x) * t) for x, y in zip(a, b))
-    )
+def _ramp(t, diverging: bool) -> list:
+    """``#rrggbb`` fills of ramp positions ``t``, clipped to [0, 1], nested as ``t``.
 
-
-def _sequential(t: float) -> str:
-    return _mix("#f7fbff", "#08306b", min(max(t, 0.0), 1.0))
-
-
-def _diverging(t: float) -> str:
-    t = min(max(t, 0.0), 1.0)
-    if t < 0.5:
-        return _mix("#2166ac", "#f7f7f7", t * 2.0)
-    return _mix("#f7f7f7", "#b2182b", (t - 0.5) * 2.0)
+    Sequential runs light to dark blue; diverging runs blue to white below
+    0.5 and white to red above. Each channel is ``low + (high - low) * u``
+    rounded half to even, which np.rint does as ``round`` does.
+    """
+    t = np.clip(np.asarray(t, dtype=np.float64), 0.0, 1.0)[..., None]
+    if diverging:
+        low = t < 0.5
+        u = np.where(low, t * 2.0, (t - 0.5) * 2.0)
+        a = np.where(low, _rgb("#2166ac"), _rgb("#f7f7f7"))
+        b = np.where(low, _rgb("#f7f7f7"), _rgb("#b2182b"))
+    else:
+        u, a, b = t, _rgb("#f7fbff"), _rgb("#08306b")
+    rgb = np.rint(a + (b - a) * u).astype(np.int64)
+    codes = (rgb[..., 0] << 16) | (rgb[..., 1] << 8) | rgb[..., 2]
+    return np.vectorize("#{:06x}".format, otypes=[object])(codes).tolist()
 
 
 def _ticks(lo: float, hi: float, n: int = 5):
@@ -131,44 +127,41 @@ def _tick_text(v: float) -> str:
 _MIDDLE, _END = ' text-anchor="middle"', ' text-anchor="end"'
 
 
+# Each element and CSV row is one line of its file; the helpers below return
+# one element with its line end.
 def _text(x, y, body, size: int, fill: str, extra: str = "") -> str:
     """One escaped ``<text>``; int coordinates print as written, floats via ``_f``."""
     x, y = (str(v) if isinstance(v, int) else _f(v) for v in (x, y))
     return (
         f'<text x="{x}" y="{y}" font-size="{size}" fill="{fill}"{extra}>'
-        f"{_esc(body)}</text>"
+        f"{_esc(body)}</text>\n"
     )
 
 
 def _line(x1, y1, x2, y2, stroke: str = "#999") -> str:
     return (
         f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" y2="{_f(y2)}" '
-        f'stroke="{stroke}"/>'
+        f'stroke="{stroke}"/>\n'
     )
 
 
 def _polyline(points: str, stroke: str, style: str = 'stroke-width="1.5"',
               data: str = "") -> str:
-    return f'<polyline fill="none" stroke="{stroke}" {style} points="{points}"{data}/>'
+    return f'<polyline fill="none" stroke="{stroke}" {style} points="{points}"{data}/>\n'
 
 
-def _svg_open(width: float, height: float, title: str) -> list:
-    return [
+def _svg_open(svg, width: float, height: float, title: str) -> None:
+    svg.write(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
         f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}" '
-        f'font-family="sans-serif">',
-        f"<title>{_esc(title)}</title>",
-        f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="white"/>',
-        _text(12, 20, title, 14, "#222"),
-    ]
+        f'font-family="sans-serif">\n'
+        f"<title>{_esc(title)}</title>\n"
+        f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="white"/>\n'
+        + _text(12, 20, title, 14, "#222")
+    )
 
 
-def _done(parts: list, csv_lines: list) -> RenderedFigure:
-    parts.append("</svg>")
-    return RenderedFigure(svg="\n".join(parts) + "\n", csv="\n".join(csv_lines) + "\n")
-
-
-def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
+def _render_heatmap(grid: HeatmapGrid, svg, csv, title: str, unit: str) -> None:
     cell = 8.0
     gap = 16.0
     left, top = 64.0, 56.0
@@ -181,45 +174,40 @@ def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
     if signed:
         vmax = float(np.max(np.abs(grid.values))) or 1.0
         vmin = -vmax
-        color = _diverging
     else:
         vmin = 0.0
         vmax = float(np.max(grid.values)) or 1.0
-        color = _sequential
+    # vmax is never 0, so the scale never has zero width
+    fills = _ramp((grid.values - vmin) / (vmax - vmin), signed)
 
-    parts = _svg_open(width, height, title)
-    parts.append(
-        f'<g data-scale-min="{_val(vmin)}" data-scale-max="{_val(vmax)}">'
-    )
-    csv_lines = ["block,output_hour,input_hour,value,scale_min,scale_max"]
+    write_svg, write_csv = svg.write, csv.write
+    _svg_open(svg, width, height, title)
+    write_svg(f'<g data-scale-min="{_val(vmin)}" data-scale-max="{_val(vmax)}">\n')
+    write_csv("block,output_hour,input_hour,value,scale_min,scale_max\n")
     scale_text = f"{_val(vmin)},{_val(vmax)}"
     for b, (label, block) in enumerate(zip(grid.blocks, grid.values.tolist())):
         x0 = left + b * (block_w + gap)
         label_text = _esc(label)
-        parts.append(_text(x0, top - 8, label, 10, "#222"))
+        write_svg(_text(x0, top - 8, label, 10, "#222"))
         xs = [_f(x0 + in_h * cell) for in_h in range(24)]
-        for out_h, row in enumerate(block):
+        for out_h, (row, row_fills) in enumerate(zip(block, fills[b])):
             y_text = _f(top + out_h * cell)
-            for in_h, v in enumerate(row):
-                t = 0.5 if vmax == vmin else (v - vmin) / (vmax - vmin)
+            for in_h, (v, fill) in enumerate(zip(row, row_fills)):
                 v_text = repr(v)
-                parts.append(
+                write_svg(
                     f'<rect x="{xs[in_h]}" y="{y_text}" '
-                    f'width="{_f(cell)}" height="{_f(cell)}" fill="{color(t)}" '
+                    f'width="{_f(cell)}" height="{_f(cell)}" fill="{fill}" '
                     f'data-block="{label_text}" data-output-hour="{out_h}" '
-                    f'data-input-hour="{in_h}" data-value="{v_text}"/>'
+                    f'data-input-hour="{in_h}" data-value="{v_text}"/>\n'
                 )
-                csv_lines.append(f"{label},{out_h},{in_h},{v_text},{scale_text}")
-        parts.extend(
-            _text(x0 + h * cell + 1, top + block_w + 12, h, 8, "#555")
-            for h in (0, 6, 12, 18, 23)
-        )
-        parts.append(_text(x0, top + block_w + 26, "input hour", 9, "#555"))
-    parts.extend(
-        _text(left - 18, top + h * cell + 7, h, 8, "#555") for h in (0, 6, 12, 18, 23)
-    )
+                write_csv(f"{label},{out_h},{in_h},{v_text},{scale_text}\n")
+        for h in (0, 6, 12, 18, 23):
+            write_svg(_text(x0 + h * cell + 1, top + block_w + 12, h, 8, "#555"))
+        write_svg(_text(x0, top + block_w + 26, "input hour", 9, "#555"))
+    for h in (0, 6, 12, 18, 23):
+        write_svg(_text(left - 18, top + h * cell + 7, h, 8, "#555"))
     mid = top + block_w / 2
-    parts.append(_text(
+    write_svg(_text(
         12.0, mid, "output hour", 9, "#555",
         f' transform="rotate(-90 12 {_f(mid)})"{_MIDDLE}',
     ))
@@ -227,17 +215,16 @@ def _render_heatmap(grid: HeatmapGrid, title: str, unit: str) -> RenderedFigure:
     # Legend: vertical colour ramp with end labels.
     lx = width - legend_w
     steps = 24
-    for s in range(steps):
-        t = 1.0 - s / (steps - 1)
-        parts.append(
+    ramp = _ramp([1.0 - s / (steps - 1) for s in range(steps)], signed)
+    for s, fill in enumerate(ramp):
+        write_svg(
             f'<rect x="{_f(lx)}" y="{_f(top + s * block_w / steps)}" width="12" '
-            f'height="{_f(block_w / steps + 0.5)}" fill="{color(t)}"/>'
+            f'height="{_f(block_w / steps + 0.5)}" fill="{fill}"/>\n'
         )
     for frac, v in ((0.0, vmax), (0.5, (vmin + vmax) / 2.0), (1.0, vmin)):
-        parts.append(_text(lx + 16, top + frac * block_w + 4, _tick_text(v), 9, "#222"))
-    parts.append(_text(lx, top - 8, unit, 9, "#222"))
-    parts.append("</g>")
-    return _done(parts, csv_lines)
+        write_svg(_text(lx + 16, top + frac * block_w + 4, _tick_text(v), 9, "#222"))
+    write_svg(_text(lx, top - 8, unit, 9, "#222"))
+    write_svg("</g>\n")
 
 
 def _split_finite_runs(xs, ys):
@@ -276,55 +263,54 @@ class _Axes:
         """Pixel ``x,y`` pairs for a polyline."""
         return " ".join(f"{_f(self.x(x))},{_f(self.y(y))}" for x, y in zip(xs, ys))
 
-    def x_ticks(self) -> list:
+    def x_ticks(self, svg) -> None:
         """Tick marks and labels along the bottom edge of the box."""
         base = self.top + self.height
-        parts = []
         for v in _ticks(self.x0, self.x1):
             px = self.x(v)
-            parts.append(_line(px, base, px, base + 4))
-            parts.append(_text(px, base + 16, _tick_text(v), 9, "#555", _MIDDLE))
-        return parts
+            svg.write(_line(px, base, px, base + 4))
+            svg.write(_text(px, base + 16, _tick_text(v), 9, "#555", _MIDDLE))
 
-    def frame(self, x_label: str, y_label: str) -> list:
-        parts = [
+    def frame(self, svg, x_label: str, y_label: str) -> None:
+        svg.write(
             f'<rect x="{_f(self.left)}" y="{_f(self.top)}" width="{_f(self.width)}" '
-            f'height="{_f(self.height)}" fill="none" stroke="#999"/>',
-            *self.x_ticks(),
-        ]
+            f'height="{_f(self.height)}" fill="none" stroke="#999"/>\n'
+        )
+        self.x_ticks(svg)
         for v in _ticks(self.y0, self.y1):
             py = self.y(v)
-            parts.append(_line(self.left - 4, py, self.left, py))
-            parts.append(_text(self.left - 7, py + 3, _tick_text(v), 9, "#555", _END))
+            svg.write(_line(self.left - 4, py, self.left, py))
+            svg.write(_text(self.left - 7, py + 3, _tick_text(v), 9, "#555", _END))
         mid = self.top + self.height / 2
-        parts.append(_text(
+        svg.write(_text(
             self.left + self.width / 2, self.top + self.height + 32, x_label, 10,
             "#222", _MIDDLE,
         ))
-        parts.append(_text(
+        svg.write(_text(
             14, mid, y_label, 10, "#222", f'{_MIDDLE} transform="rotate(-90 14 {_f(mid)})"'
         ))
-        return parts
 
 
-def _plot(width: float, height: float, right: float, title: str,
-          x_range, y_range, x_label: str, y_label: str):
+def _plot(svg, width: float, height: float, right: float, title: str,
+          x_range, y_range, x_label: str, y_label: str) -> _Axes:
     """Open a figure with one framed plot box, ``right`` pixels clear of the edge."""
     axes = _Axes(x_range, y_range, (64.0, 40.0, width - 64 - right, height - 40 - 56))
-    return _svg_open(width, height, title) + axes.frame(x_label, y_label), axes
+    _svg_open(svg, width, height, title)
+    axes.frame(svg, x_label, y_label)
+    return axes
 
 
-def _legend(parts, entries, x, y):
+def _legend(svg, entries, x, y) -> None:
     for k, (label, color) in enumerate(entries):
         ly = y + k * 14
-        parts.append(
+        svg.write(
             f'<rect x="{_f(x)}" y="{_f(ly - 8)}" width="10" height="10" '
-            f'fill="{color}"/>'
+            f'fill="{color}"/>\n'
         )
-        parts.append(_text(x + 14, ly, label, 9, "#222"))
+        svg.write(_text(x + 14, ly, label, 9, "#222"))
 
 
-def _render_lines(lines: SshapLines, title: str, unit: str) -> RenderedFigure:
+def _render_lines(lines: SshapLines, svg, csv, title: str, unit: str) -> None:
     grid, baseline = lines.grid, lines.baseline
     finite = [values[np.isfinite(values)] for values in lines.values]
     lo = min((v.min() for v in finite if v.size), default=0.0)
@@ -333,15 +319,15 @@ def _render_lines(lines: SshapLines, title: str, unit: str) -> RenderedFigure:
     lo = min(lo, identity.min())
     hi = max(hi, identity.max())
     pad = 0.05 * (hi - lo or 1.0)
-    parts, axes = _plot(
-        760.0, 420.0, 190, title, (float(grid.min()), float(grid.max())),
+    axes = _plot(
+        svg, 760.0, 420.0, 190, title, (float(grid.min()), float(grid.max())),
         (lo - pad, hi + pad), f"actual price [{unit}]", f"group value [{unit}]",
     )
     # every line pools all instances and hours; the mode column keeps the
     # file's layout
-    csv_lines = ["group,mode,grid_price,value"]
+    csv.write("group,mode,grid_price,value\n")
     ends = grid[[0, -1]]
-    parts.append(_polyline(
+    svg.write(_polyline(
         axes.points(ends, ends - baseline), "#888", 'stroke-dasharray="5,4"',
         f' data-series="identity" data-baseline="{_val(baseline)}"',
     ))
@@ -350,49 +336,47 @@ def _render_lines(lines: SshapLines, title: str, unit: str) -> RenderedFigure:
         color = _color(k)
         entries.append((group, color))
         for xs, ys in _split_finite_runs(grid, values):
-            parts.append(_polyline(axes.points(xs, ys), color))
+            svg.write(_polyline(axes.points(xs, ys), color))
         for x, y in zip(grid, values):
-            csv_lines.append(
+            csv.write(
                 f"{group},pooled,{_val(x)},"
-                f"{'' if not math.isfinite(y) else _val(y)}"
+                f"{'' if not math.isfinite(y) else _val(y)}\n"
             )
             if math.isfinite(y):
-                parts.append(
+                svg.write(
                     f'<circle cx="{_f(axes.x(x))}" cy="{_f(axes.y(y))}" r="1.4" '
                     f'fill="{color}" data-group="{_esc(group)}" '
-                    f'data-price="{_val(x)}" data-value="{_val(y)}"/>'
+                    f'data-price="{_val(x)}" data-value="{_val(y)}"/>\n'
                 )
     entries.append(("price - baseline", "#888"))
-    _legend(parts, entries, 760.0 - 180, 56.0)
-    return _done(parts, csv_lines)
+    _legend(svg, entries, 760.0 - 180, 56.0)
 
 
-def _render_importance(table: ImportanceTable, title: str, unit: str) -> RenderedFigure:
+def _render_importance(table: ImportanceTable, svg, csv, title: str, unit: str) -> None:
     vmax = float(table.values.max()) if table.values.size else 1.0
-    parts, axes = _plot(
-        720.0, 400.0, 210, title, (0.0, 23.0), (0.0, vmax * 1.05 or 1.0),
+    axes = _plot(
+        svg, 720.0, 400.0, 210, title, (0.0, 23.0), (0.0, vmax * 1.05 or 1.0),
         "output hour", f"mean |value| [{unit}]",
     )
-    csv_lines = ["group,output_hour,value"]
+    csv.write("group,output_hour,value\n")
     entries = []
     hours = np.arange(24)
     for k, group in enumerate(table.groups):
         color = _color(k)
         entries.append((group, color))
         ys = table.values[:, k]
-        parts.append(_polyline(axes.points(hours, ys), color))
+        svg.write(_polyline(axes.points(hours, ys), color))
         for h, v in zip(hours, ys):
-            parts.append(
+            svg.write(
                 f'<circle cx="{_f(axes.x(h))}" cy="{_f(axes.y(v))}" r="1.8" '
                 f'fill="{color}" data-group="{_esc(group)}" data-output-hour="{h}" '
-                f'data-value="{_val(v)}"/>'
+                f'data-value="{_val(v)}"/>\n'
             )
-            csv_lines.append(f"{group},{h},{_val(v)}")
-    _legend(parts, entries, 720.0 - 200, 56.0)
-    return _done(parts, csv_lines)
+            csv.write(f"{group},{h},{_val(v)}\n")
+    _legend(svg, entries, 720.0 - 200, 56.0)
 
 
-def _render_beeswarm(table: BeeswarmTable, title: str, unit: str) -> RenderedFigure:
+def _render_beeswarm(table: BeeswarmTable, svg, csv, title: str, unit: str) -> None:
     row_h = 30.0
     left, top = 230.0, 48.0
     plot_w = 430.0
@@ -404,58 +388,59 @@ def _render_beeswarm(table: BeeswarmTable, title: str, unit: str) -> RenderedFig
         (float(np.max(np.abs(r.shap_values))) for r in table.rows), default=1.0
     ) or 1.0
     axes = _Axes((-vmax, vmax), (0.0, 1.0), (left, top, plot_w, plot_h))
-    parts = _svg_open(width, height, title)
-    parts.append(_line(axes.x(0.0), top, axes.x(0.0), top + plot_h, "#bbb"))
-    csv_lines = ["feature,instance_id,output_hour,feature_value,shap_value"]
+    write_svg, write_csv = svg.write, csv.write
+    _svg_open(svg, width, height, title)
+    write_svg(_line(axes.x(0.0), top, axes.x(0.0), top + plot_h, "#bbb"))
+    write_csv("feature,instance_id,output_hour,feature_value,shap_value\n")
     point = 0
     for r, row in enumerate(table.rows):
         cy = top + row_h * (r + 0.5)
-        parts.append(_text(left - 8, cy + 3, row.feature, 9, "#222", _END))
-        parts.append(_text(left + plot_w + 8, cy + 3, _tick_text(row.score), 9, "#555"))
+        write_svg(_text(left - 8, cy + 3, row.feature, 9, "#222", _END))
+        write_svg(_text(left + plot_w + 8, cy + 3, _tick_text(row.score), 9, "#555"))
         fv = row.feature_values
         flo, fhi = float(fv.min()), float(fv.max())
         span = fhi - flo or 1.0
+        fills = _ramp((fv - flo) / span, diverging=True)
         feature = str(row.feature)
         for i, (instance_id, values) in enumerate(
             zip(table.instance_ids, row.shap_values.tolist())
         ):
             fv_text = _val(fv[i])
             attrs = (
-                f'r="1.6" fill="{_diverging((fv[i] - flo) / span)}" fill-opacity="0.75" '
+                f'r="1.6" fill="{fills[i]}" fill-opacity="0.75" '
                 f'data-feature="{_esc(feature)}" data-instance="{_esc(instance_id)}"'
             )
             for h, v in enumerate(values):
                 jitter = ((point * _GOLDEN) % 1.0 - 0.5) * row_h * 0.7
                 point += 1
                 v_text = repr(v)
-                parts.append(
+                write_svg(
                     f'<circle cx="{_f(axes.x(v))}" cy="{_f(cy + jitter)}" {attrs} '
                     f'data-output-hour="{h}" '
-                    f'data-feature-value="{fv_text}" data-value="{v_text}"/>'
+                    f'data-feature-value="{fv_text}" data-value="{v_text}"/>\n'
                 )
-                csv_lines.append(f"{feature},{instance_id},{h},{fv_text},{v_text}")
-    parts.extend(axes.x_ticks())
-    parts.append(_text(
+                write_csv(f"{feature},{instance_id},{h},{fv_text},{v_text}\n")
+    axes.x_ticks(svg)
+    write_svg(_text(
         left + plot_w / 2, top + plot_h + 34,
         f"contribution [{unit}] (colour: feature value low to high)", 10, "#222",
         _MIDDLE,
     ))
-    return _done(parts, csv_lines)
 
 
-def _render_stack(stack: InstanceStack, title: str, unit: str) -> RenderedFigure:
+def _render_stack(stack: InstanceStack, svg, csv, title: str, unit: str) -> None:
     pos = np.clip(stack.contributions, 0.0, None).sum(axis=1)
     neg = np.clip(stack.contributions, None, 0.0).sum(axis=1)
     net = stack.forecast - stack.baseline
     lo = min(float(neg.min()), float(net.min()), 0.0)
     hi = max(float(pos.max()), float(net.max()), 0.0)
     pad = 0.05 * (hi - lo or 1.0)
-    parts, axes = _plot(
-        820.0, 440.0, 230, title, (-0.5, 23.5), (lo - pad, hi + pad),
+    axes = _plot(
+        svg, 820.0, 440.0, 230, title, (-0.5, 23.5), (lo - pad, hi + pad),
         "output hour", f"contribution [{unit}]",
     )
     zero_y = axes.y(0.0)
-    parts.append(_line(axes.left, zero_y, axes.left + axes.width, zero_y, "#bbb"))
+    svg.write(_line(axes.left, zero_y, axes.left + axes.width, zero_y, "#bbb"))
     bar_w = axes.width / 24.0 * 0.72
     for h in range(24):
         cx = axes.x(float(h))
@@ -469,50 +454,50 @@ def _render_stack(stack: InstanceStack, title: str, unit: str) -> RenderedFigure
             else:
                 y_top, y_bot = axes.y(down), axes.y(down + v)
                 down += v
-            parts.append(
+            svg.write(
                 f'<rect x="{_f(cx - bar_w / 2)}" y="{_f(y_top)}" '
                 f'width="{_f(bar_w)}" height="{_f(max(y_bot - y_top, 0.0))}" '
                 f'fill="{_color(g)}" fill-opacity="0.85" '
                 f'data-series="{_esc(group)}" data-output-hour="{h}" '
-                f'data-value="{_val(v)}"/>'
+                f'data-value="{_val(v)}"/>\n'
             )
-    csv_lines = ["series,output_hour,value"] + [
-        f"{group},{h},{_val(stack.contributions[h, g])}"
-        for g, group in enumerate(stack.groups)
-        for h in range(24)
-    ]
-    parts.append(_polyline(axes.points(range(24), net), "#222"))
+    csv.write("series,output_hour,value\n")
+    for g, group in enumerate(stack.groups):
+        for h in range(24):
+            csv.write(f"{group},{h},{_val(stack.contributions[h, g])}\n")
+    svg.write(_polyline(axes.points(range(24), net), "#222"))
     for h in range(24):
-        parts.append(
+        svg.write(
             f'<circle cx="{_f(axes.x(float(h)))}" cy="{_f(axes.y(float(net[h])))}" '
             f'r="2.2" fill="#222" data-series="forecast_minus_baseline" '
-            f'data-output-hour="{h}" data-value="{_val(net[h])}"/>'
+            f'data-output-hour="{h}" data-value="{_val(net[h])}"/>\n'
         )
-        csv_lines.append(f"forecast_minus_baseline,{h},{_val(net[h])}")
+        csv.write(f"forecast_minus_baseline,{h},{_val(net[h])}\n")
     entries = [(group, _color(g)) for g, group in enumerate(stack.groups)]
     entries.append(("forecast - baseline", "#222"))
-    _legend(parts, entries, 820.0 - 218, 56.0)
-    return _done(parts, csv_lines)
+    _legend(svg, entries, 820.0 - 218, 56.0)
 
 
-def render_figure(artifact, title: str = "", unit: str = "EUR/MWh") -> RenderedFigure:
-    """Render an analytics artefact to an SVG and its companion CSV.
+def render_figure(artifact, svg, csv, title: str = "", unit: str = "EUR/MWh") -> None:
+    """Render an analytics artefact as an SVG into text stream ``svg`` and its
+    companion CSV into text stream ``csv``.
 
     Accepts a :class:`HeatmapGrid`, an :class:`ImportanceTable`, a
     :class:`BeeswarmTable`, an :class:`InstanceStack`, or :class:`SshapLines`,
-    drawn with the dashed identity line ``price - baseline``. Rendering is
-    pure: the same artefact always yields the same bytes.
+    drawn with the dashed identity line ``price - baseline``. Each SVG
+    element and CSV row is written as it is formatted, so no whole figure is
+    held. Rendering is pure: the same artefact always yields the same bytes.
     """
     if isinstance(artifact, HeatmapGrid):
-        return _render_heatmap(artifact, title or "attribution heatmap", unit)
-    if isinstance(artifact, ImportanceTable):
-        return _render_importance(artifact, title or "hourly importance", unit)
-    if isinstance(artifact, BeeswarmTable):
-        return _render_beeswarm(artifact, title or "top features", unit)
-    if isinstance(artifact, InstanceStack):
-        return _render_stack(
-            artifact, title or f"contributions {artifact.instance_id}", unit
-        )
-    if isinstance(artifact, SshapLines):
-        return _render_lines(artifact, title or "group value vs price", unit)
-    raise TypeError(f"cannot render object of type {type(artifact).__name__}")
+        _render_heatmap(artifact, svg, csv, title or "attribution heatmap", unit)
+    elif isinstance(artifact, ImportanceTable):
+        _render_importance(artifact, svg, csv, title or "hourly importance", unit)
+    elif isinstance(artifact, BeeswarmTable):
+        _render_beeswarm(artifact, svg, csv, title or "top features", unit)
+    elif isinstance(artifact, InstanceStack):
+        _render_stack(artifact, svg, csv, title or f"contributions {artifact.instance_id}", unit)
+    elif isinstance(artifact, SshapLines):
+        _render_lines(artifact, svg, csv, title or "group value vs price", unit)
+    else:
+        raise TypeError(f"cannot render object of type {type(artifact).__name__}")
+    svg.write("</svg>\n")

@@ -24,6 +24,7 @@ import os
 import sys
 import time
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -343,16 +344,34 @@ def _sha256_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` by ``data`` through a temp file in the same directory.
+def _file_sha256(path: Path) -> str:
+    """sha256 of a file's bytes, read in 64 KiB blocks so no file is held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
 
-    ``os.replace`` swaps the complete file in at once, so a write that fails
-    or is interrupted leaves the earlier file whole and no partial file.
+
+def _write_atomic(path: Path, content) -> str:
+    """Stream ``content`` to a temp file beside ``path``, swap it in, return its sha256.
+
+    ``content`` is the text, or a function that writes the text into the
+    buffered text stream it is handed as it formats it, so no whole copy of
+    a large table or figure is held. The sha256 is read back from the temp
+    file's bytes; ``os.replace`` then swaps the complete file in at once, so
+    a write that fails or a writer that raises leaves the earlier file whole
+    and no partial file.
     """
     tmp = path.with_name(path.name + ".tmp")
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(data)
+        with open(tmp, "w", encoding="utf-8", newline="") as stream:
+            if callable(content):
+                content(stream)
+            else:
+                stream.write(content)
+        digest = _file_sha256(tmp)
         os.replace(tmp, path)
     except OSError as exc:
         raise EpxaiError(f"cannot write {path}: {exc}") from exc
@@ -360,6 +379,7 @@ def _write_atomic(path: Path, data: bytes) -> None:
         # the temp path itself is unusable when the parent is not a directory
         with contextlib.suppress(OSError):
             tmp.unlink(missing_ok=True)
+    return digest
 
 
 def _csv(rows: list) -> str:
@@ -430,10 +450,10 @@ def _verified_outputs(out: Path, manifest: dict) -> list:
     for stage, record in sorted(manifest["stages"].items()):
         for rel, digest in record["outputs"].items():
             try:
-                data = (out / rel).read_bytes()
+                actual = _file_sha256(out / rel)
             except OSError as exc:
                 raise IncompleteRun(f"stage {stage} output {rel} is unreadable: {exc}") from exc
-            if hashlib.sha256(data).hexdigest() != digest:
+            if actual != digest:
                 raise IncompleteRun(f"stage {stage} output {rel} does not match its manifest hash")
             verified.append(rel)
     return sorted(verified)
@@ -448,10 +468,10 @@ class _Stage:
     another dataset, or one with an unreadable or malformed run file, before
     anything is written. The config check leaves out the ``dataset`` and
     ``out`` paths, so a copied or moved run directory can be continued.
-    ``write`` and ``figure`` write each artifact as soon as it exists and
-    record its hash; ``finish`` merges the report section, records the stage
-    in ``manifest.json`` and prints the stage line. Every file goes through
-    :func:`_write_atomic`.
+    ``write`` and ``figure`` stream each artifact to disk as soon as it exists
+    and record its hash; ``finish`` merges the report section, records the
+    stage in ``manifest.json`` and prints the stage line. Every file goes
+    through :func:`_write_atomic`.
     """
 
     def __init__(self, args, name: str, parse):
@@ -511,19 +531,18 @@ class _Stage:
         }
         self.series = parse(text, config.market.market_id)
 
-    def write(self, rel: str, text: str) -> None:
-        data = text.encode("utf-8")
-        _write_atomic(self.out / rel, data)
-        self.outputs[rel] = hashlib.sha256(data).hexdigest()
+    def write(self, rel: str, content) -> None:
+        """Write one artifact (text, or a writer of the stream) and record its hash."""
+        self.outputs[rel] = _write_atomic(self.out / rel, content)
 
     def figure(self, stem: str, artifact, title: str, unit: str) -> None:
         from .figures import render_figure
 
-        rendered = render_figure(
-            artifact, title=f"{self.config.market.market_id} {title}", unit=unit
-        )
-        self.write(f"figures/{stem}.svg", rendered.svg)
-        self.write(f"tables/{stem}.csv", rendered.csv)
+        title = f"{self.config.market.market_id} {title}"
+        # the SVG and its CSV stream side by side; the CSV is swapped in first
+        self.write(f"figures/{stem}.svg", lambda svg: self.write(
+            f"tables/{stem}.csv", lambda csv: render_figure(artifact, svg, csv, title, unit)
+        ))
 
     def finish(self, section: dict | None, message: str, **build) -> int:
         if section:
@@ -548,7 +567,7 @@ class _Stage:
             **build,
             "outputs": dict(sorted(self.outputs.items())),
         }
-        _write_atomic(self.out / "manifest.json", _canonical_json(self.manifest).encode("utf-8"))
+        _write_atomic(self.out / "manifest.json", _canonical_json(self.manifest))
         print(f"{self.name}: {message}")
         return 0
 
@@ -663,12 +682,12 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
     return indices
 
 
-def _sshap_csv(tensor) -> str:
+def _sshap_csv(tensor, out) -> None:
     from .attribution import tensor_csv
 
     prefixes = [f"{label}," for label in tensor.partition.labels]
     header = "instance_id,output_hour,group,value"
-    return tensor_csv(header, tensor.instance_ids, tensor.values, prefixes)
+    tensor_csv(header, tensor.instance_ids, tensor.values, prefixes, out)
 
 
 def _load_model_file(path: Path) -> tuple:
@@ -748,10 +767,10 @@ def cmd_explain(args) -> int:
     shap_grid = heatmap(shap_tensor, "mean_abs")
     complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
 
-    stage.write("tables/shap.csv", attribution_to_csv(shap_tensor))
-    stage.write("tables/gradient.csv", attribution_to_csv(grad_tensor))
+    stage.write("tables/shap.csv", partial(attribution_to_csv, shap_tensor))
+    stage.write("tables/gradient.csv", partial(attribution_to_csv, grad_tensor))
     for name, tensor in grouped.items():
-        stage.write(f"tables/sshap_{name}.csv", _sshap_csv(tensor))
+        stage.write(f"tables/sshap_{name}.csv", partial(_sshap_csv, tensor))
 
     unit = f"{config.market.currency}/MWh"
     stage.figure("heatmap_shap", shap_grid, "mean |contribution|", unit)
@@ -908,7 +927,7 @@ def cmd_report(args) -> int:
         lines.append(f"- stage {stage}: {len(record['outputs'])} files")
     lines.append("")
 
-    _write_atomic(out / "summary.md", "\n".join(lines).encode("utf-8"))
+    _write_atomic(out / "summary.md", "\n".join(lines))
     print(f"report: {len(figures)} figures, {len(tables)} tables -> {out / 'summary.md'}")
     return 0
 
@@ -930,7 +949,7 @@ def cmd_oracle(args) -> int:
             "seed": args.seed,
             "results": [{**asdict(r), "seconds": round(r.seconds, 3)} for r in results],
         }
-        _write_atomic(out / "oracle.json", _canonical_json(payload).encode("utf-8"))
+        _write_atomic(out / "oracle.json", _canonical_json(payload))
         print(f"wrote {out / 'oracle.json'}")
     return 0 if all(r.passed for r in results) else 1
 

@@ -1,5 +1,6 @@
 """Attribution layer: Jacobians, sampled and exact Shapley values, tensors."""
 
+import io
 import warnings
 
 import numpy as np
@@ -464,7 +465,9 @@ class TestCsvExport:
             values=np.arange(48.0).reshape(1, 24, 2) / 16.0,
             baseline=np.zeros(24),
         )
-        text = attribution_to_csv(tensor)
+        out = io.StringIO()
+        attribution_to_csv(tensor, out)
+        text = out.getvalue()
         lines = text.strip().split("\n")
         assert lines[0] == "instance_id,output_hour,group,input_hour,value"
         assert lines[1] == "2013-01-08,0,Price D-1,0,0.0"
@@ -472,5 +475,7 @@ class TestCsvExport:
         assert lines[-1] == "2013-01-08,23,Day of week,,2.9375"
         assert len(lines) == 1 + 48
         # Byte determinism and exact float round-trip.
-        assert attribution_to_csv(tensor) == text
+        again = io.StringIO()
+        attribution_to_csv(tensor, again)
+        assert again.getvalue() == text
         assert float(lines[2].rsplit(",", 1)[1]) == tensor.values[0, 0, 1]

@@ -926,23 +926,71 @@ class TestFailureExitCodes:
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
         before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
-        real_write = Path.write_bytes
+        half = len(before[copy / name]) // 2
+        reached = []
 
-        def write_half_then_fail(path, data):
-            if path.name.startswith(Path(name).name):
-                real_write(path, data[: len(data) // 2])
-                raise OSError(28, "No space left on device")
-            return real_write(path, data)
+        class HalfThenFull:
+            """The temp file's stream: half the file's bytes reach the disk, then ENOSPC."""
 
-        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+            def __init__(self, stream):
+                self.stream, self.written = stream, 0
+
+            def write(self, text):
+                room = half - self.written
+                if len(text) > room:
+                    self.stream.write(text[:room])
+                    self.stream.flush()
+                    reached.append(os.path.getsize(self.stream.name))
+                    raise OSError(28, "No space left on device")
+                self.written += len(text)
+                return self.stream.write(text)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.stream.close()
+
+        def open_failing(path, mode="r", **kwargs):
+            stream = open(path, mode, **kwargs)
+            if "w" in mode and Path(path).name == Path(name).name + ".tmp":
+                return HalfThenFull(stream)
+            return stream
+
+        # the run directory writer opens its temp files through the module's
+        # own name `open`
+        monkeypatch.setattr(pipeline, "open", open_failing, raising=False)
         code, _, err = run_cli(
             "explain", "--config", str(completed["config"]), "--out", str(copy)
         )
+        assert reached == [half]
         assert code == 1
         assert err.startswith("error: 1: cannot write ") and name in err
         assert len(err.rstrip("\n").splitlines()) == 1
         # explain rewrites the same bytes before the failure, so the whole
         # directory is as it was, with no temp file left behind
+        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+
+    def test_renderer_failure_keeps_earlier_figure(self, completed, tmp_path, monkeypatch):
+        import epxai.figures
+
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+
+        def render_half(table, svg, csv, title, unit):
+            svg.write("<svg>\n<circle/>\n")
+            csv.write("feature,instance_id\n")
+            raise MemoryError("beeswarm")
+
+        monkeypatch.setattr(epxai.figures, "_render_beeswarm", render_half)
+        code, _, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy)
+        )
+        assert code == 1
+        assert err.startswith("error: 1: out of memory: beeswarm")
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not list(copy.rglob("*.tmp"))
         assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
 
     def test_failed_summary_write_is_one_error_line(self, completed, tmp_path):

@@ -6,7 +6,10 @@ form of the same contract (shortest round-trip ``repr`` for every value).
 """
 
 import csv
+import hashlib
 import io
+import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -14,11 +17,18 @@ from epxai.attribution import AttributionTensor, attribution_to_csv
 from epxai.data import HourlySeries
 from epxai.marketcsv import hours_csv
 from epxai.markets import FeatureId, Partition
-from epxai.pipeline import _sshap_csv
+from epxai.pipeline import _sshap_csv, _write_atomic
 from epxai.sshap import SshapTensor
 
 # Signed zero, the smallest subnormal and a value repr writes in exponent form.
 SPECIAL = np.array([-0.0, 5e-324, 1e16, 0.1, -2.5, 1e-7, 123456.789])
+
+
+def _written(writer, *args):
+    """The text a stream writer writes into a string stream."""
+    out = io.StringIO()
+    writer(*args, out)
+    return out.getvalue()
 
 
 def _values(shape, seed=0):
@@ -100,7 +110,7 @@ def test_attribution_to_csv_matches_reference():
         values=_values((len(INSTANCES), 24, len(FEATURES)), seed=2),
         baseline=np.zeros(24),
     )
-    text = attribution_to_csv(tensor)
+    text = _written(attribution_to_csv, tensor)
     assert text == _attribution_csv_reference(tensor)
     assert "\n1969-12-31,0,Price D-1,0,-0.0\n" in text
     assert "\n2013-04-02,23,Day of week,,-0.0\n" in text
@@ -111,7 +121,7 @@ def test_attribution_to_csv_with_no_instances():
         kind="gradient", instance_ids=[], feature_ids=FEATURES,
         values=np.zeros((0, 24, len(FEATURES))),
     )
-    assert attribution_to_csv(tensor) == _attribution_csv_reference(tensor)
+    assert _written(attribution_to_csv, tensor) == _attribution_csv_reference(tensor)
 
 
 def test_sshap_csv_matches_reference():
@@ -127,7 +137,35 @@ def test_sshap_csv_matches_reference():
         values=_values((len(INSTANCES), 24, 2), seed=3),
         baseline=np.zeros(24),
     )
-    text = _sshap_csv(tensor)
+    text = _written(_sshap_csv, tensor)
     assert text == _sshap_csv_reference(tensor)
     assert "\n1969-12-31,0,Price D-1,-0.0\n" in text
     assert ",Load & <rest>,5e-324\n" in text
+
+
+def test_tensor_csv_streams_in_bounded_memory(tmp_path):
+    # Written one instance at a time, a (64, 24, 144) tensor (the NP shape)
+    # makes an 8.4 MB CSV with a traced peak of 0.48 MB, 0.057 of the file,
+    # measured on CPython 3.11. Formatting the whole text before one write
+    # peaked at 17.2 MB, 2.04 times the file. A bound of an eighth of the file
+    # leaves room for other Python versions and fails any path that holds
+    # the whole text.
+    features = tuple(FeatureId(f"Group {j // 24}", j % 24) for j in range(144))
+    tensor = AttributionTensor(
+        kind="shap",
+        instance_ids=[f"2013-01-{1 + k % 28:02d}" for k in range(64)],
+        feature_ids=features,
+        values=_values((64, 24, len(features)), seed=4),
+        baseline=np.zeros(24),
+    )
+    path = tmp_path / "shap.csv"
+    tracemalloc.start()
+    try:
+        digest = _write_atomic(path, partial(attribution_to_csv, tensor))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 8_000_000
+    assert peak < size / 8
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

@@ -1,7 +1,9 @@
 """SVG/CSV rendering checks: determinism, value mirroring, NaN handling."""
 
 import hashlib
+import io
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from epxai.analytics import (
     HeatmapGrid,
     ImportanceTable,
 )
-from epxai.figures import InstanceStack, RenderedFigure, instance_stack, render_figure
+from epxai.figures import InstanceStack, _ramp, instance_stack, render_figure
 from epxai.markets import FeatureId, Partition
 from epxai.sshap import SshapLines, SshapTensor
 
@@ -21,6 +23,13 @@ _DATA_VALUE = re.compile(r'data-value="([^"]+)"')
 
 def _data_values(svg):
     return [float(m) for m in _DATA_VALUE.findall(svg)]
+
+
+def _render(artifact, **kwargs):
+    """The SVG and CSV text render_figure writes into two string streams."""
+    svg, csv = io.StringIO(), io.StringIO()
+    assert render_figure(artifact, svg, csv, **kwargs) is None
+    return SimpleNamespace(svg=svg.getvalue(), csv=csv.getvalue())
 
 
 def _csv_rows(csv_text):
@@ -106,28 +115,29 @@ class TestDeterminism:
         tensor, forecast = _stack(np.random.default_rng(6))
         stack = instance_stack(tensor, 1, forecast)
         for artifact in (grid, lines, table, swarm, stack):
-            first = render_figure(artifact)
-            second = render_figure(artifact)
+            first = _render(artifact)
+            second = _render(artifact)
             assert first.svg == second.svg
             assert first.csv == second.csv
 
-    def test_returns_rendered_figure(self):
-        fig = render_figure(_heatmap(np.random.default_rng(0)))
-        assert isinstance(fig, RenderedFigure)
+    def test_writes_one_svg_document(self):
+        fig = _render(_heatmap(np.random.default_rng(0)))
         assert fig.svg.startswith("<svg ")
-        assert fig.svg.rstrip().endswith("</svg>")
+        assert fig.svg.endswith("</svg>\n") and fig.svg.count("</svg>") == 1
+        assert fig.csv.endswith("\n")
 
     def test_unknown_artifact_rejected(self):
-        with pytest.raises(TypeError):
-            render_figure({"not": "renderable"})
-        with pytest.raises(TypeError):
-            render_figure([])
+        for artifact in ({"not": "renderable"}, []):
+            svg, csv = io.StringIO(), io.StringIO()
+            with pytest.raises(TypeError):
+                render_figure(artifact, svg, csv)
+            assert svg.getvalue() == csv.getvalue() == ""
 
 
 class TestHeatmapFigure:
     def test_csv_mirrors_svg_data_values(self):
         grid = _heatmap(np.random.default_rng(7), n_blocks=3)
-        fig = render_figure(grid)
+        fig = _render(grid)
         header, rows = _csv_rows(fig.csv)
         assert header == [
             "block", "output_hour", "input_hour", "value", "scale_min", "scale_max",
@@ -138,14 +148,14 @@ class TestHeatmapFigure:
 
     def test_csv_rows_match_grid_entries(self):
         grid = _heatmap(np.random.default_rng(8), n_blocks=1)
-        _, rows = _csv_rows(render_figure(grid).csv)
+        _, rows = _csv_rows(_render(grid).csv)
         for block, out_h, in_h, value, _, _ in rows:
             assert block == "Group 0"
             assert float(value) == grid.values[0, int(out_h), int(in_h)]
 
     def test_scale_columns_are_constant_and_symmetric_when_signed(self):
         grid = _heatmap(np.random.default_rng(9), signed=True)
-        _, rows = _csv_rows(render_figure(grid).csv)
+        _, rows = _csv_rows(_render(grid).csv)
         lo = {r[4] for r in rows}
         hi = {r[5] for r in rows}
         assert len(lo) == 1 and len(hi) == 1
@@ -155,13 +165,13 @@ class TestHeatmapFigure:
 
     def test_magnitude_grid_scale_starts_at_zero(self):
         grid = _heatmap(np.random.default_rng(10), signed=False)
-        _, rows = _csv_rows(render_figure(grid).csv)
+        _, rows = _csv_rows(_render(grid).csv)
         assert float(rows[0][4]) == 0.0
         assert float(rows[0][5]) == float(grid.values.max())
 
     def test_one_rect_per_cell(self):
         grid = _heatmap(np.random.default_rng(11), n_blocks=2)
-        svg = render_figure(grid).svg
+        svg = _render(grid).svg
         cells = re.findall(r'<rect[^>]*data-input-hour="', svg)
         assert len(cells) == 2 * 24 * 24
 
@@ -169,15 +179,15 @@ class TestHeatmapFigure:
 class TestLineFigure:
     def test_nan_leaves_empty_csv_cell(self):
         lines = _lines(np.random.default_rng(12), with_nan=True)
-        fig = render_figure(lines)
+        fig = _render(lines)
         _, rows = _csv_rows(fig.csv)
         gaps = [r for r in rows if r[3] == ""]
         assert len(gaps) == 4
         assert all(r[0] == "Series 0" for r in gaps)
 
     def test_nan_splits_polyline(self):
-        whole = render_figure(_lines(np.random.default_rng(13))).svg
-        gapped = render_figure(
+        whole = _render(_lines(np.random.default_rng(13))).svg
+        gapped = _render(
             _lines(np.random.default_rng(13), with_nan=True)
         ).svg
         count = lambda svg: len(
@@ -188,20 +198,20 @@ class TestLineFigure:
 
     def test_finite_points_mirror_csv(self):
         lines = _lines(np.random.default_rng(14), with_nan=True)
-        fig = render_figure(lines)
+        fig = _render(lines)
         _, rows = _csv_rows(fig.csv)
         finite = [float(r[3]) for r in rows if r[3] != ""]
         assert finite == _data_values(fig.svg)
 
     def test_baseline_draws_identity_reference(self):
-        svg = render_figure(_lines(np.random.default_rng(15), baseline=30.0)).svg
+        svg = _render(_lines(np.random.default_rng(15), baseline=30.0)).svg
         assert svg.count('data-series="identity"') == 1
         assert 'data-baseline="30.0"' in svg
         assert ">price - baseline</text>" in svg
 
     def test_csv_carries_group_and_mode(self):
         lines = _lines(np.random.default_rng(16))
-        header, rows = _csv_rows(render_figure(lines).csv)
+        header, rows = _csv_rows(_render(lines).csv)
         assert header == ["group", "mode", "grid_price", "value"]
         assert {r[0] for r in rows} == {"Series 0", "Series 1"}
         assert {r[1] for r in rows} == {"pooled"}
@@ -215,7 +225,7 @@ class TestImportanceFigure:
             groups=("Price D-1", "Load Forecast D", "Day of week"),
             values=np.abs(rng.normal(size=(24, 3))),
         )
-        fig = render_figure(table)
+        fig = _render(table)
         header, rows = _csv_rows(fig.csv)
         assert header == ["group", "output_hour", "value"]
         assert len(rows) == 24 * 3
@@ -228,7 +238,7 @@ class TestImportanceFigure:
         table = ImportanceTable(
             groups=("A<B&C",), values=np.ones((24, 1))
         )
-        svg = render_figure(table).svg
+        svg = _render(table).svg
         assert "A&lt;B&amp;C" in svg
         assert "A<B&C" not in svg
 
@@ -236,7 +246,7 @@ class TestImportanceFigure:
 class TestBeeswarmFigure:
     def test_point_count_and_mirroring(self):
         table = _beeswarm(np.random.default_rng(18), n_rows=2, n_instances=3)
-        fig = render_figure(table)
+        fig = _render(table)
         header, rows = _csv_rows(fig.csv)
         assert header == [
             "feature", "instance_id", "output_hour", "feature_value", "shap_value",
@@ -246,7 +256,7 @@ class TestBeeswarmFigure:
 
     def test_rows_keep_ranking_order(self):
         table = _beeswarm(np.random.default_rng(19), n_rows=3, n_instances=2)
-        _, rows = _csv_rows(render_figure(table).csv)
+        _, rows = _csv_rows(_render(table).csv)
         order = []
         for r in rows:
             if r[0] not in order:
@@ -255,7 +265,7 @@ class TestBeeswarmFigure:
 
     def test_csv_values_match_table(self):
         table = _beeswarm(np.random.default_rng(20), n_rows=1, n_instances=2)
-        _, rows = _csv_rows(render_figure(table).csv)
+        _, rows = _csv_rows(_render(table).csv)
         row = table.rows[0]
         for i, instance_id in enumerate(table.instance_ids):
             for h in range(24):
@@ -287,7 +297,7 @@ class TestStackFigure:
     def test_csv_holds_groups_plus_net_line(self):
         tensor, forecast = _stack(np.random.default_rng(23))
         stack = instance_stack(tensor, 0, forecast)
-        fig = render_figure(stack)
+        fig = _render(stack)
         header, rows = _csv_rows(fig.csv)
         assert header == ["series", "output_hour", "value"]
         series = {r[0] for r in rows}
@@ -300,7 +310,7 @@ class TestStackFigure:
 
     def test_bar_heights_are_nonnegative(self):
         tensor, forecast = _stack(np.random.default_rng(24))
-        svg = render_figure(instance_stack(tensor, 2, forecast)).svg
+        svg = _render(instance_stack(tensor, 2, forecast)).svg
         heights = [
             float(m)
             for m in re.findall(r'<rect[^>]*height="([0-9.]+)"[^>]*data-series', svg)
@@ -319,7 +329,7 @@ class TestSvgHygiene:
         tensor, forecast = _stack(np.random.default_rng(28))
         artifacts.append(instance_stack(tensor, 0, forecast))
         for artifact in artifacts:
-            svg = render_figure(artifact).svg
+            svg = _render(artifact).svg
             for attr in ("cx", "cy", "x1", "y1", "x2", "y2"):
                 for text in re.findall(rf'{attr}="([^"]+)"', svg):
                     assert "nan" not in text.lower()
@@ -328,9 +338,36 @@ class TestSvgHygiene:
                 assert "nan" not in pts.lower()
 
     def test_figures_set_viewbox_and_font(self):
-        fig = render_figure(_heatmap(np.random.default_rng(29)))
+        fig = _render(_heatmap(np.random.default_rng(29)))
         assert 'viewBox="0 0 ' in fig.svg
         assert 'font-family="sans-serif"' in fig.svg
+
+
+def _mix_reference(c1, c2, t):
+    """One fill mixed per value in Python, as the renderers did before _ramp."""
+    a, b = (tuple(int(c[i : i + 2], 16) for i in (1, 3, 5)) for c in (c1, c2))
+    return "#{:02x}{:02x}{:02x}".format(*(round(x + (y - x) * t) for x, y in zip(a, b)))
+
+
+def _ramp_reference(t, diverging):
+    t = min(max(t, 0.0), 1.0)
+    if not diverging:
+        return _mix_reference("#f7fbff", "#08306b", t)
+    if t < 0.5:
+        return _mix_reference("#2166ac", "#f7f7f7", t * 2.0)
+    return _mix_reference("#f7f7f7", "#b2182b", (t - 0.5) * 2.0)
+
+
+@pytest.mark.parametrize("diverging", [False, True])
+def test_ramp_matches_per_value_mixing(diverging):
+    # k / 478 and k / 956 put channels exactly halfway between two integers,
+    # where round and np.rint both round to even; the ends test the clipping
+    t = np.concatenate([
+        np.arange(479) / 478, np.arange(957) / 956,
+        np.random.default_rng(30).uniform(-0.2, 1.2, 2001), [-0.0, 0.5, np.nextafter(0.5, 0)],
+    ]).reshape(2, -1)
+    expected = [[_ramp_reference(v, diverging) for v in row] for row in t.tolist()]
+    assert _ramp(t, diverging) == expected
 
 
 def _pinned_artifacts():
@@ -386,7 +423,7 @@ _PINNED = {
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_rendered_bytes_are_pinned(case):
     artifact = _pinned_artifacts()[case]
-    fig = render_figure(artifact)
+    fig = _render(artifact)
     if case == "stack-negative":
         assert (artifact.contributions < 0).any()
     if case == "beeswarm-escaped":
