@@ -2,9 +2,9 @@
 
 Heatmaps condense an attribution tensor into 24x24 blocks (output hour by
 input hour, one block per hourly super-variable); rankings order features
-or groups by mean absolute contribution; performance metrics follow the
-benchmark definitions, with the naive forecast (each delivery day's
-previous-day prices, laid out by :func:`epxai.data.build_feature_matrix`
+or groups by mean absolute contribution; performance metrics take the
+previous-day naive forecast (each delivery day's previous-day prices on
+every weekday, laid out by :func:`epxai.data.build_feature_matrix`
 as ``FeatureMatrix.naive``) as the scale for the relative MAE; complexity
 metrics summarise how non-linear and how hour-inhomogeneous a trained
 forecaster is.

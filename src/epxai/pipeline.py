@@ -63,7 +63,7 @@ class ModelMismatch(EpxaiError):
 
 
 class IncompleteRun(EpxaiError):
-    """Run directory lacks artifacts the requested command needs."""
+    """Run directory lacks a run file the command needs, or holds one it did not record."""
 
     exit_code = 6
 
@@ -238,10 +238,7 @@ def load_config(
 ) -> RunConfig:
     """Read and resolve a config file; all problems raise :class:`ConfigError`."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    text, _ = _read_input(path, ConfigError, "config")
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -388,18 +385,33 @@ def _csv(rows: list) -> str:
     return "".join(",".join(map(str, line)) + "\n" for line in lines)
 
 
-def _read_run_json(path: Path, digest: str | None = None) -> dict:
-    """Parse a JSON object file of a run directory; a corrupt one, or one whose
-    sha256 is not ``digest`` when that is given, is an IncompleteRun."""
+def _read_input(path: Path, error, what: str, missing: str = "") -> tuple:
+    """The UTF-8 text (byte-order mark optional) of a file a command takes in,
+    and the sha256 of its bytes. A missing, unreadable or non-UTF-8 file raises
+    the caller's ``error`` family naming ``what``; ``missing`` ends the message
+    of a file that does not exist."""
     try:
         data = path.read_bytes()
-        payload = json.loads(data.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        return data.decode("utf-8-sig"), hashlib.sha256(data).hexdigest()
+    except FileNotFoundError:
+        raise error(f"{what} not found: {path}{missing}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"unreadable {what} {path}: {exc}") from exc
+
+
+def _read_run_json(out: Path, rel: str, manifest: dict | None = None) -> dict:
+    """The JSON object file ``rel`` of run directory ``out``, checked against the
+    hash ``manifest`` records when that is given; any failure is an IncompleteRun."""
+    path = out / rel
+    text, digest = _read_input(path, IncompleteRun, "run file")
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
         raise IncompleteRun(f"unreadable run file {path}: {exc}") from exc
     if not isinstance(payload, dict):
         raise IncompleteRun(f"unreadable run file {path}: not a JSON object")
-    if digest is not None and hashlib.sha256(data).hexdigest() != digest:
-        raise IncompleteRun(f"run file {path} does not match its manifest hash")
+    if manifest is not None:
+        _check_recorded(manifest, rel, digest, f"run file {path}")
     return payload
 
 
@@ -413,7 +425,7 @@ def _read_manifest(out: Path) -> dict | None:
     path = out / "manifest.json"
     if not path.is_file():
         return None
-    manifest = _read_run_json(path)
+    manifest = _read_run_json(out, "manifest.json")
     stages, inputs = manifest.get("stages"), manifest.get("inputs")
     if not (
         isinstance(stages, dict) and isinstance(inputs, dict)
@@ -435,28 +447,29 @@ def _read_manifest(out: Path) -> dict | None:
     return manifest
 
 
-def _recorded_hash(manifest: dict, rel: str) -> str | None:
-    """The hash a stage of the checked manifest records for ``rel``, or None."""
-    for record in manifest["stages"].values():
-        if rel in record["outputs"]:
-            return record["outputs"][rel]
-    return None
+def _is_recorded(manifest: dict, rel: str) -> bool:
+    """Whether a stage of the checked manifest records ``rel``."""
+    return any(rel in record["outputs"] for record in manifest["stages"].values())
+
+
+def _check_recorded(manifest: dict, rel: str, digest, what: str) -> None:
+    """The one rule for run files: ``what``, of sha256 ``digest``, serves as ``rel``
+    only if the checked manifest records no hash for ``rel`` or records ``digest``."""
+    if any(record["outputs"].get(rel, digest) != digest for record in manifest["stages"].values()):
+        raise IncompleteRun(f"{what} is not the {rel} this run directory recorded (hash differs)")
 
 
 def _verified_outputs(out: Path, manifest: dict) -> list:
     """The sorted output paths a checked manifest records; a file that is
     missing, unreadable or changed is an IncompleteRun."""
-    verified = []
     for stage, record in sorted(manifest["stages"].items()):
-        for rel, digest in record["outputs"].items():
+        for rel in record["outputs"]:
             try:
                 actual = _file_sha256(out / rel)
             except OSError as exc:
                 raise IncompleteRun(f"stage {stage} output {rel} is unreadable: {exc}") from exc
-            if actual != digest:
-                raise IncompleteRun(f"stage {stage} output {rel} does not match its manifest hash")
-            verified.append(rel)
-    return sorted(verified)
+            _check_recorded(manifest, rel, actual, f"stage {stage} output {out / rel}")
+    return sorted(rel for record in manifest["stages"].values() for rel in record["outputs"])
 
 
 class _Stage:
@@ -507,18 +520,11 @@ class _Stage:
         # a report.json that no stage recorded is not this run's: start afresh;
         # a recorded one must still match its hash, or this stage would merge
         # into an edited report and record a fresh hash for the result
-        recorded = _recorded_hash(self.manifest, "report.json")
-        self.report = _read_run_json(self.out / "report.json", recorded) if recorded else {}
+        recorded = _is_recorded(self.manifest, "report.json")
+        self.report = _read_run_json(self.out, "report.json", self.manifest) if recorded else {}
 
-        try:
-            data = config.dataset.read_bytes()
-            text = data.decode("utf-8")
-        except FileNotFoundError:
-            raise DataError(f"dataset file not found: {config.dataset}") from None
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"cannot read dataset {config.dataset}: {exc}") from exc
-        self.dataset_sha256 = hashlib.sha256(data).hexdigest()
-        del data  # freed before the parse, which is the peak of `ingest`
+        # the bytes are dropped before the parse, which is the peak of `ingest`
+        text, self.dataset_sha256 = _read_input(config.dataset, DataError, "dataset")
         recorded = self.manifest["inputs"].get("dataset", {}).get("sha256")
         if recorded not in (None, self.dataset_sha256):
             raise DataError(
@@ -690,21 +696,6 @@ def _sshap_csv(tensor, out) -> None:
     tensor_csv(header, tensor.instance_ids, tensor.values, prefixes, out)
 
 
-def _load_model_file(path: Path) -> tuple:
-    from .mlp import ModelError, load_model
-
-    try:
-        data = path.read_bytes()
-        trained = load_model(data.decode("utf-8"))
-    except FileNotFoundError:
-        raise ModelMismatch(f"model file not found: {path}; run train first") from None
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ModelMismatch(f"cannot read model file {path}: {exc}") from exc
-    except ModelError as exc:
-        raise ModelMismatch(f"model file {path}: {exc}") from exc
-    return trained, hashlib.sha256(data).hexdigest()
-
-
 def cmd_explain(args) -> int:
     import numpy as np
 
@@ -712,7 +703,7 @@ def cmd_explain(args) -> int:
     from .attribution import attribution_to_csv, explain_dataset, sample_background
     from .data import build_feature_matrix, parse_market_csv
     from .figures import instance_stack
-    from .mlp import predict_prices
+    from .mlp import ModelError, load_model, predict_prices
     from .sshap import aggregate, slope_check, sshap_line
 
     stage = _Stage(args, "explain", parse_market_csv)
@@ -720,12 +711,14 @@ def cmd_explain(args) -> int:
     attribution = config.echo["attribution"]
     smoothing = config.echo["lines"]
     model_path = Path(args.model) if getattr(args, "model", None) else stage.out / "model.json"
-    trained, model_sha256 = _load_model_file(model_path)
-    # the run's own model.json must still be the file a stage recorded, as
-    # report.json must be
-    recorded = _recorded_hash(stage.manifest, "model.json")
-    if model_path == stage.out / "model.json" and recorded not in (None, model_sha256):
-        raise IncompleteRun(f"run file {model_path} does not match its manifest hash")
+    text, model_sha256 = _read_input(model_path, ModelMismatch, "model file", "; run train first")
+    try:
+        trained = load_model(text)
+    except ModelError as exc:
+        raise ModelMismatch(f"model file {model_path}: {exc}") from exc
+    del text  # the model's base64 text is not held through the walks
+    # whatever its path, the model must be the model.json a stage recorded
+    _check_recorded(stage.manifest, "model.json", model_sha256, f"model file {model_path}")
     if trained.spec != config.model_spec:
         raise ModelMismatch(
             f"model file {model_path} was trained with different settings than "
@@ -832,9 +825,13 @@ def cmd_report(args) -> int:
     manifest = _read_manifest(out)
     if manifest is None:
         raise IncompleteRun(f"missing manifest: {out / 'manifest.json'}")
-    if _recorded_hash(manifest, "report.json") is None:
+    if not _is_recorded(manifest, "report.json"):
         raise IncompleteRun(f"no stage of {out} recorded report.json; run train and explain first")
-    report = _read_run_json(out / "report.json")
+    report = _read_run_json(out, "report.json")
+    # the explanations must come from the model whose accuracy the report shows
+    explained = manifest["stages"].get("explain")
+    if explained:
+        _check_recorded(manifest, "model.json", explained.get("model_sha256"), "explain's model")
     # summary.md lists and embeds only files whose recorded hashes match
     verified = _verified_outputs(out, manifest)
     figures = [rel for rel in verified if rel.startswith("figures/")]

@@ -69,6 +69,12 @@ def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _snapshot(directory: Path) -> dict:
+    """Every file under ``directory`` with its bytes and inode: os.replace gives
+    a file a new inode, so even a rewrite with the same bytes shows."""
+    return {p: (p.read_bytes(), p.stat().st_ino) for p in directory.rglob("*") if p.is_file()}
+
+
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli")
@@ -90,6 +96,19 @@ def completed(workspace):
     }
     return {"root": root, "dataset": dataset, "config": config_path,
             "run": run_dir, "codes": codes}
+
+
+@pytest.fixture(scope="module")
+def other_model(completed) -> Path:
+    """model.json of the completed run's settings, trained with training seed 99."""
+    config = base_config(completed["dataset"], completed["root"] / "other")
+    config["training"]["seed"] = 99
+    path = completed["root"] / "other.json"
+    path.write_text(json.dumps(config))
+    assert run_cli("train", "--config", str(path))[0] == 0
+    model = completed["root"] / "other" / "model.json"
+    assert sha(model) != sha(completed["run"] / "model.json")
+    return model
 
 
 def _reseeded(completed, tmp_path) -> Path:
@@ -605,6 +624,21 @@ class TestRunPipeline:
         assert "Not produced yet (run train)." in summary
         assert "[EUR/MWh]" in summary
 
+    def test_explain_takes_a_copy_of_the_recorded_model(self, completed, tmp_path):
+        # the recorded hash decides, not the path: a byte-identical copy of
+        # the run's model.json passed with --model is the recorded model
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        model = tmp_path / "elsewhere.json"
+        shutil.copy(completed["run"] / "model.json", model)
+        code, _, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy),
+            "--model", str(model),
+        )
+        assert (code, err) == (0, "")
+        assert run_cli("report", "--out", str(copy))[0] == 0
+        assert sha(copy / "summary.md") == sha(completed["run"] / "summary.md")
+
     def test_report_finds_run_dir_like_the_stages(self, completed, tmp_path, monkeypatch):
         # with --config, a relative --out resolves against the config file's
         # directory for report as for the stage commands
@@ -744,18 +778,38 @@ class TestFailureExitCodes:
         ],
     )
     def test_file_not_utf8_is_one_error_line(self, completed, tmp_path, name, command, code):
+        self._damaged_input(
+            completed, tmp_path, name, command, code, lambda path: path.write_bytes(b"\xff\xfe{")
+        )
+
+    @pytest.mark.parametrize(
+        "name, command, code",
+        [
+            ("run.json", "validate", 2), ("syn.csv", "ingest", 3), ("model.json", "explain", 5),
+            ("report.json", "explain", 6), ("report.json", "report", 6),
+        ],
+    )
+    def test_missing_file_is_one_error_line(self, completed, tmp_path, name, command, code):
+        err = self._damaged_input(completed, tmp_path, name, command, code, Path.unlink)
+        assert "not found" in err
+        assert ("train first" in err) == (name == "model.json")
+
+    @staticmethod
+    def _damaged_input(completed, tmp_path, name, command, code, damage):
+        """Run ``command`` on a copy of the completed run after ``damage(path)``
+        of its file ``name``; it must exit ``code`` with one error line naming
+        the file. Returns that line."""
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
         shutil.copy(completed["dataset"], tmp_path / "syn.csv")
         config = tmp_path / "run.json"
         config.write_text(json.dumps(base_config(tmp_path / "syn.csv", copy)))
-        (tmp_path / name if name in ("run.json", "syn.csv") else copy / name).write_bytes(
-            b"\xff\xfe{"
-        )
+        damage(tmp_path / name if name in ("run.json", "syn.csv") else copy / name)
         got, _, err = run_cli(command, "--config", str(config))
         assert got == code
         assert err.startswith(f"error: {code}: ") and name in err
         assert len(err.rstrip("\n").splitlines()) == 1
+        return err
 
     def test_explain_with_corrupt_report_json_exits_6(self, workspace, tmp_path):
         # explain merges its section into report.json; a truncated file must
@@ -785,40 +839,60 @@ class TestFailureExitCodes:
         report["performance"]["train"]["mae"] = 0.001
         (copy / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
 
-        def files():
-            return {
-                p: (p.read_bytes(), p.stat().st_ino) for p in copy.rglob("*") if p.is_file()
-            }
-
-        before = files()
+        before = _snapshot(copy)
         code, out, err = run_cli(
             "explain", "--config", str(completed["config"]), "--out", str(copy)
         )
         assert (code, out) == (6, "")
         assert err.startswith("error: 6: ") and "report.json" in err and "hash" in err
         assert len(err.rstrip("\n").splitlines()) == 1
-        assert files() == before
+        assert _snapshot(copy) == before
         assert run_cli("report", "--out", str(copy))[0] == 6
 
-    def test_explain_refuses_swapped_model_json(self, completed, tmp_path):
+    def test_explain_refuses_swapped_model_json(self, completed, other_model, tmp_path):
         # a model of the same spec, trained with another training seed
-        other = base_config(completed["dataset"], tmp_path / "other")
-        other["training"]["seed"] = 99
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps(other))
-        assert run_cli("train", "--config", str(path))[0] == 0
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
-        shutil.copy(tmp_path / "other/model.json", copy / "model.json")
-        assert sha(copy / "model.json") != sha(completed["run"] / "model.json")
-        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        shutil.copy(other_model, copy / "model.json")
+        before = _snapshot(copy)
         code, out, err = run_cli(
             "explain", "--config", str(completed["config"]), "--out", str(copy)
         )
         assert (code, out) == (6, "")
         assert err.startswith("error: 6: ") and "model.json" in err and "hash" in err
         assert len(err.rstrip("\n").splitlines()) == 1
-        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+        assert _snapshot(copy) == before
+
+    def test_explain_refuses_other_model_by_path(self, completed, other_model, tmp_path):
+        # --model names a file outside the run: it is still held to the
+        # model.json that train recorded
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        before = _snapshot(copy)
+        code, out, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy),
+            "--model", str(other_model),
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith(
+            f"error: 6: model file {other_model} is not the model.json this run directory recorded"
+        )
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert _snapshot(copy) == before
+
+    def test_report_refuses_explanations_of_other_model(self, completed, other_model, tmp_path):
+        # an explain-only run, then train in the same directory: summary.md
+        # would show one model's accuracy beside another model's explanations
+        run = tmp_path / "run"
+        config = str(completed["config"])
+        model = str(other_model)
+        assert run_cli("explain", "--config", config, "--out", str(run), "--model", model)[0] == 0
+        assert run_cli("train", "--config", config, "--out", str(run))[0] == 0
+        code, out, err = run_cli("report", "--out", str(run))
+        assert (code, out) == (6, "")
+        assert err.startswith("error: 6: explain's model is not the model.json this run")
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (run / "summary.md").exists()
 
     def test_explain_schema_1_model_exits_5(self, completed, tmp_path):
         payload = json.loads((completed["run"] / "model.json").read_text())
@@ -839,13 +913,13 @@ class TestFailureExitCodes:
     def test_refused_run_writes_nothing(self, completed, tmp_path):
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
-        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        before = _snapshot(copy)
         code, _, err = run_cli(
             "train", "--config", str(_reseeded(completed, tmp_path)), "--out", str(copy)
         )
         assert code == 2
         assert err.startswith("error: 2:") and "different config" in err
-        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+        assert _snapshot(copy) == before
 
     @staticmethod
     def _refused_explain(workspace, tmp_path, mutate, code, fragment):
@@ -860,15 +934,12 @@ class TestFailureExitCodes:
             assert run_cli(stage, "--config", str(path))[0] == 0, stage
         run = tmp_path / "run"
 
-        def files():
-            return {p: (p.read_bytes(), p.stat().st_ino) for p in run.rglob("*") if p.is_file()}
-
-        before = files()
+        before = _snapshot(run)
         got, _, err = run_cli("explain", "--config", str(path))
         assert got == code
         assert err.startswith(f"error: {code}: ") and fragment in err
         assert len(err.rstrip("\n").splitlines()) == 1
-        assert files() == before
+        assert _snapshot(run) == before
 
     # each array below exceeds the 128 TiB x86-64 user address space, so its
     # allocation fails at once, even on a host that overcommits memory
@@ -925,7 +996,7 @@ class TestFailureExitCodes:
     def test_failed_write_keeps_earlier_file(self, completed, tmp_path, monkeypatch, name):
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
-        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        before = _snapshot(copy)
         half = len(before[copy / name]) // 2
         reached = []
 
@@ -967,16 +1038,19 @@ class TestFailureExitCodes:
         assert code == 1
         assert err.startswith("error: 1: cannot write ") and name in err
         assert len(err.rstrip("\n").splitlines()) == 1
-        # explain rewrites the same bytes before the failure, so the whole
-        # directory is as it was, with no temp file left behind
-        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+        # explain swapped the files it wrote before the failure in again with
+        # the same bytes, so only those have new inodes; no temp file is left
+        after = _snapshot(copy)
+        assert {p: b for p, (b, _) in after.items()} == {p: b for p, (b, _) in before.items()}
+        for rel in (name, "model.json", "manifest.json", "summary.md"):
+            assert after[copy / rel] == before[copy / rel], rel
 
     def test_renderer_failure_keeps_earlier_figure(self, completed, tmp_path, monkeypatch):
         import epxai.figures
 
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)
-        before = {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()}
+        before = _snapshot(copy)
 
         def render_half(table, svg, csv, title, unit):
             svg.write("<svg>\n<circle/>\n")
@@ -991,7 +1065,12 @@ class TestFailureExitCodes:
         assert err.startswith("error: 1: out of memory: beeswarm")
         assert len(err.rstrip("\n").splitlines()) == 1
         assert not list(copy.rglob("*.tmp"))
-        assert {p: p.read_bytes() for p in copy.rglob("*") if p.is_file()} == before
+        # as in test_failed_write_keeps_earlier_file, only the files written
+        # before the failure have new inodes
+        after = _snapshot(copy)
+        assert {p: b for p, (b, _) in after.items()} == {p: b for p, (b, _) in before.items()}
+        for rel in ("figures/beeswarm.svg", "tables/beeswarm.csv", "manifest.json", "summary.md"):
+            assert after[copy / rel] == before[copy / rel], rel
 
     def test_failed_summary_write_is_one_error_line(self, completed, tmp_path):
         copy = tmp_path / "copy"
@@ -1125,19 +1204,14 @@ class TestFailureExitCodes:
         manifest = json.loads((copy / "manifest.json").read_text())
         mutate(manifest)
         (copy / "manifest.json").write_text(json.dumps(manifest))
-        # os.replace gives a file a new inode, so even a rewrite with the
-        # same bytes shows in st_ino
-        def files():
-            return {p: (p.read_bytes(), p.stat().st_ino) for p in copy.rglob("*") if p.is_file()}
-
-        before = files()
+        before = _snapshot(copy)
         code, _, err = run_cli(
             command, "--config", str(completed["config"]), "--out", str(copy)
         )
         assert code == 6
         assert err.startswith("error: 6: ") and "manifest.json" in err
         assert len(err.rstrip("\n").splitlines()) == 1
-        assert files() == before
+        assert _snapshot(copy) == before
 
     @pytest.mark.parametrize(
         "mutate, fragment",
