@@ -17,19 +17,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .data import NonFiniteInput
-from .errors import EpxaiError
-from .mlp import TooFewInstances
+from .errors import DataError, EpxaiError
 
 if TYPE_CHECKING:  # annotations only; train runs analytics without these layers
     from .attribution import AttributionTensor
     from .sshap import SshapTensor
 
 __all__ = [
-    "AnalyticsError",
-    "EmptyTensor",
-    "LengthMismatch",
-    "ZeroNaiveError",
     "HeatmapGrid",
     "ImportanceTable",
     "BeeswarmRow",
@@ -44,22 +38,6 @@ __all__ = [
 ]
 
 HEATMAP_AGGREGATIONS = ("mean_abs", "mean")
-
-
-class AnalyticsError(EpxaiError):
-    """Base class for analytics-layer errors."""
-
-
-class EmptyTensor(AnalyticsError):
-    """Aggregation over an empty instance axis (or no hourly blocks)."""
-
-
-class LengthMismatch(AnalyticsError):
-    """Prediction and actual arrays of different shapes."""
-
-
-class ZeroNaiveError(AnalyticsError):
-    """Naive forecast matches actuals exactly; relative MAE undefined."""
 
 
 @dataclass
@@ -145,9 +123,9 @@ def heatmap(tensor: AttributionTensor, aggregation: str = "mean_abs") -> Heatmap
         raise ValueError(f"unknown aggregation {aggregation!r}")
     blocks = _hourly_blocks(tensor)
     if not blocks:
-        raise EmptyTensor("tensor has no full hourly groups to map")
+        raise EpxaiError("tensor has no full hourly groups to map")
     if tensor.n_instances == 0:
-        raise EmptyTensor(f"cannot take {aggregation} over zero instances")
+        raise EpxaiError(f"cannot take {aggregation} over zero instances")
     if aggregation == "mean_abs":
         source = np.abs(tensor.values).mean(axis=0)
     else:
@@ -165,7 +143,7 @@ def heatmap(tensor: AttributionTensor, aggregation: str = "mean_abs") -> Heatmap
 def hourly_importance(sshap: SshapTensor) -> ImportanceTable:
     """Mean absolute grouped value per output hour, across instances."""
     if sshap.n_instances == 0:
-        raise EmptyTensor("no instances to average")
+        raise EpxaiError("no instances to average")
     return ImportanceTable(
         groups=sshap.partition.labels,
         values=np.abs(sshap.values).mean(axis=0),
@@ -182,12 +160,10 @@ def beeswarm_table(
     24 per-hour attribution values.
     """
     if tensor.n_instances == 0:
-        raise EmptyTensor("no instances to rank")
+        raise EpxaiError("no instances to rank")
     feature_values = np.asarray(feature_values, dtype=np.float64)
     if feature_values.shape != (tensor.n_instances, len(tensor.feature_ids)):
-        raise LengthMismatch(
-            f"feature_values shape {feature_values.shape} does not match tensor"
-        )
+        raise EpxaiError(f"feature_values shape {feature_values.shape} does not match tensor")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
     scores = np.abs(tensor.values).mean(axis=(0, 1))
@@ -216,16 +192,16 @@ def performance_metrics(
     actual = np.asarray(actual, dtype=np.float64)
     naive_predicted = np.asarray(naive_predicted, dtype=np.float64)
     if predicted.shape != actual.shape or naive_predicted.shape != actual.shape:
-        raise LengthMismatch(
+        raise EpxaiError(
             f"shapes differ: predicted {predicted.shape}, actual {actual.shape}, "
             f"naive {naive_predicted.shape}"
         )
     if predicted.size == 0:
-        raise LengthMismatch("no observations")
+        raise EpxaiError("no observations")
     for name, arr in (("predicted", predicted), ("actual", actual),
                       ("naive", naive_predicted)):
         if not np.all(np.isfinite(arr)):
-            raise NonFiniteInput(f"{name} contains non-finite values")
+            raise DataError(f"{name} contains non-finite values")
 
     err = np.abs(predicted - actual)
     mae = float(err.mean())
@@ -235,7 +211,7 @@ def performance_metrics(
     smape = float(terms.mean())
     naive_mae = float(np.abs(naive_predicted - actual).mean())
     if naive_mae == 0.0:
-        raise ZeroNaiveError("naive forecast is perfect; relative MAE undefined")
+        raise EpxaiError("naive forecast is perfect; relative MAE undefined")
     return PerformanceReport(
         mae=mae,
         rmae=mae / naive_mae,
@@ -272,7 +248,7 @@ def complexity_metrics(
     if grad_tensor.kind != "gradient":
         raise ValueError(f"need a gradient tensor, got {grad_tensor.kind!r}")
     if grad_tensor.n_instances < 2:
-        raise TooFewInstances("non-linearity needs at least 2 instances")
+        raise DataError("non-linearity needs at least 2 instances")
     non_linearity = float(_population_std_exact_zero(grad_tensor.values).mean())
 
     blocks = shap_grid.values

@@ -30,9 +30,8 @@ from math import factorial
 import numpy as np
 
 from .data import FeatureMatrix, inverse_transform, transform
-from .errors import EpxaiError
+from .errors import EpxaiError, ModelError
 from .mlp import (
-    ModelError,
     TrainedModel,
     _activation_grad,
     forward_blocks,
@@ -41,10 +40,6 @@ from .mlp import (
 )
 
 __all__ = [
-    "AttributionError",
-    "EmptyBackground",
-    "NonFiniteModelOutput",
-    "TooManyFeatures",
     "BackgroundSet",
     "ShapExplanation",
     "AttributionTensor",
@@ -55,22 +50,6 @@ __all__ = [
     "explain_dataset",
     "attribution_to_csv",
 ]
-
-
-class AttributionError(EpxaiError):
-    """Base class for attribution-layer errors."""
-
-
-class EmptyBackground(AttributionError):
-    """Background set with no rows."""
-
-
-class NonFiniteModelOutput(AttributionError):
-    """Model produced NaN or infinity while being explained."""
-
-
-class TooManyFeatures(AttributionError):
-    """Exact enumeration requested above the feature-count cap."""
 
 
 EXACT_FEATURE_CAP = 12
@@ -87,7 +66,7 @@ class BackgroundSet:
 
     def __post_init__(self):
         if self.rows.ndim != 2 or self.rows.shape[0] == 0:
-            raise EmptyBackground("background needs at least one row")
+            raise EpxaiError("background needs at least one row")
         if not np.all(np.isfinite(self.rows)):
             raise ValueError("background rows must be finite")
 
@@ -146,7 +125,7 @@ def sample_background(
     """Draw background rows uniformly without replacement (capped at n)."""
     n = features.n_instances
     if n == 0:
-        raise EmptyBackground("feature matrix has no instances")
+        raise EpxaiError("feature matrix has no instances")
     take = min(size, n)
     idx = np.sort(np.random.default_rng(seed).choice(n, size=take, replace=False))
     return BackgroundSet(rows=features.values[idx].copy())
@@ -176,7 +155,7 @@ def _predict_checked(fn, states: np.ndarray) -> np.ndarray:
     if preds.shape != (states.shape[0], 24):
         raise ValueError(f"predictor returned shape {preds.shape}, expected (n, 24)")
     if not np.all(np.isfinite(preds)):
-        raise NonFiniteModelOutput("model produced non-finite outputs")
+        raise EpxaiError("model produced non-finite outputs")
     return preds
 
 
@@ -204,7 +183,7 @@ def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     xn = transform(model.input_scaler, x_raw)
     z1, _, z2, _, yn = forward_trace(model, xn)
     if not np.all(np.isfinite(yn)):
-        raise NonFiniteModelOutput("forward pass produced non-finite outputs")
+        raise EpxaiError("forward pass produced non-finite outputs")
 
     act = model.spec.activation
     s1 = _activation_grad(act, z1)  # (n, h1)
@@ -219,7 +198,7 @@ def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     back = w1 @ back  # (n, n_in, 24)
     jac = np.transpose(back, (0, 2, 1)) * d_out[:, :, None]
     if not np.all(np.isfinite(jac)):
-        raise NonFiniteModelOutput("gradient accumulation produced non-finite values")
+        raise EpxaiError("gradient accumulation produced non-finite values")
     return jac[0] if single else jac
 
 
@@ -269,7 +248,7 @@ def _mixed_interior(model: TrainedModel, x_raw: np.ndarray, zs: np.ndarray):
 
     def interior(states):
         # a float32 overflow ends as a non-finite output, which the caller
-        # reports as NonFiniteModelOutput
+        # refuses as one
         with np.errstate(over="ignore", invalid="ignore"):
             y = forward_blocks(model32, states)
         return inverse_transform(model.output_scaler, y)
@@ -354,7 +333,7 @@ def shap_exact(
     x_raw = np.asarray(x_raw, dtype=np.float64)
     n_f = x_raw.shape[0]
     if n_f > EXACT_FEATURE_CAP:
-        raise TooManyFeatures(f"{n_f} features exceeds cap {EXACT_FEATURE_CAP}")
+        raise EpxaiError(f"{n_f} features exceeds cap {EXACT_FEATURE_CAP}")
     n_masks = 1 << n_f
     bits = (np.arange(n_masks)[:, None] >> np.arange(n_f)[None, :]) & 1  # (2^n, n_f)
 

@@ -17,14 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .marketcsv import DataError, EmptyInput, parse_hours
+from .errors import DataError
+from .marketcsv import parse_hours
 from .markets import SCALER_KINDS, SOURCES, FeatureId, MarketConfig
 
 __all__ = [
-    "InsufficientHistory",
-    "TooFewRows",
-    "DimensionMismatch",
-    "NonFiniteInput",
     "HourlySeries",
     "FeatureMatrix",
     "ScalerParams",
@@ -34,22 +31,6 @@ __all__ = [
     "transform",
     "inverse_transform",
 ]
-
-
-class InsufficientHistory(DataError):
-    """Not enough leading days to satisfy the largest configured day lag."""
-
-
-class TooFewRows(DataError):
-    """Scaler fitting needs at least two rows."""
-
-
-class DimensionMismatch(DataError):
-    """Transform called with a different column count than the fit."""
-
-
-class NonFiniteInput(DataError):
-    """NaN or infinity where a finite value is required."""
 
 
 # 1970-01-01 (day zero of the epoch) was a Thursday; Monday = 0.
@@ -69,13 +50,13 @@ class HourlySeries:
     def __post_init__(self):
         n = len(self.price)
         if n == 0:
-            raise EmptyInput("series has no rows")
+            raise DataError("series has no rows")
         for name in SOURCES:
             arr = getattr(self, name)
             if len(arr) != n:
                 raise ValueError(f"{name} has {len(arr)} values, price has {n}")
             if not np.all(np.isfinite(arr)):
-                raise NonFiniteInput(f"{name} contains non-finite values")
+                raise DataError(f"{name} contains non-finite values")
 
     @property
     def n_hours(self) -> int:
@@ -148,13 +129,13 @@ def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureM
     ``max(config.max_day_lag, 1)`` full days of history before it: a market
     whose inputs are all same-day still skips its first day, so every
     delivery day has the previous day's prices as its naive forecast.
-    Raises :class:`InsufficientHistory` when no delivery day qualifies.
+    Raises :class:`DataError` when no delivery day qualifies.
     """
     first = -series.start % 24  # hours before the first midnight
     n_days = max((series.n_hours - first) // 24, 0)
     max_lag = max(config.max_day_lag, 1)
     if n_days <= max_lag:
-        raise InsufficientHistory(
+        raise DataError(
             f"need more than {max_lag} full days (max day_lag, at least 1), have {n_days}"
         )
     days = (series.start + first) // 24 + np.arange(max_lag, n_days)
@@ -183,7 +164,8 @@ def fit_scaler(kind: str, values: np.ndarray) -> ScalerParams:
 
     ``std`` uses mean and population standard deviation; ``median`` and
     ``arcsinh`` use median and median absolute deviation. Columns with zero
-    spread get scale 1 so transforms stay defined.
+    spread get scale 1 so transforms stay defined. Values whose statistics
+    overflow the float64 range raise :class:`DataError`.
     """
     if kind not in SCALER_KINDS:
         raise ValueError(f"unknown scaler kind {kind!r}")
@@ -191,15 +173,18 @@ def fit_scaler(kind: str, values: np.ndarray) -> ScalerParams:
     if values.ndim != 2:
         raise ValueError("expected a 2-D array of rows x columns")
     if values.shape[0] < 2:
-        raise TooFewRows(f"scaler fit needs >= 2 rows, got {values.shape[0]}")
+        raise DataError(f"scaler fit needs >= 2 rows, got {values.shape[0]}")
     if not np.all(np.isfinite(values)):
-        raise NonFiniteInput("scaler fit input contains non-finite values")
-    if kind == "std":
-        location = values.mean(axis=0)
-        scale = values.std(axis=0)
-    else:
-        location = np.median(values, axis=0)
-        scale = np.median(np.abs(values - location), axis=0)
+        raise DataError("scaler fit input contains non-finite values")
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below instead
+        if kind == "std":
+            location = values.mean(axis=0)
+            scale = values.std(axis=0)
+        else:
+            location = np.median(values, axis=0)
+            scale = np.median(np.abs(values - location), axis=0)
+    if not (np.isfinite(location).all() and np.isfinite(scale).all()):
+        raise DataError(f"{kind} scaler fit overflows: a column's location or scale is not finite")
     scale = np.where(scale == 0.0, 1.0, scale)
     return ScalerParams(kind=kind, location=location, scale=scale)
 
@@ -208,9 +193,7 @@ def _check_columns(params: ScalerParams, values: np.ndarray) -> np.ndarray:
     values = np.asarray(values, dtype=np.float64)
     n_cols = values.shape[-1] if values.ndim else 0
     if values.ndim not in (1, 2) or n_cols != params.n_columns:
-        raise DimensionMismatch(
-            f"expected {params.n_columns} columns, got shape {values.shape}"
-        )
+        raise DataError(f"expected {params.n_columns} columns, got shape {values.shape}")
     return values
 
 

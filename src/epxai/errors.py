@@ -1,9 +1,9 @@
-"""Shared exception base and config value checkers for the package.
+"""The package's exception families and its config value checkers.
 
-Every module defines its own exception family (data errors, model errors,
-attribution errors, ...) deriving from :class:`EpxaiError`, so callers can
-catch the whole family or a single condition. Each family carries the CLI
-exit code its failures end with.
+Each family is one row of the README's exit-code table: a failure raises
+the family whose exit code it ends with, and its message names the
+condition. The CLI prints ``error: <exit_code>: <message>`` for any of
+them.
 
 The ``check_*`` functions validate one value read from a JSON config and
 return it; a bad value raises ``ValueError`` naming the key, which the
@@ -14,9 +14,39 @@ import math
 
 
 class EpxaiError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base of every family; raised itself for failures that exit 1."""
 
     exit_code = 1
+
+
+class ConfigError(EpxaiError):
+    """Bad usage or run configuration."""
+
+    exit_code = 2
+
+
+class DataError(EpxaiError):
+    """Input data that is missing, malformed or unusable for the operation."""
+
+    exit_code = 3
+
+
+class DivergedLoss(EpxaiError):
+    """Training or validation loss became non-finite."""
+
+    exit_code = 4
+
+
+class ModelError(EpxaiError):
+    """A model that is missing, unreadable, untrained or not the configured one."""
+
+    exit_code = 5
+
+
+class IncompleteRun(EpxaiError):
+    """A run file that is missing, unreadable or not the one the run recorded."""
+
+    exit_code = 6
 
 
 def check_object(value, where: str, allowed) -> dict:

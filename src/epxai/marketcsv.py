@@ -15,33 +15,10 @@ import io
 import math
 import re
 
-from .errors import EpxaiError
+from .errors import DataError
 from .markets import SOURCES
 
-__all__ = ["DataError", "MalformedRow", "EmptyInput", "NonHourlyCadence", "parse_hours",
-           "hour_stamp", "hours_csv"]
-
-
-class DataError(EpxaiError):
-    """Base class for data-layer errors."""
-
-    exit_code = 3
-
-
-class MalformedRow(DataError):
-    """A CSV row that cannot be parsed; carries the 1-based line number."""
-
-    def __init__(self, line_number: int, reason: str):
-        self.line_number = line_number
-        super().__init__(f"line {line_number}: {reason}")
-
-
-class EmptyInput(DataError):
-    """No data rows at all."""
-
-
-class NonHourlyCadence(DataError):
-    """Timestamps that do not sit on an hourly grid even after repair."""
+__all__ = ["parse_hours", "hour_stamp", "hours_csv"]
 
 
 _EPOCH_ORDINAL = 719163  # datetime(1970, 1, 1).toordinal()
@@ -63,7 +40,7 @@ def _parse_float(token: str, line_number: int, col: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise MalformedRow(line_number, f"bad {col} value {token!r}") from None
+        raise DataError(f"line {line_number}: bad {col} value {token!r}") from None
 
 
 def _checked(stamp: str) -> str:
@@ -90,9 +67,9 @@ def parse_hours(text: str) -> tuple:
     optional header: line 1 is a header when its timestamp does not parse and
     none of its three value cells is a number. A leading byte-order mark is
     dropped. Repeated hours are averaged, and gaps and missing cells
-    filled by linear interpolation. Raises :class:`MalformedRow` (with line
-    number) on rows that cannot be parsed, :class:`EmptyInput` when no data
-    rows exist, and :class:`NonHourlyCadence` on a timestamp off the hour.
+    filled by linear interpolation. Raises :class:`DataError` on a row that
+    cannot be parsed or whose timestamp is off the hour (naming its line),
+    and when no data rows exist.
     """
     hours, cells = [], []
     # newline=None reads \r\n and \r line ends as \n, as text-mode files do
@@ -109,7 +86,7 @@ def parse_hours(text: str) -> tuple:
                 if not "".join(fields).strip():
                     continue
                 if len(fields) != 4:
-                    raise MalformedRow(line_number, f"expected 4 columns, got {len(fields)}")
+                    raise DataError(f"line {line_number}: expected 4 columns, got {len(fields)}")
             stamp, price, exog1, exog2 = fields
             try:
                 # a stamp with these at 4, 7, 10, 13 and 16 parses only as
@@ -118,9 +95,9 @@ def parse_hours(text: str) -> tuple:
             except ValueError:
                 if line_number == 1 and not any(map(_is_number, (price, exog1, exog2))):
                     continue  # header row
-                raise MalformedRow(line_number, f"bad timestamp {stamp.strip()!r}") from None
+                raise DataError(f"line {line_number}: bad timestamp {stamp.strip()!r}") from None
             if ts.minute or ts.second or ts.microsecond:
-                raise NonHourlyCadence(
+                raise DataError(
                     f"line {line_number}: {ts.replace(tzinfo=None)} is not on the hour"
                 )
             # Hours since the epoch from the clock fields alone: an offset is
@@ -137,10 +114,10 @@ def parse_hours(text: str) -> tuple:
     except csv.Error as exc:
         # an unclosed quote reads on until the field outgrows csv's size
         # limit: name the line the record starts on and the one it reached
-        reason = f"unreadable record: {exc}, read on to line {reader.line_num}"
-        raise MalformedRow(line_number + 1, reason) from None
+        raise DataError(f"line {line_number + 1}: unreadable record: {exc}, "
+                        f"read on to line {reader.line_num}") from None
     if not hours:
-        raise EmptyInput("no data rows in CSV")
+        raise DataError("no data rows in CSV")
 
     # arrays hold no number objects: the parse's floats and ints are all
     # freed here at once, so none outlives the parse scattered over the heap
@@ -184,7 +161,7 @@ def _interpolate(grid: list, source: str) -> list:
     n = len(grid)
     holes = [x for x, v in enumerate(grid) if v != v]
     if len(holes) == n:
-        raise EmptyInput(f"column {source} has no usable values")
+        raise DataError(f"column {source} has no usable values")
     a = b = -1
     for x in holes:
         if x > b:  # x opens a run of holes, from known slot a to known slot b

@@ -18,13 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import EpxaiError
-
 __all__ = [
     "SOURCES", "SCALER_KINDS", "MARKET_IDS", "DAY_OF_WEEK_LABEL", "ACTIVATIONS",
     "INIT_SCHEMES", "SuperVariable", "FeatureId", "MarketConfig", "ModelSpec",
-    "TrainingHyperparams", "market_config", "benchmark_spec", "SshapError", "UnknownGroup",
-    "NotHourlyGroup", "Partition", "default_partition", "split_group", "merge_groups",
+    "TrainingHyperparams", "market_config", "benchmark_spec", "Partition", "default_partition",
+    "split_group", "merge_groups",
 ]
 
 SOURCES = ("price", "exog1", "exog2")
@@ -226,18 +224,6 @@ def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:
     return ModelSpec(*_preset(market_id)[3], seed=seed)
 
 
-class SshapError(EpxaiError):
-    """Base class for grouped-attribution errors."""
-
-
-class UnknownGroup(SshapError):
-    """No group with the requested label."""
-
-
-class NotHourlyGroup(SshapError):
-    """Operation needs a group holding exactly hours 0-23 of one series."""
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered, disjoint grouping of feature ids under unique labels."""
@@ -270,7 +256,7 @@ class Partition:
         for got, members in self.groups:
             if got == label:
                 return members
-        raise UnknownGroup(f"no group labelled {label!r}")
+        raise ValueError(f"no group labelled {label!r}")
 
     def all_features(self) -> set:
         return {fid for _, members in self.groups for fid in members}
@@ -309,7 +295,7 @@ def split_group(partition: Partition, label: str, split_hour: int) -> Partition:
         raise ValueError(f"split hour must be in 1..23 for two nonempty halves, got {split_hour}")
     members = partition.members(label)
     if len(members) != 24 or {m.hour for m in members} != set(range(24)):
-        raise NotHourlyGroup(f"group {label!r} does not hold exactly hours 0-23")
+        raise ValueError(f"group {label!r} does not hold exactly hours 0-23")
     halves = (
         (f"{label} H0-H{split_hour - 1}", tuple(m for m in members if m.hour < split_hour)),
         (f"{label} H{split_hour}-H23", tuple(m for m in members if m.hour >= split_hour)),

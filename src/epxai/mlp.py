@@ -27,23 +27,11 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .data import (
-    FeatureMatrix,
-    NonFiniteInput,
-    ScalerParams,
-    fit_scaler,
-    inverse_transform,
-    transform,
-)
-from .errors import EpxaiError
+from .data import FeatureMatrix, ScalerParams, fit_scaler, inverse_transform, transform
+from .errors import DataError, DivergedLoss, ModelError
 from .markets import ModelSpec, TrainingHyperparams
 
 __all__ = [
-    "ModelError",
-    "DivergedLoss",
-    "TooFewInstances",
-    "SchemaVersionMismatch",
-    "CorruptPayload",
     "SELU_LAMBDA",
     "SELU_ALPHA",
     "MODEL_SCHEMA_VERSION",
@@ -59,32 +47,6 @@ __all__ = [
     "load_model",
     "count_parameters",
 ]
-
-
-class ModelError(EpxaiError):
-    """Base class for model-layer errors."""
-
-    exit_code = 5
-
-
-class DivergedLoss(ModelError):
-    """Training or validation loss became non-finite."""
-
-    exit_code = 4
-
-
-class TooFewInstances(ModelError):
-    """Not enough instances for the requested operation."""
-
-    exit_code = 3
-
-
-class SchemaVersionMismatch(ModelError):
-    """Persisted model written by an incompatible schema."""
-
-
-class CorruptPayload(ModelError):
-    """Persisted model cannot be decoded into a consistent network."""
 
 
 SELU_LAMBDA = 1.0507009873554805
@@ -202,7 +164,7 @@ def _as_batch(x: np.ndarray, n_inputs: int) -> tuple[np.ndarray, bool]:
     if x.ndim != 2 or x.shape[1] != n_inputs:
         raise ValueError(f"expected {n_inputs} input features, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise NonFiniteInput("model input contains non-finite values")
+        raise DataError("model input contains non-finite values")
     return x, single
 
 
@@ -324,7 +286,7 @@ def train(
     computed in float64 on the float32 weights, and the returned weights are
     those float64 values.
     Raises :class:`DivergedLoss` if any loss turns non-finite and
-    :class:`TooFewInstances` when the split leaves fewer than 2 training days.
+    :class:`DataError` when the split leaves fewer than 2 training days.
     """
     hp = hp or TrainingHyperparams()
     spec = model.spec
@@ -336,9 +298,7 @@ def train(
     n_train = n_train_instances(n, hp.validation_fraction)
     n_val = n - n_train
     if n_train < 2:
-        raise TooFewInstances(
-            f"{n} instances leave {n_train} for training after the split"
-        )
+        raise DataError(f"{n} instances leave {n_train} for training after the split")
 
     input_scaler = fit_scaler(spec.input_scaler_kind, features.values[:n_train])
     output_scaler = fit_scaler(spec.output_scaler_kind, features.targets[:n_train])
@@ -444,7 +404,7 @@ def _encode_floats(values: np.ndarray) -> str:
 
 def _decode_floats(text: str) -> np.ndarray:
     # a junk character or a byte count that is not a multiple of 8 raises
-    # ValueError, which load_model reports as CorruptPayload
+    # ValueError, which load_model reports as a ModelError
     raw = base64.b64decode(text, validate=True)
     return np.frombuffer(raw, dtype="<f8").astype(np.float64)
 
@@ -477,36 +437,31 @@ def save_model(model: TrainedModel) -> str:
 def load_model(text: str) -> TrainedModel:
     """Inverse of :func:`save_model`.
 
-    Raises :class:`SchemaVersionMismatch` for foreign schema versions and
-    :class:`CorruptPayload` for anything that does not decode into a
-    consistent network.
+    Raises :class:`ModelError` for a foreign schema version and for anything
+    that does not decode into a consistent network.
     """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise CorruptPayload(f"not valid JSON: {exc}") from exc
+        raise ModelError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise CorruptPayload("top-level JSON value is not an object")
+        raise ModelError("top-level JSON value is not an object")
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
-        raise SchemaVersionMismatch(
-            f"schema_version {version!r}, supported {MODEL_SCHEMA_VERSION}"
-        )
+        raise ModelError(f"schema_version {version!r}, supported {MODEL_SCHEMA_VERSION}")
     try:
         sp = payload["spec"]
         # every field is required: a missing seed must not fall back to its default
         names = [f.name for f in fields(ModelSpec)]
         if sorted(sp) != sorted(names):
-            raise CorruptPayload(f"spec keys {sorted(sp)} are not the ModelSpec fields {names}")
+            raise ModelError(f"spec keys {sorted(sp)} are not the ModelSpec fields {names}")
         spec = ModelSpec(**{**sp, "layer_sizes": tuple(sp["layer_sizes"])})
         weights, biases = [], []
         for layer in payload["layers"]:
             rows, cols = int(layer["rows"]), int(layer["cols"])
             flat = _decode_floats(layer["weights_row_major"])
             if flat.size != rows * cols:
-                raise CorruptPayload(
-                    f"layer holds {flat.size} weights, expected {rows * cols}"
-                )
+                raise ModelError(f"layer holds {flat.size} weights, expected {rows * cols}")
             weights.append(flat.reshape(rows, cols))
             biases.append(_decode_floats(layer["bias"]))
         model = TrainedModel(
@@ -517,29 +472,27 @@ def load_model(text: str) -> TrainedModel:
             output_scaler=_scaler_from_dict(payload.get("output_scaler")),
             history=payload.get("history", []),
         )
-    except CorruptPayload:
-        raise
     except (KeyError, TypeError, ValueError) as exc:
-        raise CorruptPayload(f"bad model payload: {exc}") from exc
+        raise ModelError(f"bad model payload: {exc}") from exc
 
     shapes = [w.shape for w in model.weights]
     expected = list(zip(spec.layer_sizes[:-1], spec.layer_sizes[1:]))
     if shapes != expected or len(model.biases) != 3:
-        raise CorruptPayload(f"layer shapes {shapes} do not match spec {expected}")
+        raise ModelError(f"layer shapes {shapes} do not match spec {expected}")
     for b, (_, fan_out) in zip(model.biases, expected):
         if b.shape != (fan_out,):
-            raise CorruptPayload(f"bias shape {b.shape} does not match {fan_out}")
+            raise ModelError(f"bias shape {b.shape} does not match {fan_out}")
     for name, scaler, n in (("input", model.input_scaler, spec.n_inputs),
                             ("output", model.output_scaler, spec.layer_sizes[-1])):
         if scaler is None:
             continue
         if scaler.n_columns != n:
-            raise CorruptPayload(
+            raise ModelError(
                 f"{name} scaler holds {scaler.n_columns} columns, the network has {n} {name}s"
             )
         kind = getattr(spec, f"{name}_scaler_kind")
         if scaler.kind != kind:
-            raise CorruptPayload(f"{name} scaler is {scaler.kind!r}, the spec says {kind!r}")
+            raise ModelError(f"{name} scaler is {scaler.kind!r}, the spec says {kind!r}")
     return model
 
 

@@ -29,43 +29,21 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
-    EpxaiError, check_bool, check_choice, check_float, check_int, check_label, check_object,
-    check_str,
+    ConfigError, DataError, EpxaiError, IncompleteRun, ModelError, check_bool, check_choice,
+    check_float, check_int, check_label, check_object, check_str,
 )
-from .marketcsv import DataError
 from .markets import (
     ACTIVATIONS, INIT_SCHEMES, MARKET_IDS, SCALER_KINDS, SOURCES, MarketConfig, ModelSpec,
-    SshapError, SuperVariable, TrainingHyperparams, benchmark_spec, default_partition,
+    SuperVariable, TrainingHyperparams, benchmark_spec, default_partition,
     market_config, merge_groups, split_group,
 )
 
 __all__ = [
-    "ConfigError",
-    "ModelMismatch",
-    "IncompleteRun",
     "RunConfig",
     "load_config",
     "resolve_config",
     "dispatch",
 ]
-
-
-class ConfigError(EpxaiError):
-    """Run configuration is missing, malformed, or out of range."""
-
-    exit_code = 2
-
-
-class ModelMismatch(EpxaiError):
-    """Model file absent, unreadable, or not the one the config describes."""
-
-    exit_code = 5
-
-
-class IncompleteRun(EpxaiError):
-    """Run directory lacks a run file the command needs, or holds one it did not record."""
-
-    exit_code = 6
 
 
 def _path(value, name: str, base_dir: Path) -> str:
@@ -286,7 +264,7 @@ def resolve_config(
         for k, entry in enumerate(echo["partition"][key]):
             try:
                 part = apply(part, *entry.values())
-            except (ValueError, SshapError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"partition.{key}[{k}]: {exc}") from exc
         if echo["partition"][key]:
             partitions[name] = part
@@ -703,7 +681,7 @@ def cmd_explain(args) -> int:
     from .attribution import attribution_to_csv, explain_dataset, sample_background
     from .data import build_feature_matrix, parse_market_csv
     from .figures import instance_stack
-    from .mlp import ModelError, load_model, predict_prices
+    from .mlp import load_model, predict_prices
     from .sshap import aggregate, slope_check, sshap_line
 
     stage = _Stage(args, "explain", parse_market_csv)
@@ -711,21 +689,21 @@ def cmd_explain(args) -> int:
     attribution = config.echo["attribution"]
     smoothing = config.echo["lines"]
     model_path = Path(args.model) if getattr(args, "model", None) else stage.out / "model.json"
-    text, model_sha256 = _read_input(model_path, ModelMismatch, "model file", "; run train first")
+    text, model_sha256 = _read_input(model_path, ModelError, "model file", "; run train first")
     try:
         trained = load_model(text)
     except ModelError as exc:
-        raise ModelMismatch(f"model file {model_path}: {exc}") from exc
+        raise ModelError(f"model file {model_path}: {exc}") from exc
     del text  # the model's base64 text is not held through the walks
     # whatever its path, the model must be the model.json a stage recorded
     _check_recorded(stage.manifest, "model.json", model_sha256, f"model file {model_path}")
     if trained.spec != config.model_spec:
-        raise ModelMismatch(
+        raise ModelError(
             f"model file {model_path} was trained with different settings than "
             f"the config describes (architecture, scalers, or seed differ)"
         )
     if not trained.is_trained:
-        raise ModelMismatch(f"model file {model_path} carries no fitted scalers")
+        raise ModelError(f"model file {model_path} carries no fitted scalers")
 
     features = build_feature_matrix(stage.series, config.market)
     indices = _instance_subset(features, config)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .attribution import AttributionTensor
-from .markets import Partition, SshapError
+from .errors import EpxaiError
+from .markets import Partition
 
 __all__ = [
-    "PartitionMismatch",
-    "EmptyData",
     "SshapTensor",
     "SshapLines",
     "SlopeCheck",
@@ -34,14 +33,6 @@ __all__ = [
     "sshap_line",
     "slope_check",
 ]
-
-
-class PartitionMismatch(SshapError):
-    """Partition does not cover the tensor's features exactly."""
-
-
-class EmptyData(SshapError):
-    """No observations (or no usable points) for the requested curve."""
 
 
 # exp(-x) underflows to zero in float64 near x = 745; past this squared
@@ -110,7 +101,7 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:
     if tensor_features != partition_features:
         missing = tensor_features - partition_features
         extra = partition_features - tensor_features
-        raise PartitionMismatch(
+        raise EpxaiError(
             f"partition misses {len(missing)} tensor features, "
             f"adds {len(extra)} unknown ones"
         )
@@ -151,7 +142,7 @@ def sshap_line(
         )
     x = prices.ravel()
     if x.size == 0:
-        raise EmptyData("no observations to smooth")
+        raise EpxaiError("no observations to smooth")
     if grid is None:
         lo, hi = np.percentile(x, [1.0, 99.0])
         grid = np.linspace(lo, hi, grid_size)
@@ -200,7 +191,7 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
         lo, hi = band
         mask &= (grid >= lo) & (grid <= hi)
     if mask.sum() < 2:
-        raise EmptyData("fewer than 2 usable grid points in the band")
+        raise EpxaiError("fewer than 2 usable grid points in the band")
     g = grid[mask]
     s = total[mask]
     g_centred = g - g.mean()

@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from epxai.analytics import (
-    EmptyTensor,
-    LengthMismatch,
-    ZeroNaiveError,
     beeswarm_table,
     complexity_metrics,
     heatmap,
@@ -14,9 +11,8 @@ from epxai.analytics import (
     performance_metrics,
 )
 from epxai.attribution import AttributionTensor
-from epxai.data import NonFiniteInput
+from epxai.errors import DataError, EpxaiError
 from epxai.markets import FeatureId, Partition
-from epxai.mlp import TooFewInstances
 from epxai.sshap import SshapTensor
 
 
@@ -62,7 +58,7 @@ class TestHeatmap:
             values=np.empty((0, 24, len(tensor.feature_ids))),
             baseline=np.zeros(24),
         )
-        with pytest.raises(EmptyTensor):
+        with pytest.raises(EpxaiError, match="over zero instances"):
             heatmap(empty, "mean_abs")
 
     def test_bad_aggregation(self):
@@ -96,7 +92,7 @@ class TestHourlyImportance:
             values=np.empty((0, 24, 1)),
             baseline=np.zeros(24),
         )
-        with pytest.raises(EmptyTensor):
+        with pytest.raises(EpxaiError, match="no instances to average"):
             hourly_importance(sshap)
 
 
@@ -129,7 +125,7 @@ class TestBeeswarm:
 
     def test_shape_mismatch(self):
         tensor = hourly_tensor(n_instances=2)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(EpxaiError, match="does not match tensor"):
             beeswarm_table(tensor, np.zeros((3, len(tensor.feature_ids))))
 
 
@@ -159,15 +155,15 @@ class TestPerformanceMetrics:
         assert report.smape == 0.0
 
     def test_errors(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(EpxaiError, match="shapes differ"):
             performance_metrics(np.zeros(3), np.zeros(4), np.zeros(4))
-        with pytest.raises(ZeroNaiveError):
+        with pytest.raises(EpxaiError, match="naive forecast is perfect"):
             performance_metrics(np.ones(3), np.zeros(3), np.zeros(3))
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DataError, match="predicted contains non-finite"):
             performance_metrics(
                 np.array([np.nan]), np.array([1.0]), np.array([2.0])
             )
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(EpxaiError, match="no observations"):
             performance_metrics(np.empty(0), np.empty(0), np.empty(0))
 
 
@@ -228,7 +224,7 @@ class TestComplexityMetrics:
 
     def test_needs_two_instances(self):
         values = np.zeros((1, 24, 24))
-        with pytest.raises(TooFewInstances):
+        with pytest.raises(DataError, match="at least 2 instances"):
             complexity_metrics(
                 self.grad_tensor(values), self.shap_grid(np.zeros((24, 24)))
             )

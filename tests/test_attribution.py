@@ -9,9 +9,6 @@ import pytest
 from epxai.attribution import (
     AttributionTensor,
     BackgroundSet,
-    EmptyBackground,
-    NonFiniteModelOutput,
-    TooManyFeatures,
     _walk_estimates,
     attribution_to_csv,
     explain_dataset,
@@ -20,7 +17,8 @@ from epxai.attribution import (
     shap_exact,
     shap_mc,
 )
-from epxai.data import NonFiniteInput, ScalerParams, fit_scaler, inverse_transform, transform
+from epxai.data import ScalerParams, fit_scaler, inverse_transform, transform
+from epxai.errors import DataError, EpxaiError
 from epxai.markets import FeatureId, ModelSpec, TrainingHyperparams, benchmark_spec
 from epxai.mlp import (
     SELU_LAMBDA,
@@ -120,7 +118,7 @@ class TestExactShapley:
 
     def test_feature_cap(self):
         background = BackgroundSet(np.zeros((3, 13)))
-        with pytest.raises(TooManyFeatures):
+        with pytest.raises(EpxaiError, match="13 features exceeds cap 12"):
             shap_exact(product_model, np.zeros(13), background)
 
 
@@ -206,14 +204,14 @@ class TestMonteCarloShapley:
         background = sample_background(features, size=10, seed=2)
         x = features.values[3].copy()
         x[5] = np.nan
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DataError, match="model input contains non-finite"):
             shap_mc(model, x, background, n_pairs=2)
 
     def test_non_finite_trained_model_output(self, build_matrix):
         model, features = small_trained(build_matrix)
         model.biases[2][0] = np.nan
         background = sample_background(features, size=10, seed=2)
-        with pytest.raises(NonFiniteModelOutput):
+        with pytest.raises(EpxaiError, match="model produced non-finite outputs"):
             shap_mc(model, features.values[3], background, n_pairs=2)
 
     def test_float32_overflow_is_non_finite_output(self, build_matrix):
@@ -226,7 +224,7 @@ class TestMonteCarloShapley:
         background = sample_background(features, size=10, seed=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteModelOutput):
+            with pytest.raises(EpxaiError, match="model produced non-finite outputs"):
                 shap_mc(model, x, background, n_pairs=2)
 
     def test_converges_to_exact(self, build_matrix):
@@ -274,7 +272,7 @@ class TestMonteCarloShapley:
         with pytest.raises(ValueError):
             shap_mc(fn, np.zeros(3), background, n_pairs=4,
                     background_draws=np.array([0, 1]))
-        with pytest.raises(EmptyBackground):
+        with pytest.raises(EpxaiError, match="background needs at least one row"):
             BackgroundSet(np.zeros((0, 3)))
 
     def test_non_finite_model_output(self):
@@ -283,7 +281,7 @@ class TestMonteCarloShapley:
             out[0, 0] = np.nan
             return out
 
-        with pytest.raises(NonFiniteModelOutput):
+        with pytest.raises(EpxaiError, match="model produced non-finite outputs"):
             shap_mc(bad, np.zeros(3), BackgroundSet(np.zeros((4, 3))), n_pairs=2)
 
 

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,17 +17,14 @@ import numpy as np
 import pytest
 
 from conftest import _synthetic_market_csv
-from epxai import pipeline
+from epxai import errors, pipeline
 from epxai.cli import THREAD_VARS, main
 from epxai.data import build_feature_matrix, parse_market_csv
-from epxai.errors import EpxaiError
-from epxai.marketcsv import DataError
-from epxai.mlp import (
-    CorruptPayload, DivergedLoss, ModelError, TooFewInstances, load_model, predict_prices,
-)
-from epxai.pipeline import (
-    ConfigError, IncompleteRun, ModelMismatch, load_config, resolve_config,
-)
+from epxai.errors import ConfigError, DataError, DivergedLoss, EpxaiError, IncompleteRun, ModelError
+from epxai.mlp import load_model, predict_prices
+from epxai.pipeline import load_config, resolve_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(dataset: Path, out: Path) -> dict:
@@ -684,6 +682,25 @@ class TestFailureExitCodes:
         assert err.startswith("error: 4: training diverged: ")
         assert len(err.rstrip("\n").splitlines()) == 1
 
+    def test_overflowing_scaler_fit_is_single_error_line(self, tmp_path):
+        # every price is finite, but squaring them for the std scaler overflows
+        header, *rows = _synthetic_market_csv(n_days=40).splitlines()
+        dataset = tmp_path / "huge.csv"
+        dataset.write_text("\n".join([header] + [
+            f"{stamp},{float(price) * 1e160!r},{load},{wind}"
+            for stamp, price, load, wind in (row.split(",") for row in rows)
+        ]) + "\n")
+        config = base_config(dataset, tmp_path / "out")
+        config["model"].update(input_scaler="median", output_scaler="std")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("ingest", "--config", str(path))[0] == 0
+        code, _, err = run_cli("train", "--config", str(path))
+        assert code == 3
+        assert err.startswith("error: 3: std scaler fit overflows")
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (tmp_path / "out" / "model.json").exists()
+
     def test_explain_before_train_exits_5(self, completed, tmp_path):
         config = base_config(completed["dataset"], tmp_path / "empty")
         path = tmp_path / "cfg.json"
@@ -737,11 +754,24 @@ class TestFailureExitCodes:
     @pytest.mark.parametrize(
         "error, code",
         [
-            (EpxaiError, 1), (ConfigError, 2), (DataError, 3), (TooFewInstances, 3),
-            (DivergedLoss, 4), (ModelError, 5), (ModelMismatch, 5), (IncompleteRun, 6),
+            (EpxaiError, 1), (ConfigError, 2), (DataError, 3), (DivergedLoss, 4),
+            (ModelError, 5), (IncompleteRun, 6),
         ],
     )
     def test_error_family_sets_exit_code(self, monkeypatch, error, code):
+        # the six families are every exception class of epxai.errors, and
+        # with 0 their codes are the rows of the README's exit-code table,
+        # each row naming its family
+        families = {
+            value for value in vars(errors).values()
+            if isinstance(value, type) and issubclass(value, Exception)
+        }
+        assert len(families) == 6 and error in families
+        table = README.read_text(encoding="utf-8").split("\n## Exit codes\n")[1].split("\n## ")[0]
+        rows = dict(re.findall(r"^\| (\d+) +\|(.*)\|$", table, re.M))
+        assert set(rows) == {"0"} | {str(family.exit_code) for family in families}
+        assert f"`{error.__name__}`" in rows[str(code)]
+
         def fail(args):
             raise error("boom")
 
@@ -1234,7 +1264,7 @@ class TestFailureExitCodes:
         mutate(payload)
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
-        with pytest.raises(CorruptPayload):
+        with pytest.raises(ModelError, match=fragment):
             load_model(model.read_text())
         code, _, err = run_cli(
             "explain", "--config", str(completed["config"]), "--out", str(tmp_path / "run"),

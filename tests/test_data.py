@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 
 from epxai.data import (
-    DimensionMismatch,
     HourlySeries,
-    InsufficientHistory,
-    NonFiniteInput,
-    TooFewRows,
     build_feature_matrix,
     fit_scaler,
     inverse_transform,
     parse_market_csv,
     transform,
 )
-from epxai.marketcsv import EmptyInput, MalformedRow, NonHourlyCadence, hours_csv, parse_hours
+from epxai.errors import DataError
+from epxai.marketcsv import hours_csv, parse_hours
 from epxai.markets import (
     FeatureId,
     MarketConfig,
@@ -84,26 +81,25 @@ class TestParseMarketCsv:
     def test_malformed_row_carries_line_number(self):
         text = hourly_csv(n_hours=24)
         broken = text.replace("103.0,203.0,303.0", "103.0,203.0")
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError, match="expected 4 columns, got 3") as exc:
             parse_market_csv(broken, "DE")
-        assert exc.value.line_number == 5  # header + hours 0..2 precede it
-        assert "line 5" in str(exc.value)
+        assert str(exc.value).startswith("line 5: ")  # header + hours 0..2 precede it
 
     def test_bad_number_raises(self):
         text = hourly_csv(n_hours=24).replace("104.0,204.0", "104.0,oops")
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError, match="bad exog1 value") as exc:
             parse_market_csv(text, "DE")
-        assert "exog1" in str(exc.value)
+        assert str(exc.value).startswith("line 6: ")
 
     def test_empty_input(self):
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no data rows in CSV"):
             parse_market_csv("", "DE")
-        with pytest.raises(EmptyInput):
+        with pytest.raises(DataError, match="no data rows in CSV"):
             parse_market_csv("timestamp,price,exog1,exog2\n", "DE")
 
     def test_off_hour_timestamp_rejected(self):
         text = hourly_csv(n_hours=24).replace("01 05:00:00", "01 05:30:00")
-        with pytest.raises(NonHourlyCadence):
+        with pytest.raises(DataError, match="is not on the hour"):
             parse_market_csv(text, "DE")
 
     def test_canonical_csv_roundtrip(self):
@@ -127,10 +123,9 @@ class TestParseMarketCsv:
         # Only line 1 may be a header; the same text on line 2 is an error.
         lines = hourly_csv(n_hours=24).strip().split("\n")
         text = "\n".join([first, "timestamp,price,exog1,exog2"] + lines[1:])
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError) as exc:
             parse_market_csv(text, "DE")
-        assert exc.value.line_number == 2
-        assert "bad timestamp 'timestamp'" in str(exc.value)
+        assert str(exc.value) == "line 2: bad timestamp 'timestamp'"
 
     @pytest.mark.parametrize("first", ["2013-01-01 25:00:00,1.0,2.0,3.0",
                                        "\ufeff2013-01-01 25:00:00,NA,2.0,NA",
@@ -139,16 +134,15 @@ class TestParseMarketCsv:
     def test_bad_timestamp_on_line_1_with_a_number_is_malformed(self, first):
         # line 1 is a header only when none of its value cells is a number
         lines = hourly_csv(n_hours=24).strip().split("\n")
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError) as exc:
             parse_market_csv("\n".join([first] + lines[1:]), "DE")
-        assert exc.value.line_number == 1
-        assert "bad timestamp '2013-01-01 25:00:00'" in str(exc.value)
+        assert str(exc.value) == "line 1: bad timestamp '2013-01-01 25:00:00'"
 
     def test_bad_exog2_cell_names_column_and_line(self):
         text = hourly_csv(n_hours=24).replace("306.0", " 3o6 ")
-        with pytest.raises(MalformedRow) as exc:
+        with pytest.raises(DataError) as exc:
             parse_market_csv(text, "DE")
-        assert exc.value.line_number == 8  # header + hours 0..5 precede it
+        # header + hours 0..5 precede it
         assert str(exc.value) == "line 8: bad exog2 value '3o6'"
 
     def test_na_nan_and_inf_cells_are_missing(self):
@@ -175,7 +169,7 @@ class TestParseMarketCsv:
 
     def test_off_hour_message_has_no_offset(self):
         text = hourly_csv(n_hours=24).replace("01 05:00:00", "01 05:30:00+01:00")
-        with pytest.raises(NonHourlyCadence) as exc:
+        with pytest.raises(DataError) as exc:
             parse_market_csv(text, "DE")
         assert str(exc.value) == "line 7: 2013-01-01 05:30:00 is not on the hour"
 
@@ -199,7 +193,7 @@ class TestParseMarketCsv:
 
 class TestHourlySeries:
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DataError, match="price contains non-finite values"):
             HourlySeries("DE", 0, np.array([1.0, np.nan]), np.ones(2), np.ones(2))
 
 
@@ -273,7 +267,7 @@ class TestBuildFeatureMatrix:
 
     def test_insufficient_history(self):
         series = parse_market_csv(hourly_csv(n_hours=7 * 24), "XX")
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(DataError, match="need more than 7 full days"):
             build_feature_matrix(series, self.make_config())
 
     def test_same_day_inputs_start_on_the_second_day(self):
@@ -287,7 +281,7 @@ class TestBuildFeatureMatrix:
         fm = build_feature_matrix(series, config)
         assert [str(day) for day in fm.instances] == ["2013-01-02", "2013-01-03"]
         np.testing.assert_array_equal(fm.values[0], [20000 + 100 + h for h in range(24)])
-        with pytest.raises(InsufficientHistory, match="need more than 1 full days"):
+        with pytest.raises(DataError, match="need more than 1 full days"):
             build_feature_matrix(parse_market_csv(hourly_csv(n_hours=24), "XX"), config)
 
 
@@ -315,7 +309,7 @@ class TestNaiveForecast:
         assert float(np.abs(fm.naive - fm.targets).mean()) == 4.0
 
     def test_needs_two_days(self):
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(DataError, match="need more than 1 full days"):
             self.features(1)
 
 
@@ -364,20 +358,30 @@ class TestScalers:
             np.testing.assert_allclose(transform(params, rows)[:, 0], 0.0)
 
     def test_too_few_rows(self):
-        with pytest.raises(TooFewRows):
+        with pytest.raises(DataError, match="scaler fit needs >= 2 rows, got 1"):
             fit_scaler("std", np.array([[1.0, 2.0]]))
 
     def test_dimension_mismatch(self):
         params = fit_scaler("std", np.arange(12.0).reshape(6, 2))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="expected 2 columns, got shape"):
             transform(params, np.ones(3))
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(DataError, match="expected 2 columns, got shape"):
             inverse_transform(params, np.ones((4, 5)))
+
+    @pytest.mark.parametrize("kind", ["std", "median"])
+    def test_overflowing_fit_is_a_data_error(self, kind):
+        # finite rows whose statistics leave the float64 range: the square
+        # behind std, or the deviation from the median
+        rows = np.column_stack([np.arange(4.0), [1e160, 2e160, 3e160, 4e160]])
+        if kind == "median":
+            rows[:, 1] = [-1.7e308, -1.7e308, 1.7e308, 1.7e308]
+        with pytest.raises(DataError, match=f"{kind} scaler fit overflows"):
+            fit_scaler(kind, rows)
 
     def test_non_finite_rejected(self):
         rows = np.ones((5, 2))
         rows[3, 1] = np.inf
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(DataError, match="scaler fit input contains non-finite"):
             fit_scaler("median", rows)
 
 
