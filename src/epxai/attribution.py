@@ -163,7 +163,9 @@ def _output_derivative(model: TrainedModel, y_norm: np.ndarray) -> np.ndarray:
     """d(denormalised output)/d(normalized output), per output unit."""
     scaler = model.output_scaler
     if scaler.kind == "arcsinh":
-        return scaler.scale * np.cosh(y_norm)
+        # an overflow ends as inf, which jacobian_batch refuses
+        with np.errstate(over="ignore"):
+            return scaler.scale * np.cosh(y_norm)
     return np.broadcast_to(scaler.scale, y_norm.shape).copy()
 
 
@@ -247,11 +249,12 @@ def _mixed_interior(model: TrainedModel, x_raw: np.ndarray, zs: np.ndarray):
     model32 = model.astype(np.float32)
 
     def interior(states):
-        # a float32 overflow ends as a non-finite output, which the caller
+        # an overflow, in the float32 network or in the float64
+        # denormalization, ends as a non-finite output, which the caller
         # refuses as one
         with np.errstate(over="ignore", invalid="ignore"):
             y = forward_blocks(model32, states)
-        return inverse_transform(model.output_scaler, y)
+            return inverse_transform(model.output_scaler, y)
 
     return interior, x32, zs32
 

@@ -67,7 +67,6 @@ class HourlySeries:
 class FeatureMatrix:
     """Per-day model inputs, targets and naive forecast in raw (unscaled) units."""
 
-    market_id: str
     instances: np.ndarray  # datetime64[D], one delivery day per row
     columns: tuple[FeatureId, ...]
     values: np.ndarray  # (n_instances, n_features)
@@ -150,7 +149,6 @@ def build_feature_matrix(series: HourlySeries, config: MarketConfig) -> FeatureM
         parts.append(((days + _EPOCH_WEEKDAY) % 7).astype(np.float64)[:, None])
 
     return FeatureMatrix(
-        market_id=config.market_id,
         instances=days.astype("datetime64[D]"),
         columns=tuple(fid for _, members in config.groups for fid in members),
         values=np.hstack(parts),

@@ -37,34 +37,22 @@ _GOLDEN = 0.6180339887498949
 class InstanceStack:
     """One instance's grouped contributions, ready for a stacked-bar view."""
 
-    instance_id: str
     groups: tuple
     contributions: np.ndarray  # (24, n_groups)
     baseline: np.ndarray  # (24,)
     forecast: np.ndarray  # (24,)
 
 
-def _instance_index(tensor, instance) -> int:
-    """Position of one instance of a tensor, given by instance id or position."""
-    if isinstance(instance, str):
-        try:
-            return tensor.instance_ids.index(instance)
-        except ValueError:
-            raise KeyError(f"no instance {instance!r}") from None
-    idx = int(instance)
-    if not -tensor.n_instances <= idx < tensor.n_instances:
-        raise KeyError(f"instance index {idx} out of range")
-    return idx
-
-
-def instance_stack(sshap: SshapTensor, instance, forecast: np.ndarray) -> InstanceStack:
-    """Slice one instance out of a grouped tensor for rendering."""
-    idx = _instance_index(sshap, instance)
+def instance_stack(sshap: SshapTensor, day: str, forecast: np.ndarray) -> InstanceStack:
+    """Slice the instance of delivery day ``day`` out of a grouped tensor for rendering."""
+    try:
+        idx = sshap.instance_ids.index(day)
+    except ValueError:
+        raise KeyError(f"no instance {day!r}") from None
     forecast = np.asarray(forecast, dtype=np.float64)
     if forecast.shape != (24,):
         raise ValueError("forecast must be 24 hourly prices")
     return InstanceStack(
-        instance_id=sshap.instance_ids[idx],
         groups=sshap.partition.labels,
         contributions=sshap.values[idx].copy(),
         baseline=sshap.baseline.copy(),
@@ -478,26 +466,27 @@ def _render_stack(stack: InstanceStack, svg, csv, title: str, unit: str) -> None
     _legend(svg, entries, 820.0 - 218, 56.0)
 
 
-def render_figure(artifact, svg, csv, title: str = "", unit: str = "EUR/MWh") -> None:
+def render_figure(artifact, svg, csv, title: str, unit: str) -> None:
     """Render an analytics artefact as an SVG into text stream ``svg`` and its
     companion CSV into text stream ``csv``.
 
     Accepts a :class:`HeatmapGrid`, an :class:`ImportanceTable`, a
     :class:`BeeswarmTable`, an :class:`InstanceStack`, or :class:`SshapLines`,
-    drawn with the dashed identity line ``price - baseline``. Each SVG
-    element and CSV row is written as it is formatted, so no whole figure is
-    held. Rendering is pure: the same artefact always yields the same bytes.
+    drawn with the dashed identity line ``price - baseline``. ``title`` heads
+    the figure and ``unit`` labels its value axes. Each SVG element and CSV
+    row is written as it is formatted, so no whole figure is held. Rendering
+    is pure: the same artefact always yields the same bytes.
     """
     if isinstance(artifact, HeatmapGrid):
-        _render_heatmap(artifact, svg, csv, title or "attribution heatmap", unit)
+        _render_heatmap(artifact, svg, csv, title, unit)
     elif isinstance(artifact, ImportanceTable):
-        _render_importance(artifact, svg, csv, title or "hourly importance", unit)
+        _render_importance(artifact, svg, csv, title, unit)
     elif isinstance(artifact, BeeswarmTable):
-        _render_beeswarm(artifact, svg, csv, title or "top features", unit)
+        _render_beeswarm(artifact, svg, csv, title, unit)
     elif isinstance(artifact, InstanceStack):
-        _render_stack(artifact, svg, csv, title or f"contributions {artifact.instance_id}", unit)
+        _render_stack(artifact, svg, csv, title, unit)
     elif isinstance(artifact, SshapLines):
-        _render_lines(artifact, svg, csv, title or "group value vs price", unit)
+        _render_lines(artifact, svg, csv, title, unit)
     else:
         raise TypeError(f"cannot render object of type {type(artifact).__name__}")
     svg.write("</svg>\n")

@@ -143,9 +143,6 @@ class TrainingHyperparams:
     max_epochs: int = 300
     early_stop_patience: int = 20
     validation_fraction: float = 0.15
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -219,9 +216,9 @@ def market_config(market_id: str) -> MarketConfig:
     return MarketConfig(market_id, currency, tuple(SuperVariable(*sv) for sv in svs), day_of_week)
 
 
-def benchmark_spec(market_id: str, seed: int = 0) -> ModelSpec:
-    """Tuned architecture for one of the five benchmark markets."""
-    return ModelSpec(*_preset(market_id)[3], seed=seed)
+def benchmark_spec(market_id: str) -> ModelSpec:
+    """Tuned architecture for one of the five benchmark markets, at seed 0."""
+    return ModelSpec(*_preset(market_id)[3])
 
 
 @dataclass(frozen=True)

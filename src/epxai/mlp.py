@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .data import FeatureMatrix, ScalerParams, fit_scaler, inverse_transform, transform
-from .errors import DataError, DivergedLoss, ModelError
+from .errors import DataError, DivergedLoss, EpxaiError, ModelError
 from .markets import ModelSpec, TrainingHyperparams
 
 __all__ = [
@@ -53,6 +53,11 @@ SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
 MODEL_SCHEMA_VERSION = 2
+
+# Adam's moment decay rates and denominator guard, the defaults of the Adam paper.
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
 
 # Rows per block in forward_blocks: a block's hidden activations stay
 # in cache, and peak memory no longer scales with Monte Carlo walk batches.
@@ -203,13 +208,18 @@ def predict_prices(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
 
     Rows go through :func:`forward_blocks`, so the hidden-layer
     intermediates never exceed one block. Each row's arithmetic is
-    independent of its block.
+    independent of its block. A price that overflows the float64 range, in
+    the network or in undoing the output scaling, raises :class:`EpxaiError`.
     """
     if not model.is_trained:
         raise ModelError("model has no fitted scalers; train it first")
     batch, single = _as_batch(x_raw, model.spec.n_inputs)
-    y = forward_blocks(model, transform(model.input_scaler, batch))
-    prices = inverse_transform(model.output_scaler, y)
+    # an overflow ends as a non-finite price, refused below as one
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = forward_blocks(model, transform(model.input_scaler, batch))
+        prices = inverse_transform(model.output_scaler, y)
+    if not np.isfinite(prices).all():
+        raise EpxaiError("model produced non-finite outputs")
     return prices[0] if single else prices
 
 
@@ -335,14 +345,14 @@ def train(
             loss, dws, dbs = _batch_gradients(work, xb, yb, masks)
             epoch_loss += loss * len(idx)
             t += 1
-            c1 = 1.0 - hp.adam_beta1**t
-            c2 = 1.0 - hp.adam_beta2**t
+            c1 = 1.0 - _ADAM_BETA1**t
+            c2 = 1.0 - _ADAM_BETA2**t
             for p, m, v, g in zip(params, m_state, v_state, dws + dbs):
-                m *= hp.adam_beta1
-                m += (1.0 - hp.adam_beta1) * g
-                v *= hp.adam_beta2
-                v += (1.0 - hp.adam_beta2) * g * g
-                p -= hp.learning_rate * (m / c1) / (np.sqrt(v / c2) + hp.adam_epsilon)
+                m *= _ADAM_BETA1
+                m += (1.0 - _ADAM_BETA1) * g
+                v *= _ADAM_BETA2
+                v += (1.0 - _ADAM_BETA2) * g * g
+                p -= hp.learning_rate * (m / c1) / (np.sqrt(v / c2) + _ADAM_EPSILON)
         epoch_loss /= n_train
 
         if not math.isfinite(epoch_loss):

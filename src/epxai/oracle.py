@@ -103,7 +103,7 @@ def _chunk_partition(n_features: int, rng):
     return tuple(fids), Partition(groups=tuple(groups))
 
 
-def run_efficiency(seed: int = 0, n_triples: int = 1000) -> BatteryResult:
+def run_efficiency(seed: int = 0) -> BatteryResult:
     """Attribution sums must reproduce prediction minus baseline.
 
     Random (model, instance, seed) triples with pair counts cycling through
@@ -113,6 +113,7 @@ def run_efficiency(seed: int = 0, n_triples: int = 1000) -> BatteryResult:
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    n_triples = 1000
     pair_counts = (1, 4, 64)
     worst_feature = 0.0
     worst_group = 0.0
@@ -176,9 +177,7 @@ def _chi2_upper_quantile(dof: int, z: float = 3.090) -> float:
     return dof * (1.0 - c + z * c**0.5) ** 3
 
 
-def run_exact_equivalence(
-    seed: int = 13, n_models: int = 20, n_pairs: int = 2000
-) -> BatteryResult:
+def run_exact_equivalence(seed: int = 13) -> BatteryResult:
     """Sampled values must agree with enumeration and the linear closed form.
 
     The sampled estimate is a mean of ``n_pairs`` independent pair
@@ -200,6 +199,7 @@ def run_exact_equivalence(
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    n_models, n_pairs = 20, 2000
     gaps, stderrs = [], []
     z2_sum, n_scored, dof = 0.0, 0, 0
     for k in range(n_models):
@@ -271,9 +271,7 @@ def run_exact_equivalence(
     )
 
 
-def run_jacobian_fd(
-    seed: int = 0, n_instances: int = 100, step: float = 1e-4
-) -> BatteryResult:
+def run_jacobian_fd(seed: int = 0) -> BatteryResult:
     """Analytic Jacobians must match central finite differences.
 
     Uses a randomly initialised network of the FR benchmark's shape
@@ -284,6 +282,7 @@ def run_jacobian_fd(
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
+    n_instances, step = 100, 1e-4
     model = _random_model(
         rng, 120, hidden1=233, hidden2=206,
         activation="softplus", in_kind="arcsinh", out_kind="std",
@@ -322,7 +321,7 @@ def run_jacobian_fd(
     )
 
 
-def run_linear_complexity(seed: int = 0, n_instances: int = 30) -> BatteryResult:
+def run_linear_complexity(seed: int = 0) -> BatteryResult:
     """A linear surrogate must report exactly zero non-linearity.
 
     selu is the identity times a constant on the positive half-line, so a
@@ -333,26 +332,11 @@ def run_linear_complexity(seed: int = 0, n_instances: int = 30) -> BatteryResult
     """
     t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
-    n_f = 24
-    spec = ModelSpec(
-        layer_sizes=(n_f, 5, 4, 24),
-        activation="selu",
-        dropout_rate=0.0,
-        l1_factor=0.0,
-        init_scheme="glorot_uniform",
-        input_scaler_kind="std",
-        output_scaler_kind="std",
-        seed=0,
-    )
-    model = init_model(spec)
+    n_f, n_instances = 24, 30
+    model = _random_model(rng, n_f, hidden1=5, hidden2=4, activation="selu")
     # Positive weights + large biases keep every unit on selu's linear arm.
     model.weights = [np.abs(w) * 0.2 + 0.01 for w in model.weights]
     model.biases = [np.full_like(b, 10.0) for b in model.biases]
-    identity = ScalerParams(kind="std", location=np.zeros(n_f), scale=np.ones(n_f))
-    model.input_scaler = identity
-    model.output_scaler = ScalerParams(
-        kind="std", location=np.zeros(24), scale=np.ones(24)
-    )
     fids = tuple(FeatureId("G", h) for h in range(24))
     x = rng.normal(size=(n_instances, n_f))
     grads = jacobian_batch(model, x)

@@ -407,7 +407,6 @@ def _read_manifest(out: Path) -> dict | None:
     stages, inputs = manifest.get("stages"), manifest.get("inputs")
     if not (
         isinstance(stages, dict) and isinstance(inputs, dict)
-        and isinstance(manifest.get("seeds"), dict)
         and all(
             isinstance(record, dict) and isinstance(record.get("outputs"), dict)
             and all(isinstance(digest, str) for digest in record["outputs"].values())
@@ -419,8 +418,8 @@ def _read_manifest(out: Path) -> dict | None:
         )
     ):
         raise IncompleteRun(
-            f"malformed run file {path}: 'stages' must map each stage to its output hashes, "
-            f"'inputs' each input to its sha256, and 'seeds' must be an object"
+            f"malformed run file {path}: 'stages' must map each stage to its output hashes "
+            f"and 'inputs' each input to its sha256"
         )
     return manifest
 
@@ -472,16 +471,9 @@ class _Stage:
         self.t0 = time.perf_counter()
         digest = _sha256_text(_canonical_json(config.settings))
         self.manifest = {
-            "tool": "epxai",
             "version": __version__,
             "config": config.echo,
             "config_digest": digest,
-            "seeds": {
-                "master": config.echo["seed"],
-                "model": config.model_spec.seed,
-                "training": config.training.seed,
-                "attribution": config.echo["attribution"]["seed"],
-            },
             "inputs": {},
             "stages": {},
         }
@@ -510,9 +502,7 @@ class _Stage:
                 f"it (sha256 {recorded[:16]}..., now {self.dataset_sha256[:16]}...); "
                 f"use a fresh directory"
             )
-        self.manifest["inputs"]["dataset"] = {
-            "path": str(config.dataset), "sha256": self.dataset_sha256,
-        }
+        self.manifest["inputs"]["dataset"] = {"sha256": self.dataset_sha256}
         self.series = parse(text, config.market.market_id)
 
     def write(self, rel: str, content) -> None:
@@ -815,7 +805,8 @@ def cmd_report(args) -> int:
     figures = [rel for rel in verified if rel.startswith("figures/")]
     tables = [rel for rel in verified if rel.startswith("tables/")]
 
-    unit = f"{report['config']['market']['currency']}/MWh"
+    config = report["config"]
+    unit = f"{config['market']['currency']}/MWh"
     lines = [
         f"# {report['market_id']} run summary",
         "",
@@ -891,10 +882,13 @@ def cmd_report(args) -> int:
     if tables:
         lines += ["## Tables", "", *(f"- `{rel}`" for rel in tables), ""]
 
+    # from the settings of report.json, whose hash _verified_outputs checked
+    seeds = {k: config[k]["seed"] for k in ("model", "training", "attribution")}
+    seeds["master"] = config["seed"]
     lines += [
         "## Reproducibility",
         "",
-        "- seeds: " + ", ".join(f"{k} {v}" for k, v in sorted(manifest["seeds"].items())),
+        "- seeds: " + ", ".join(f"{k} {v}" for k, v in sorted(seeds.items())),
     ]
     for name, record in sorted(manifest["inputs"].items()):
         lines.append(f"- input {name}: sha256 `{record['sha256'][:16]}...`")

@@ -73,7 +73,6 @@ class SshapLines:
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
-    n_observations: int
     baseline: float
 
 
@@ -170,7 +169,6 @@ def sshap_line(
         grid=grid,
         values=values,
         bandwidth=float(bandwidth),
-        n_observations=int(x.size),
         baseline=float(sshap.baseline.mean()),
     )
 
@@ -183,6 +181,8 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
     baseline. Returns the least-squares slope/intercept over the finite
     grid points inside ``band`` (a (low, high) price window; None keeps the
     whole grid) and the maximum absolute deviation from that identity line.
+    Fewer than two distinct grid prices there, as on the grid of prices
+    that never change, leave no line to fit and raise :class:`EpxaiError`.
     """
     grid = lines.grid
     total = lines.values.sum(axis=0)
@@ -190,9 +190,9 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
     if band is not None:
         lo, hi = band
         mask &= (grid >= lo) & (grid <= hi)
-    if mask.sum() < 2:
-        raise EpxaiError("fewer than 2 usable grid points in the band")
     g = grid[mask]
+    if np.unique(g).size < 2:
+        raise EpxaiError("fewer than 2 usable grid points in the band")
     s = total[mask]
     g_centred = g - g.mean()
     slope = float(g_centred @ (s - s.mean()) / (g_centred @ g_centred))
@@ -202,5 +202,5 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
         slope=slope,
         intercept=intercept,
         max_deviation=deviation,
-        n_points=int(mask.sum()),
+        n_points=g.size,
     )

@@ -76,7 +76,6 @@ def _build_matrix(n_instances=60, n_groups=2, seed=0, noise=0.02):
         np.datetime64("2013-01-01"), np.datetime64("2013-01-01") + n_instances
     )
     return FeatureMatrix(
-        market_id="SYN",
         instances=instances,
         columns=columns,
         values=values,

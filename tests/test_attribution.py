@@ -2,6 +2,7 @@
 
 import io
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ class TestMonteCarloShapley:
         # rows, which predict_prices evaluates in 19 blocks.
         features = build_matrix(n_instances=40, n_groups=6, seed=4)
         model = train(
-            init_model(benchmark_spec("NP", seed=1)),
+            init_model(replace(benchmark_spec("NP"), seed=1)),
             features,
             TrainingHyperparams(batch_size=16, max_epochs=2, seed=1),
         )
@@ -182,7 +183,7 @@ class TestMonteCarloShapley:
         # covers selu with arcsinh scalers, NP softplus.
         features = build_matrix(n_instances=40, n_groups=n_groups, seed=4)
         model = train(
-            init_model(benchmark_spec(market, seed=1)),
+            init_model(replace(benchmark_spec(market), seed=1)),
             features,
             TrainingHyperparams(batch_size=16, max_epochs=2, seed=1),
         )

@@ -21,7 +21,7 @@ from epxai import errors, pipeline
 from epxai.cli import THREAD_VARS, main
 from epxai.data import build_feature_matrix, parse_market_csv
 from epxai.errors import ConfigError, DataError, DivergedLoss, EpxaiError, IncompleteRun, ModelError
-from epxai.mlp import load_model, predict_prices
+from epxai.mlp import load_model, predict_prices, save_model
 from epxai.pipeline import load_config, resolve_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -453,6 +453,23 @@ class TestRunPipeline:
         text = json.dumps(settings, indent=1, sort_keys=True) + "\n"
         assert manifest["config_digest"] == hashlib.sha256(text.encode()).hexdigest()
 
+    def test_manifest_records_each_setting_once(self, tmp_path, workspace):
+        # the seeds live in the config echo alone; summary.md reads them from
+        # report.json's settings
+        config = base_config(workspace[1], tmp_path / "run")
+        config["model"]["seed"] = 3
+        config["training"].update(seed=5, max_epochs=2)
+        config["attribution"]["seed"] = 9
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        for stage in ("train", "report"):
+            assert run_cli(stage, "--config", str(path))[0] == 0, stage
+        manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert set(manifest) == {"version", "config", "config_digest", "inputs", "stages"}
+        assert set(manifest["inputs"]["dataset"]) == {"sha256"}
+        summary = (tmp_path / "run" / "summary.md").read_text()
+        assert "\n- seeds: attribution 9, master 7, model 3, training 5\n" in summary
+
     def test_report_sections(self, completed):
         report = json.loads((completed["run"] / "report.json").read_text())
         for scope in ("train", "validation"):
@@ -701,6 +718,45 @@ class TestFailureExitCodes:
         assert len(err.rstrip("\n").splitlines()) == 1
         assert not (tmp_path / "out" / "model.json").exists()
 
+    def test_overflowing_model_is_single_error_line(self, workspace, tmp_path):
+        # sinh, which undoes the arcsinh output scaler, overflows on a model
+        # scaled far past its training; numpy's warnings must not reach stderr
+        config = base_config(workspace[1], tmp_path / "run")
+        config["model"]["output_scaler"] = "arcsinh"
+        config["training"]["max_epochs"] = 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert run_cli("train", "--config", str(path))[0] == 0
+        model = load_model((tmp_path / "run" / "model.json").read_text())
+        model.weights[2] = model.weights[2] * 1e5
+        big = tmp_path / "big.json"
+        big.write_text(save_model(model))
+        fresh = tmp_path / "fresh"
+        code, _, err = run_cli(
+            "explain", "--config", str(path), "--model", str(big), "--out", str(fresh)
+        )
+        assert code == 1
+        assert err == "error: 1: model produced non-finite outputs\n"
+        assert not fresh.exists()
+
+    def test_constant_prices_explain_is_single_error_line(self, completed, tmp_path):
+        # every explained price is 40.0, so the lines' grid holds one price
+        # and no slope can be fitted; NaN must not reach report.json
+        header, *rows = completed["dataset"].read_text().splitlines()
+        dataset = tmp_path / "flat.csv"
+        dataset.write_text("\n".join([header] + [
+            f"{stamp},40.0,{load},{wind}"
+            for stamp, _, load, wind in (row.split(",") for row in rows)
+        ]) + "\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(base_config(dataset, tmp_path / "run")))
+        code, _, err = run_cli(
+            "explain", "--config", str(path), "--model", str(completed["run"] / "model.json")
+        )
+        assert code == 1
+        assert err == "error: 1: fewer than 2 usable grid points in the band\n"
+        assert not (tmp_path / "run").exists()
+
     def test_explain_before_train_exits_5(self, completed, tmp_path):
         config = base_config(completed["dataset"], tmp_path / "empty")
         path = tmp_path / "cfg.json"
@@ -710,7 +766,7 @@ class TestFailureExitCodes:
         assert "train first" in err
 
     def test_untrained_model_file_exits_5(self, completed, tmp_path):
-        from epxai.mlp import init_model, save_model
+        from epxai.mlp import init_model
 
         config_path = tmp_path / "cfg.json"
         config_path.write_text(
@@ -1217,15 +1273,13 @@ class TestFailureExitCodes:
             ("report", lambda m: m.update(stages=[])),
             ("report", lambda m: m["stages"]["explain"].update(outputs=["x"])),
             ("report", lambda m: m.update(inputs={"dataset": {}})),
-            ("report", lambda m: m.update(seeds=[1])),
             ("ingest", lambda m: m.update(stages=[])),
             ("ingest", lambda m: m.update(inputs=[])),
             ("ingest", lambda m: m["inputs"]["dataset"].update(sha256=5)),
         ],
         ids=[
             "report-stages-list", "report-outputs-list", "report-input-without-sha256",
-            "report-seeds-list", "ingest-stages-list", "ingest-inputs-list",
-            "ingest-sha256-number",
+            "ingest-stages-list", "ingest-inputs-list", "ingest-sha256-number",
         ],
     )
     def test_malformed_manifest_exits_6(self, completed, tmp_path, command, mutate):

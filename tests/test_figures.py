@@ -25,10 +25,10 @@ def _data_values(svg):
     return [float(m) for m in _DATA_VALUE.findall(svg)]
 
 
-def _render(artifact, **kwargs):
+def _render(artifact, title="figure", unit="EUR/MWh"):
     """The SVG and CSV text render_figure writes into two string streams."""
     svg, csv = io.StringIO(), io.StringIO()
-    assert render_figure(artifact, svg, csv, **kwargs) is None
+    assert render_figure(artifact, svg, csv, title, unit) is None
     return SimpleNamespace(svg=svg.getvalue(), csv=csv.getvalue())
 
 
@@ -63,7 +63,6 @@ def _lines(rng, n_lines=2, with_nan=False, baseline=12.5):
         grid=grid,
         values=values,
         bandwidth=5.0,
-        n_observations=120,
         baseline=baseline,
     )
 
@@ -113,7 +112,7 @@ class TestDeterminism:
         )
         swarm = _beeswarm(np.random.default_rng(5))
         tensor, forecast = _stack(np.random.default_rng(6))
-        stack = instance_stack(tensor, 1, forecast)
+        stack = instance_stack(tensor, "2020-02-02", forecast)
         for artifact in (grid, lines, table, swarm, stack):
             first = _render(artifact)
             second = _render(artifact)
@@ -130,7 +129,7 @@ class TestDeterminism:
         for artifact in ({"not": "renderable"}, []):
             svg, csv = io.StringIO(), io.StringIO()
             with pytest.raises(TypeError):
-                render_figure(artifact, svg, csv)
+                render_figure(artifact, svg, csv, "figure", "EUR/MWh")
             assert svg.getvalue() == csv.getvalue() == ""
 
 
@@ -277,13 +276,12 @@ class TestBeeswarmFigure:
 
 
 class TestStackFigure:
-    def test_builder_by_index_and_id(self):
+    def test_builder_by_day(self):
         tensor, forecast = _stack(np.random.default_rng(21))
-        by_index = instance_stack(tensor, 1, forecast)
-        by_id = instance_stack(tensor, "2020-02-02", forecast)
-        assert by_index.instance_id == "2020-02-02"
-        np.testing.assert_array_equal(by_index.contributions, by_id.contributions)
-        np.testing.assert_array_equal(by_index.baseline, tensor.baseline)
+        stack = instance_stack(tensor, "2020-02-02", forecast)
+        assert stack.groups == tensor.partition.labels
+        np.testing.assert_array_equal(stack.contributions, tensor.values[1])
+        np.testing.assert_array_equal(stack.baseline, tensor.baseline)
 
     def test_builder_rejects_unknown_instance(self):
         tensor, forecast = _stack(np.random.default_rng(22))
@@ -292,11 +290,11 @@ class TestStackFigure:
         with pytest.raises(KeyError):
             instance_stack(tensor, 99, forecast)
         with pytest.raises(ValueError):
-            instance_stack(tensor, 0, forecast[:12])
+            instance_stack(tensor, "2020-02-01", forecast[:12])
 
     def test_csv_holds_groups_plus_net_line(self):
         tensor, forecast = _stack(np.random.default_rng(23))
-        stack = instance_stack(tensor, 0, forecast)
+        stack = instance_stack(tensor, "2020-02-01", forecast)
         fig = _render(stack)
         header, rows = _csv_rows(fig.csv)
         assert header == ["series", "output_hour", "value"]
@@ -310,7 +308,7 @@ class TestStackFigure:
 
     def test_bar_heights_are_nonnegative(self):
         tensor, forecast = _stack(np.random.default_rng(24))
-        svg = _render(instance_stack(tensor, 2, forecast)).svg
+        svg = _render(instance_stack(tensor, "2020-02-03", forecast)).svg
         heights = [
             float(m)
             for m in re.findall(r'<rect[^>]*height="([0-9.]+)"[^>]*data-series', svg)
@@ -327,7 +325,7 @@ class TestSvgHygiene:
             _beeswarm(np.random.default_rng(27)),
         ]
         tensor, forecast = _stack(np.random.default_rng(28))
-        artifacts.append(instance_stack(tensor, 0, forecast))
+        artifacts.append(instance_stack(tensor, "2020-02-01", forecast))
         for artifact in artifacts:
             svg = _render(artifact).svg
             for attr in ("cx", "cy", "x1", "y1", "x2", "y2"):
@@ -371,22 +369,29 @@ def test_ramp_matches_per_value_mixing(diverging):
 
 
 def _pinned_artifacts():
-    """Fixed artefacts for the byte pins, one per renderer path."""
+    """Fixed artefacts for the byte pins, one per renderer path, each with the
+    title it is rendered under."""
     swarm = _beeswarm(
         np.random.default_rng(105), n_rows=2, n_instances=3,
         group="Load <MW> & Price",
     )
     tensor, forecast = _stack(np.random.default_rng(106))
     return {
-        "heatmap-signed": _heatmap(np.random.default_rng(101)),
-        "heatmap-magnitude": _heatmap(np.random.default_rng(102), n_blocks=1, signed=False),
-        "lines-gap-baseline": _lines(np.random.default_rng(103), with_nan=True),
-        "importance": ImportanceTable(
+        "heatmap-signed": (_heatmap(np.random.default_rng(101)), "attribution heatmap"),
+        "heatmap-magnitude": (
+            _heatmap(np.random.default_rng(102), n_blocks=1, signed=False), "attribution heatmap",
+        ),
+        "lines-gap-baseline": (
+            _lines(np.random.default_rng(103), with_nan=True), "group value vs price",
+        ),
+        "importance": (ImportanceTable(
             groups=("Price D-1", "Load Forecast D", "Day of week"),
             values=np.abs(np.random.default_rng(104).normal(size=(24, 3))),
+        ), "hourly importance"),
+        "beeswarm-escaped": (swarm, "top features"),
+        "stack-negative": (
+            instance_stack(tensor, "2020-02-02", forecast), "contributions 2020-02-02",
         ),
-        "beeswarm-escaped": swarm,
-        "stack-negative": instance_stack(tensor, 1, forecast),
     }
 
 
@@ -422,8 +427,8 @@ _PINNED = {
 
 @pytest.mark.parametrize("case", sorted(_PINNED))
 def test_rendered_bytes_are_pinned(case):
-    artifact = _pinned_artifacts()[case]
-    fig = _render(artifact)
+    artifact, title = _pinned_artifacts()[case]
+    fig = _render(artifact, title)
     if case == "stack-negative":
         assert (artifact.contributions < 0).any()
     if case == "beeswarm-escaped":

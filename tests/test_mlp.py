@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from epxai.data import ScalerParams, transform
-from epxai.errors import DataError, DivergedLoss, ModelError
+from epxai.errors import DataError, DivergedLoss, EpxaiError, ModelError
 from epxai.markets import ModelSpec, TrainingHyperparams, benchmark_spec
 from epxai.mlp import (
     MODEL_SCHEMA_VERSION,
@@ -297,6 +297,18 @@ class TestForward:
     def test_untrained_predict_rejected(self):
         with pytest.raises(ModelError, match="no fitted scalers"):
             predict_prices(init_model(small_spec()), np.zeros(48))
+
+    def test_overflowing_prices_raise_without_warning(self):
+        # the arcsinh output scaler is undone with sinh, which overflows on
+        # outputs far past any training range; the error is the one signal,
+        # as pyproject.toml turns a numpy RuntimeWarning into a failure
+        model = init_model(replace(small_spec(), output_scaler_kind="arcsinh"))
+        model.input_scaler = ScalerParams("std", np.zeros(48), np.ones(48))
+        model.output_scaler = ScalerParams("arcsinh", np.zeros(24), np.ones(24))
+        model.weights[2] = model.weights[2] * 1e5
+        x = np.random.default_rng(8).normal(0.0, 1.0, (5, 48))
+        with pytest.raises(EpxaiError, match="model produced non-finite outputs"):
+            predict_prices(model, x)
 
     def test_forward_blocks_have_the_bits_of_one_pass(self):
         # forward runs in blocks of rows; over three full blocks and a short

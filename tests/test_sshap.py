@@ -201,7 +201,6 @@ class TestSshapLine:
                 lines.grid, prices.ravel(), values[:, :, g].ravel(), 5.0
             )
             np.testing.assert_allclose(lines.values[g], expected, rtol=1e-9)
-        assert lines.n_observations == 6 * 24
         assert lines.bandwidth == 5.0
         assert lines.baseline == float(sshap.baseline.mean())
 
@@ -274,7 +273,6 @@ class TestSlopeCheck:
             grid=grid,
             values=np.array(values),
             bandwidth=5.0,
-            n_observations=100,
             baseline=baseline,
         )
 
@@ -309,6 +307,13 @@ class TestSlopeCheck:
         grid = np.linspace(0.0, 1.0, 5)
         with pytest.raises(EpxaiError, match="fewer than 2 usable grid points"):
             slope_check(self.lines(grid, np.zeros(5), baseline=0.0), band=(2.0, 3.0))
+
+    def test_constant_grid_has_no_slope(self):
+        # prices that never change put every grid point at one price, so
+        # there is no line to fit
+        grid = np.full(200, 40.0)
+        with pytest.raises(EpxaiError, match="fewer than 2 usable grid points"):
+            slope_check(self.lines(grid, np.zeros(200), baseline=40.0))
 
     def test_self_consistent_lattice_recovers_identity(self):
         # Observations y = x - c on a uniform price lattice; inside a band
