@@ -11,7 +11,6 @@ source of truth and the SVG can always be checked against it byte for byte.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,9 +132,8 @@ def _line(x1, y1, x2, y2, stroke: str = "#999") -> str:
     )
 
 
-def _polyline(points: str, stroke: str, style: str = 'stroke-width="1.5"',
-              data: str = "") -> str:
-    return f'<polyline fill="none" stroke="{stroke}" {style} points="{points}"{data}/>\n'
+def _polyline(points: str, stroke: str, style: str = 'stroke-width="1.5"') -> str:
+    return f'<polyline fill="none" stroke="{stroke}" {style} points="{points}"/>\n'
 
 
 def _svg_open(svg, width: float, height: float, title: str) -> None:
@@ -215,20 +213,6 @@ def _render_heatmap(grid: HeatmapGrid, svg, csv, title: str, unit: str) -> None:
     write_svg("</g>\n")
 
 
-def _split_finite_runs(xs, ys):
-    run_x: list = []
-    run_y: list = []
-    for x, y in zip(xs, ys):
-        if math.isfinite(y):
-            run_x.append(x)
-            run_y.append(y)
-        elif run_x:
-            yield run_x, run_y
-            run_x, run_y = [], []
-    if run_x:
-        yield run_x, run_y
-
-
 class _Axes:
     """Shared linear axes mapping data space onto a pixel box."""
 
@@ -299,43 +283,33 @@ def _legend(svg, entries, x, y) -> None:
 
 
 def _render_lines(lines: SshapLines, svg, csv, title: str, unit: str) -> None:
-    grid, baseline = lines.grid, lines.baseline
-    finite = [values[np.isfinite(values)] for values in lines.values]
-    lo = min((v.min() for v in finite if v.size), default=0.0)
-    hi = max((v.max() for v in finite if v.size), default=1.0)
-    identity = grid - baseline
-    lo = min(lo, identity.min())
-    hi = max(hi, identity.max())
+    grid = lines.grid
+    reference = grid - lines.baseline
+    lo = min(float(lines.values.min()), float(reference.min()))
+    hi = max(float(lines.values.max()), float(reference.max()))
     pad = 0.05 * (hi - lo or 1.0)
     axes = _plot(
         svg, 760.0, 420.0, 190, title, (float(grid.min()), float(grid.max())),
         (lo - pad, hi + pad), f"actual price [{unit}]", f"group value [{unit}]",
     )
-    # every line pools all instances and hours; the mode column keeps the
-    # file's layout
-    csv.write("group,mode,grid_price,value\n")
-    ends = grid[[0, -1]]
-    svg.write(_polyline(
-        axes.points(ends, ends - baseline), "#888", 'stroke-dasharray="5,4"',
-        f' data-series="identity" data-baseline="{_val(baseline)}"',
-    ))
-    entries = []
-    for k, (group, values) in enumerate(zip(lines.labels, lines.values)):
-        color = _color(k)
-        entries.append((group, color))
-        for xs, ys in _split_finite_runs(grid, values):
-            svg.write(_polyline(axes.points(xs, ys), color))
+    csv.write("group,grid_price,value\n")
+    # the dashed reference, where additivity puts the summed curve, lies under
+    # the group lines
+    series = [("price_minus_baseline", reference, "#888", 'stroke-dasharray="5,4"')]
+    series += [
+        (group, values, _color(k), 'stroke-width="1.5"')
+        for k, (group, values) in enumerate(zip(lines.labels, lines.values))
+    ]
+    for group, values, color, style in series:
+        svg.write(_polyline(axes.points(grid, values), color, style))
         for x, y in zip(grid, values):
-            csv.write(
-                f"{group},pooled,{_val(x)},"
-                f"{'' if not math.isfinite(y) else _val(y)}\n"
+            csv.write(f"{group},{_val(x)},{_val(y)}\n")
+            svg.write(
+                f'<circle cx="{_f(axes.x(x))}" cy="{_f(axes.y(y))}" r="1.4" '
+                f'fill="{color}" data-group="{_esc(group)}" '
+                f'data-price="{_val(x)}" data-value="{_val(y)}"/>\n'
             )
-            if math.isfinite(y):
-                svg.write(
-                    f'<circle cx="{_f(axes.x(x))}" cy="{_f(axes.y(y))}" r="1.4" '
-                    f'fill="{color}" data-group="{_esc(group)}" '
-                    f'data-price="{_val(x)}" data-value="{_val(y)}"/>\n'
-                )
+    entries = [(group, color) for group, _, color, _ in series[1:]]
     entries.append(("price - baseline", "#888"))
     _legend(svg, entries, 760.0 - 180, 56.0)
 
@@ -472,7 +446,7 @@ def render_figure(artifact, svg, csv, title: str, unit: str) -> None:
 
     Accepts a :class:`HeatmapGrid`, an :class:`ImportanceTable`, a
     :class:`BeeswarmTable`, an :class:`InstanceStack`, or :class:`SshapLines`,
-    drawn with the dashed identity line ``price - baseline``. ``title`` heads
+    drawn over the dashed reference ``price - baseline``. ``title`` heads
     the figure and ``unit`` labels its value axes. Each SVG element and CSV
     row is written as it is formatted, so no whole figure is held. Rendering
     is pure: the same artefact always yields the same bytes.

@@ -138,7 +138,6 @@ _HP = TrainingHyperparams
 _SEED = _scalar(check_int, lo=0, hi=2**64 - 1)
 _KEYS = (
     (None, "seed", _SEED, 0),
-    ("market", "market_id", _scalar(check_str), _bench("market_id")),
     ("market", "currency", _scalar(check_str), _bench("currency")),
     ("market", "super_variables", _entries(
         ("label", check_label), ("source", _scalar(check_choice, choices=SOURCES)),
@@ -170,7 +169,6 @@ _KEYS = (
     ("attribution", "seed", _scalar(check_int, lo=0), _master_seed),
     ("partition", "splits", _entries(("group", check_str), ("hour", check_int)), ()),
     ("partition", "merges", _entries(("label", check_label), ("members", _labels)), ()),
-    ("lines", "bandwidth", _scalar(check_float, lo=0.0, lo_open=True), 5.0),
     ("lines", "grid_size", _scalar(check_int, lo=2), 200),
     ("lines", "band", _band, None),
     (None, "instance_dates", _dates, ()),
@@ -239,11 +237,11 @@ def resolve_config(
     """
     try:
         echo = _resolve_echo(raw, Path(base_dir), out_override)
-        market_id, market = echo["market_id"], echo["market"]
-        if market["market_id"] != market_id:
-            raise ValueError(f"market config is for {market['market_id']!r}, run is {market_id!r}")
+        market = echo["market"]
         svs = tuple(SuperVariable(**sv) for sv in market["super_variables"])
-        market = MarketConfig(**{**market, "super_variables": svs})
+        market = MarketConfig(
+            **{**market, "market_id": echo["market_id"], "super_variables": svs}
+        )
         partitions = {"default": default_partition(market)}
         model = echo["model"]
         model_spec = ModelSpec(
@@ -455,9 +453,10 @@ class _Stage:
     Construction resolves the config and the run directory, reads and hashes
     the dataset and parses it once into ``series`` with ``parse(text,
     market_id)``. It refuses a directory made by another config or from
-    another dataset, or one with an unreadable or malformed run file, before
-    anything is written. The config check leaves out the ``dataset`` and
-    ``out`` paths, so a copied or moved run directory can be continued.
+    another dataset, one with an unreadable or malformed run file, and one
+    that holds run files but no manifest, before anything is written. The
+    config check leaves out the ``dataset`` and ``out`` paths, so a copied
+    or moved run directory can be continued.
     ``write`` and ``figure`` stream each artifact to disk as soon as it exists
     and record its hash; ``finish`` merges the report section, records the
     stage in ``manifest.json`` and prints the stage line. Every file goes
@@ -478,7 +477,16 @@ class _Stage:
             "stages": {},
         }
         existing = _read_manifest(self.out)
-        if existing is not None:
+        if existing is None:
+            # run files without a manifest belong to no recorded run; a new
+            # manifest would not list them, yet they would stay beside its files
+            for rel in ("model.json", "report.json", "summary.md", "tables", "figures"):
+                if (self.out / rel).exists():
+                    raise IncompleteRun(
+                        f"run directory {self.out} holds {rel} but no manifest.json; "
+                        f"use a fresh directory"
+                    )
+        else:
             if existing.get("config_digest") != digest:
                 raise ConfigError(
                     f"run directory {self.out} was produced by a different config "
@@ -717,10 +725,7 @@ def cmd_explain(args) -> int:
     # the complexity metrics (fewer than two instances) can refuse the data,
     # so they run before any write
     prices = features.targets[indices]
-    lines = sshap_line(
-        sshap_default, prices,
-        bandwidth=smoothing["bandwidth"], grid_size=smoothing["grid_size"],
-    )
+    lines = sshap_line(sshap_default, prices, grid_size=smoothing["grid_size"])
     band_abs = None
     if smoothing["band"] is not None:
         band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
@@ -772,6 +777,7 @@ def cmd_explain(args) -> int:
             },
             "slope_check": {
                 **asdict(check),
+                "bandwidth": lines.bandwidth,
                 "band_percentiles": smoothing["band"],
                 "band_prices": list(band_abs) if band_abs else None,
             },
@@ -860,8 +866,8 @@ def cmd_report(args) -> int:
         lines += [
             "## Additivity check",
             "",
-            f"Summed group curves against price minus baseline: slope "
-            f"{s['slope']:.4f}, intercept {s['intercept']:.2f}, max deviation "
+            f"Summed group curves plus the smoothed baseline against the realised "
+            f"price: slope {s['slope']:.4f}, intercept {s['intercept']:.2f}, max deviation "
             f"{s['max_deviation']:.4g} over {s['n_points']} grid points"
             + (f" inside the {band[0]:g}-{band[1]:g} percentile band" if band else "") + ".",
             "",

@@ -35,11 +35,6 @@ __all__ = [
 ]
 
 
-# exp(-x) underflows to zero in float64 near x = 745; past this squared
-# half-distance even the closest observation carries no weight.
-_UNDERFLOW = 709.0
-
-
 @dataclass
 class SshapTensor:
     """Grouped Shapley values: (n_instances, 24, n_groups) plus baseline."""
@@ -63,17 +58,17 @@ class SshapTensor:
 class SshapLines:
     """Kernel-smoothed curves of every group's value against realised price.
 
-    The groups of one partition share one ``grid``, one ``bandwidth`` and
-    one ``baseline``, the mean hourly baseline their sum is compared with.
-    ``values`` is (n_groups, grid size), NaN wherever no observation kept
-    nonzero kernel weight.
+    The groups of one partition share one ``grid`` and one ``bandwidth``.
+    ``values`` is (n_groups, grid size); ``baseline`` is the hourly
+    baseline smoothed with the same weights, one value per grid price, so
+    additivity puts the summed curve at ``grid - baseline``.
     """
 
     labels: tuple
     grid: np.ndarray
     values: np.ndarray
     bandwidth: float
-    baseline: float
+    baseline: np.ndarray
 
 
 @dataclass
@@ -120,20 +115,22 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:
 def sshap_line(
     sshap: SshapTensor,
     actual_prices: np.ndarray,
-    bandwidth: float = 5.0,
+    bandwidth: float | None = None,
     grid: np.ndarray | None = None,
     grid_size: int = 200,
 ) -> SshapLines:
     """Gaussian-kernel regression of every group's values on realised prices.
 
     Observations are (price, group value) pairs pooled over every instance
-    and output hour, so ``actual_prices`` is (n_instances, 24). The default
-    grid spans the 1st to 99th percentile of the observed prices with
-    ``grid_size`` points. Grid points where every observation's kernel
-    weight underflows to zero are returned as NaN.
+    and output hour, so ``actual_prices`` is (n_instances, 24). Each
+    observation's hourly baseline is smoothed with the same weights into
+    ``SshapLines.baseline``. The default ``bandwidth`` is Silverman's rule
+    of thumb over the prices, 0.9 min(sd, IQR / 1.34) n^(-1/5), with the sd
+    alone when the IQR is 0. The default grid spans the 1st to 99th
+    percentile of the prices with ``grid_size`` points. Every grid point
+    gets a value, however far it lies from the observations; a bandwidth so
+    small that the squared distances overflow raises :class:`EpxaiError`.
     """
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be positive")
     prices = np.asarray(actual_prices, dtype=np.float64)
     if prices.shape != (sshap.n_instances, 24):
         raise ValueError(
@@ -142,62 +139,71 @@ def sshap_line(
     x = prices.ravel()
     if x.size == 0:
         raise EpxaiError("no observations to smooth")
+    if bandwidth is None:
+        q1, q3 = np.percentile(x, [25.0, 75.0])
+        sd = float(np.std(x, ddof=1))
+        spread = min(sd, (q3 - q1) / 1.34) if q3 > q1 else sd
+        # prices that never change give the same curve at any bandwidth
+        bandwidth = 0.9 * spread * x.size ** -0.2 or 1.0
+    elif bandwidth <= 0.0:
+        raise ValueError("bandwidth must be positive")
     if grid is None:
         lo, hi = np.percentile(x, [1.0, 99.0])
         grid = np.linspace(lo, hi, grid_size)
     else:
         grid = np.asarray(grid, dtype=np.float64)
 
-    # a bandwidth so small that the squares overflow leaves NaN weights at
-    # points the underflow test below marks absent anyway
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         half_sq = 0.5 * ((grid[:, None] - x[None, :]) / bandwidth) ** 2
-        nearest = half_sq.min(axis=1)
-        # Shift by the per-point minimum so the close observations keep full
-        # precision; the shift cancels in the weighted mean.
-        weights = np.exp(-(half_sq - nearest[:, None]))
-        total = weights.sum(axis=1)
-        # one product per group: a single weights @ (n_obs, n_groups) product
-        # rounds differently and would change every line's bits
-        values = np.stack([
-            (weights @ sshap.values[:, :, g].ravel()) / total
-            for g in range(sshap.partition.n_groups)
-        ])
-    values[:, nearest >= _UNDERFLOW] = np.nan
+    nearest = half_sq.min(axis=1)
+    if not np.isfinite(nearest).all():
+        raise EpxaiError(
+            f"bandwidth {bandwidth!r} is too small: the squared price distances overflow"
+        )
+    # Shift by the per-point minimum so the nearest observation weighs 1 and
+    # the close ones keep full precision; the shift cancels in the weighted mean.
+    weights = np.exp(-(half_sq - nearest[:, None]))
+    columns = np.column_stack([
+        sshap.values.reshape(x.size, sshap.partition.n_groups),
+        np.tile(sshap.baseline, sshap.n_instances),
+    ])
+    smoothed = (weights @ columns) / weights.sum(axis=1)[:, None]
     return SshapLines(
         labels=sshap.partition.labels,
         grid=grid,
-        values=values,
+        values=smoothed[:, :-1].T,
         bandwidth=float(bandwidth),
-        baseline=float(sshap.baseline.mean()),
+        baseline=smoothed[:, -1],
     )
 
 
 def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
-    """Fit the vertical sum of the lines against price and measure deviation.
+    """Fit the summed curves plus the baseline against price, and measure
+    their deviation from the identity line.
 
-    When every configured group is present, additivity predicts the summed
-    curve equals ``price - lines.baseline``: slope one, intercept minus
-    baseline. Returns the least-squares slope/intercept over the finite
-    grid points inside ``band`` (a (low, high) price window; None keeps the
-    whole grid) and the maximum absolute deviation from that identity line.
-    Fewer than two distinct grid prices there, as on the grid of prices
-    that never change, leave no line to fit and raise :class:`EpxaiError`.
+    An observation's group values sum to its predicted price minus its
+    baseline. Smoothed against the predicted price, the summed curve is
+    therefore ``grid - lines.baseline`` up to smoothing, and the sum plus
+    the baseline lies on the identity: slope one, intercept zero. Against
+    the realised price y, as ``explain`` smooths them, the slope to expect
+    for predictions p is cov(p, y) / var(y). Returns the least-squares
+    slope/intercept over the grid points inside ``band`` (a (low, high)
+    price window; None keeps the whole grid) and the maximum absolute
+    deviation from the identity. Fewer than two distinct grid prices there,
+    as on the grid of prices that never change, leave no line to fit and
+    raise :class:`EpxaiError`.
     """
     grid = lines.grid
-    total = lines.values.sum(axis=0)
-    mask = np.isfinite(total)
-    if band is not None:
-        lo, hi = band
-        mask &= (grid >= lo) & (grid <= hi)
+    lo, hi = (-np.inf, np.inf) if band is None else band
+    mask = (grid >= lo) & (grid <= hi)
     g = grid[mask]
     if np.unique(g).size < 2:
         raise EpxaiError("fewer than 2 usable grid points in the band")
-    s = total[mask]
+    s = (lines.values.sum(axis=0) + lines.baseline)[mask]
     g_centred = g - g.mean()
     slope = float(g_centred @ (s - s.mean()) / (g_centred @ g_centred))
     intercept = float(s.mean() - slope * g.mean())
-    deviation = float(np.max(np.abs(s - (g - lines.baseline))))
+    deviation = float(np.max(np.abs(s - g)))
     return SlopeCheck(
         slope=slope,
         intercept=intercept,

@@ -182,7 +182,6 @@ class TestSyntheticMarket:
             "out": str(out),
             "seed": 3,
             "market": {
-                "market_id": "FR",
                 "currency": "EUR",
                 "include_day_of_week": False,
                 "super_variables": [

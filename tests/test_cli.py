@@ -1,6 +1,7 @@
 """Command-line pipeline: config handling, exit codes, artifacts, determinism."""
 
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -35,7 +36,6 @@ def base_config(dataset: Path, out: Path) -> dict:
         "out": str(out),
         "seed": 7,
         "market": {
-            "market_id": "FR",
             "currency": "EUR",
             "include_day_of_week": False,
             "super_variables": [
@@ -195,7 +195,7 @@ class TestValidate:
         assert again.echo == echo
         # defaults are materialized in the echo
         assert echo["attribution"]["antithetic"] is True
-        assert echo["lines"]["bandwidth"] == 5.0
+        assert echo["lines"]["grid_size"] == 200
 
     def test_byte_order_mark_config_reads_like_the_plain_file(self, workspace):
         root, dataset = workspace
@@ -252,7 +252,6 @@ class TestValidate:
             "out": None,
             "seed": 11,
             "market": {
-                "market_id": "NP",
                 "currency": "EUR",
                 "include_day_of_week": False,
                 "super_variables": [
@@ -278,7 +277,7 @@ class TestValidate:
                 "max_instances": 256, "seed": 11,
             },
             "partition": {"splits": [], "merges": []},
-            "lines": {"bandwidth": 5.0, "grid_size": 200, "band": None},
+            "lines": {"grid_size": 200, "band": None},
             "instance_dates": [],
             "beeswarm_top_k": 20,
         }
@@ -286,6 +285,30 @@ class TestValidate:
             json.dumps(expected, indent=1, sort_keys=True)
             + "\nconfig ok: NP, 144 features\n"
         )
+
+    def test_readme_config_reference_names_every_key(self):
+        # the README's jsonc block reads as JSON once its comments are cut;
+        # the keys of an entry list's objects count as keys of the list
+        block = README.read_text(encoding="utf-8").split("```jsonc\n")[1].split("```")[0]
+        reference = json.loads(re.sub(r"//[^\n]*", "", block))
+
+        def paths(obj, prefix=""):
+            for key, value in obj.items():
+                yield prefix + key
+                if isinstance(value, dict):
+                    yield from paths(value, f"{prefix}{key}.")
+                elif isinstance(value, list):
+                    for entry in value:
+                        if isinstance(entry, dict):
+                            yield from paths(entry, f"{prefix}{key}[].")
+
+        expected = {"market_id", "dataset", "out"}
+        for section, key, checker, _ in pipeline._KEYS:
+            name = key if section is None else f"{section}.{key}"
+            expected |= {section or key, name}
+            fields = inspect.getclosurevars(checker).nonlocals.get("fields", ())
+            expected |= {f"{name}[].{field}" for field, _ in fields}
+        assert set(paths(reference)) == expected
 
     @pytest.mark.parametrize("market_id", ["DE", "FR", "BE", "NP", "PJM"])
     def test_preset_echo_validates_to_itself(self, tmp_path, market_id):
@@ -306,8 +329,8 @@ class TestValidate:
 
     @pytest.mark.parametrize(
         "market_id, key, value",
-        [("PJM", "currency", "USD"), ("PJM", "market_id", "PJM"),
-         ("DE", "include_day_of_week", True), ("BE", "include_day_of_week", True)],
+        [("PJM", "currency", "USD"), ("DE", "include_day_of_week", True),
+         ("BE", "include_day_of_week", True)],
     )
     def test_partial_market_section_takes_preset_defaults(self, tmp_path, market_id, key, value):
         svs = [{"label": "Price D-1", "source": "price", "day_lag": 1}]
@@ -321,7 +344,10 @@ class TestValidate:
         "mutate, fragment",
         [
             (lambda c: c.update(surprise=1), "surprise"),
-            (lambda c: c["market"].update(market_id="DE"), "market config is for 'DE', run is 'FR'"),
+            # keys of earlier versions: the market id is set once, at the top
+            # level, and the lines choose their own bandwidth
+            (lambda c: c["market"].update(market_id="FR"), "unknown market keys: market_id"),
+            (lambda c: c["lines"].update(bandwidth=5.0), "unknown lines keys: bandwidth"),
             (lambda c: c["market"]["super_variables"][0].update(source="prices"),
              "market.super_variables[0].source"),
             (lambda c: c["market"]["super_variables"][1].update(day_lag=-1),
@@ -351,7 +377,6 @@ class TestValidate:
              "training.validation_fraction"),
             (lambda c: c["training"].update(learning_rate=float("nan")), "training.learning_rate"),
             (lambda c: c["model"].update(l1=float("nan")), "model.l1"),
-            (lambda c: c["lines"].update(bandwidth=float("inf")), "lines.bandwidth"),
             (lambda c: c["model"].update(l1=10**400), "model.l1"),  # beyond the float range
             # Python 3.11's fromisoformat reads the basic form; delivery days are YYYY-MM-DD
             (lambda c: c.update(instance_dates=["20130401"]), "20130401"),
@@ -916,6 +941,27 @@ class TestFailureExitCodes:
         assert (run / "report.json").read_text() == text[: len(text) // 2]
         assert not (run / "tables/shap.csv").exists()
 
+    @pytest.mark.parametrize("stage", ["ingest", "train", "explain"])
+    def test_run_files_without_manifest_exit_6(self, completed, tmp_path, stage):
+        # a new manifest would not list the old run's figures and tables,
+        # yet they would stay on disk beside the new run's files
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        (copy / "manifest.json").unlink()
+        before = _snapshot(copy)
+        code, out, err = run_cli(stage, "--config", str(completed["config"]), "--out", str(copy))
+        assert (code, out) == (6, "")
+        assert err == (
+            f"error: 6: run directory {copy} holds model.json but no manifest.json; "
+            f"use a fresh directory\n"
+        )
+        assert _snapshot(copy) == before
+        shutil.rmtree(copy / "tables")
+        for rel in ("model.json", "report.json", "summary.md"):
+            (copy / rel).unlink()
+        code, _, err = run_cli(stage, "--config", str(completed["config"]), "--out", str(copy))
+        assert code == 6 and "holds figures but no manifest.json" in err
+
     def test_stage_refuses_edited_report_json(self, completed, tmp_path):
         # report refuses an edited report.json; a later stage must not merge
         # into it and record a fresh hash that makes the edit pass report
@@ -1053,14 +1099,6 @@ class TestFailureExitCodes:
             config["lines"]["band"] = [0, 0.5]
 
         self._refused_explain(workspace, tmp_path, narrow, 1, "band")
-
-    def test_tiny_bandwidth_explain_writes_nothing(self, workspace, tmp_path):
-        # the squared distances overflow, which must not reach stderr as
-        # numpy warnings before the error line
-        def tiny(config):
-            config["lines"]["bandwidth"] = 1e-300
-
-        self._refused_explain(workspace, tmp_path, tiny, 1, "band")
 
     def test_one_instance_explain_writes_nothing(self, workspace, tmp_path):
         def one_instance(config):

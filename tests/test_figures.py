@@ -1,4 +1,4 @@
-"""SVG/CSV rendering checks: determinism, value mirroring, NaN handling."""
+"""SVG/CSV rendering checks: determinism, value mirroring, SVG hygiene."""
 
 import hashlib
 import io
@@ -50,20 +50,18 @@ def _heatmap(rng, n_blocks=2, signed=True):
     )
 
 
-def _lines(rng, n_lines=2, with_nan=False, baseline=12.5):
+def _lines(rng, n_lines=2, baseline=12.5):
     grid = np.linspace(10.0, 90.0, 40)
     values = np.array([
         np.sin(grid / (8.0 + k)) * 5.0 + rng.normal(scale=0.1, size=40)
         for k in range(n_lines)
     ])
-    if with_nan:
-        values[0, 10:14] = np.nan
     return SshapLines(
         labels=tuple(f"Series {k}" for k in range(n_lines)),
         grid=grid,
         values=values,
         bandwidth=5.0,
-        baseline=baseline,
+        baseline=baseline + np.cos(grid / 10.0),
     )
 
 
@@ -106,7 +104,7 @@ class TestDeterminism:
     def test_identical_bytes_per_artifact(self):
         rng = np.random.default_rng(3)
         grid = _heatmap(rng)
-        lines = _lines(np.random.default_rng(4), with_nan=True)
+        lines = _lines(np.random.default_rng(4))
         table = ImportanceTable(
             groups=("A", "B"), values=np.abs(rng.normal(size=(24, 2)))
         )
@@ -176,45 +174,35 @@ class TestHeatmapFigure:
 
 
 class TestLineFigure:
-    def test_nan_leaves_empty_csv_cell(self):
-        lines = _lines(np.random.default_rng(12), with_nan=True)
-        fig = _render(lines)
-        _, rows = _csv_rows(fig.csv)
-        gaps = [r for r in rows if r[3] == ""]
-        assert len(gaps) == 4
-        assert all(r[0] == "Series 0" for r in gaps)
-
-    def test_nan_splits_polyline(self):
-        whole = _render(_lines(np.random.default_rng(13))).svg
-        gapped = _render(
-            _lines(np.random.default_rng(13), with_nan=True)
-        ).svg
-        count = lambda svg: len(
-            re.findall(r'<polyline[^>]*stroke-width="1.5"', svg)
-        )
-        assert count(whole) == 2
-        assert count(gapped) == 3
-
     def test_finite_points_mirror_csv(self):
-        lines = _lines(np.random.default_rng(14), with_nan=True)
+        lines = _lines(np.random.default_rng(14))
         fig = _render(lines)
         _, rows = _csv_rows(fig.csv)
-        finite = [float(r[3]) for r in rows if r[3] != ""]
-        assert finite == _data_values(fig.svg)
+        values = [float(r[2]) for r in rows]
+        assert all(np.isfinite(values))
+        assert values == _data_values(fig.svg)
+
+    def test_one_polyline_per_series(self):
+        svg = _render(_lines(np.random.default_rng(13), n_lines=3)).svg
+        assert len(re.findall(r'<polyline[^>]*stroke-width="1.5"', svg)) == 3
+        assert len(re.findall(r'<polyline[^>]*stroke-dasharray="5,4"', svg)) == 1
 
     def test_baseline_draws_identity_reference(self):
-        svg = _render(_lines(np.random.default_rng(15), baseline=30.0)).svg
-        assert svg.count('data-series="identity"') == 1
-        assert 'data-baseline="30.0"' in svg
-        assert ">price - baseline</text>" in svg
+        lines = _lines(np.random.default_rng(15), baseline=30.0)
+        fig = _render(lines)
+        _, rows = _csv_rows(fig.csv)
+        reference = [float(r[2]) for r in rows if r[0] == "price_minus_baseline"]
+        assert reference == list(lines.grid - lines.baseline)
+        assert fig.svg.count('data-group="price_minus_baseline"') == 40
+        assert ">price - baseline</text>" in fig.svg
 
-    def test_csv_carries_group_and_mode(self):
+    def test_csv_carries_group_price_value(self):
         lines = _lines(np.random.default_rng(16))
         header, rows = _csv_rows(_render(lines).csv)
-        assert header == ["group", "mode", "grid_price", "value"]
-        assert {r[0] for r in rows} == {"Series 0", "Series 1"}
-        assert {r[1] for r in rows} == {"pooled"}
-        assert len(rows) == 2 * 40
+        assert header == ["group", "grid_price", "value"]
+        assert [r[0] for r in rows[::40]] == ["price_minus_baseline", "Series 0", "Series 1"]
+        assert [float(r[1]) for r in rows[:40]] == list(lines.grid)
+        assert len(rows) == 3 * 40
 
 
 class TestImportanceFigure:
@@ -321,7 +309,7 @@ class TestSvgHygiene:
         rng = np.random.default_rng(25)
         artifacts = [
             _heatmap(rng),
-            _lines(np.random.default_rng(26), with_nan=True),
+            _lines(np.random.default_rng(26)),
             _beeswarm(np.random.default_rng(27)),
         ]
         tensor, forecast = _stack(np.random.default_rng(28))
@@ -381,8 +369,8 @@ def _pinned_artifacts():
         "heatmap-magnitude": (
             _heatmap(np.random.default_rng(102), n_blocks=1, signed=False), "attribution heatmap",
         ),
-        "lines-gap-baseline": (
-            _lines(np.random.default_rng(103), with_nan=True), "group value vs price",
+        "lines-baseline-curve": (
+            _lines(np.random.default_rng(103)), "group value vs price",
         ),
         "importance": (ImportanceTable(
             groups=("Price D-1", "Load Forecast D", "Day of week"),
@@ -414,9 +402,9 @@ _PINNED = {
         "dbb36c73e4c2c7267423db78e6c27981fdbdb12c36a953a73fa68c2c72347150",
         "87a81f3b60bb5fcc329f90f8cb554cab79bd5af773c6b5fe23c30a733b302ac6",
     ),
-    "lines-gap-baseline": (
-        "be75a9120f88f9abc2f8c8e11683586ef93d5cd705488b23baaaa142e2e80fb0",
-        "4b425a08224a07403f7a7406995cf88e4cfdd90f1547a262a1883d4744e89664",
+    "lines-baseline-curve": (
+        "0d5183078ea506a1dfee6638468ef8371c56fb49b27a130989d27dfdc5bcdbd7",
+        "8b0069657ad5961dc1f80ebd7b49b63f4410bc1eb965b84c723c404473c5855e",
     ),
     "stack-negative": (
         "68502fdbbec257fbfbdff05a93a0b8a6e6b960dc54db936e5849d990a76adfb7",

@@ -202,7 +202,30 @@ class TestSshapLine:
             )
             np.testing.assert_allclose(lines.values[g], expected, rtol=1e-9)
         assert lines.bandwidth == 5.0
-        assert lines.baseline == float(sshap.baseline.mean())
+        # each observation carries the baseline of its output hour
+        expected = naive_kernel_curve(lines.grid, prices.ravel(), np.tile(sshap.baseline, 6), 5.0)
+        np.testing.assert_allclose(lines.baseline, expected, rtol=1e-9)
+
+    def test_default_bandwidth_is_silverman(self):
+        rng = np.random.default_rng(3)
+        sshap = make_sshap(rng.normal(0.0, 1.0, (50, 24, 1)))
+        prices = rng.normal(40.0, 10.0, (50, 24))
+        q1, q3 = np.percentile(prices, [25.0, 75.0])
+        spread = min(prices.std(ddof=1), (q3 - q1) / 1.34)
+        assert sshap_line(sshap, prices).bandwidth == 0.9 * spread * 1200 ** -0.2
+        # an IQR of 0 leaves the sd
+        prices[:, :20] = 40.0
+        assert sshap_line(sshap, prices).bandwidth == 0.9 * prices.std(ddof=1) * 1200 ** -0.2
+
+    def test_prices_that_never_change_give_one_value(self):
+        values = np.random.default_rng(5).normal(0.0, 1.0, (3, 24, 2))
+        sshap = make_sshap(values, baseline=np.arange(24.0), labels=("G", "H"))
+        lines = sshap_line(sshap, np.full((3, 24), 40.0), grid_size=5)
+        assert lines.bandwidth == 1.0
+        np.testing.assert_array_equal(lines.grid, np.full(5, 40.0))
+        for g in range(2):
+            np.testing.assert_allclose(lines.values[g], values[:, :, g].mean(), rtol=1e-12)
+        np.testing.assert_allclose(lines.baseline, 11.5, rtol=1e-12)
 
     def test_default_grid_spans_percentiles(self):
         rng = np.random.default_rng(2)
@@ -213,28 +236,28 @@ class TestSshapLine:
         assert len(lines.grid) == 200
         np.testing.assert_allclose([lines.grid[0], lines.grid[-1]], [lo, hi])
 
-    def test_far_grid_points_marked_absent(self):
-        values = np.full((1, 24, 2), 2.0)
-        values[:, :, 1] = -3.0
-        sshap = make_sshap(values, labels=("G", "H"))
-        prices = np.zeros((1, 24))
-        grid = np.array([0.0, 5.0 * 40.0])  # 40 bandwidths away underflows
-        lines = sshap_line(sshap, prices, grid=grid, bandwidth=5.0)
-        np.testing.assert_allclose(lines.values[:, 0], [2.0, -3.0], rtol=1e-12)
-        assert np.isnan(lines.values[:, 1]).all()
+    def test_far_grid_points_take_nearest_value(self):
+        # hours 0-11 price at 0 and hours 12-23 at 10; both grid points lie
+        # about 40 bandwidths out, where every unshifted weight underflows
+        values = np.empty((1, 24, 2))
+        values[:, :12] = (2.0, -3.0)
+        values[:, 12:] = (5.0, 7.0)
+        sshap = make_sshap(values, baseline=np.arange(24.0), labels=("G", "H"))
+        prices = np.repeat([[0.0, 10.0]], 12, axis=1)
+        lines = sshap_line(sshap, prices, grid=np.array([-200.0, 200.0]), bandwidth=5.0)
+        np.testing.assert_allclose(lines.values, [[2.0, 5.0], [-3.0, 7.0]], rtol=1e-12)
+        np.testing.assert_allclose(lines.baseline, [5.5, 17.5], rtol=1e-12)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_overflowing_bandwidth_marks_points_absent_quietly(self):
-        # the squared distances overflow to inf and inf - inf is NaN; those
-        # points are absent, and no numpy warning may escape
+    def test_overflowing_bandwidth_raises_quietly(self):
+        # the squared distances of the far grid point overflow to inf; no
+        # numpy warning may escape before the error
         rng = np.random.default_rng(4)
         sshap = make_sshap(rng.normal(0.0, 1.0, (3, 24, 2)), labels=("G", "H"))
         prices = rng.normal(40.0, 10.0, (3, 24))
         grid = np.array([prices[0, 0], prices.max() + 1.0])
-        lines = sshap_line(sshap, prices, grid=grid, bandwidth=1e-300)
-        assert np.isnan(lines.values[:, 1]).all()
-        with pytest.raises(EpxaiError, match="fewer than 2 usable grid points"):
-            slope_check(lines)
+        with pytest.raises(EpxaiError, match="bandwidth 1e-300 is too small"):
+            sshap_line(sshap, prices, grid=grid, bandwidth=1e-300)
 
     def test_bad_arguments(self):
         sshap = make_sshap(np.zeros((2, 24, 1)))
@@ -273,7 +296,7 @@ class TestSlopeCheck:
             grid=grid,
             values=np.array(values),
             bandwidth=5.0,
-            baseline=baseline,
+            baseline=np.broadcast_to(baseline, grid.shape),
         )
 
     def test_exact_linear_sum(self):
@@ -281,11 +304,22 @@ class TestSlopeCheck:
         result = slope_check(
             self.lines(grid, 1.5 * grid - 3.0, 0.5 * grid - 4.0, baseline=7.0)
         )
+        # the fit is of the summed curves plus the baseline, 2 * grid
         np.testing.assert_allclose(result.slope, 2.0, rtol=1e-12)
-        np.testing.assert_allclose(result.intercept, -7.0, rtol=1e-12)
+        np.testing.assert_allclose(result.intercept, 0.0, atol=1e-12)
         expected_dev = np.max(np.abs(2.0 * grid - 7.0 - (grid - 7.0)))
         np.testing.assert_allclose(result.max_deviation, expected_dev, rtol=1e-12)
         assert result.n_points == 50
+
+    def test_baseline_curve_is_added_back(self):
+        # curves that sum to price minus a baseline that varies with price
+        # lie on the identity once that baseline is added back
+        grid = np.linspace(10.0, 90.0, 50)
+        baseline = 30.0 + 5.0 * np.sin(grid / 7.0)
+        result = slope_check(self.lines(grid, grid - baseline, baseline=baseline))
+        np.testing.assert_allclose(result.slope, 1.0, rtol=1e-12)
+        np.testing.assert_allclose(result.intercept, 0.0, atol=1e-12)
+        assert result.max_deviation <= 1e-12
 
     def test_all_zero_curves(self):
         grid = np.linspace(20.0, 60.0, 30)
@@ -296,7 +330,7 @@ class TestSlopeCheck:
     def test_band_restriction_and_nan_handling(self):
         grid = np.linspace(0.0, 100.0, 101)
         values = grid - 10.0
-        values[:5] = np.nan  # absent points are dropped
+        values[:5] = np.nan  # outside the band, so never read
         values[80:] = 999.0  # junk outside the band is ignored
         result = slope_check(self.lines(grid, values, baseline=10.0), band=(5.0, 79.0))
         np.testing.assert_allclose(result.slope, 1.0, rtol=1e-12)
@@ -328,5 +362,19 @@ class TestSlopeCheck:
         sshap = make_sshap(values, baseline=np.full(24, c))
         grid = np.arange(60.0, 240.0 + 1e-9, step)
         result = slope_check(sshap_line(sshap, prices, bandwidth=bandwidth, grid=grid))
+        assert abs(result.slope - 1.0) <= 1e-9
+        assert result.max_deviation <= 1e-9
+
+    def test_hourly_baseline_lattice_recovers_identity(self):
+        # the same lattice with a baseline that rises through the day: the
+        # smoothed baseline swings with the grid price and the sum with it
+        bandwidth = 5.0
+        prices = np.arange(0.0, 300.0, bandwidth / 2.0).reshape(5, 24)
+        baseline = 34.0 + 0.5 * np.arange(24)
+        sshap = make_sshap((prices - baseline)[:, :, None], baseline=baseline)
+        grid = np.arange(60.0, 240.0 + 1e-9, bandwidth / 2.0)
+        lines = sshap_line(sshap, prices, bandwidth=bandwidth, grid=grid)
+        assert np.ptp(lines.baseline) > 1.0
+        result = slope_check(lines)
         assert abs(result.slope - 1.0) <= 1e-9
         assert result.max_deviation <= 1e-9
