@@ -44,9 +44,8 @@ _EXPORTS = {
     "inverse_transform": "data",
     # mlp
     "TrainedModel": "mlp",
-    "init_model": "mlp",
+    "init_weights": "mlp",
     "train": "mlp",
-    "forward": "mlp",
     "predict_prices": "mlp",
     "save_model": "mlp",
     "load_model": "mlp",
@@ -68,6 +67,7 @@ _EXPORTS = {
     "aggregate": "sshap",
     "sshap_line": "sshap",
     "slope_check": "sshap",
+    "expected_slope": "sshap",
     # analytics
     "HeatmapGrid": "analytics",
     "ImportanceTable": "analytics",

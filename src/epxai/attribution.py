@@ -30,7 +30,7 @@ from math import factorial
 import numpy as np
 
 from .data import FeatureMatrix, inverse_transform, transform
-from .errors import EpxaiError, ModelError
+from .errors import EpxaiError
 from .mlp import (
     TrainedModel,
     _activation_grad,
@@ -131,11 +131,6 @@ def sample_background(
     return BackgroundSet(rows=features.values[idx].copy())
 
 
-def _require_trained(model: TrainedModel):
-    if not model.is_trained:
-        raise ModelError("model has no fitted scalers; train it first")
-
-
 def _predict_fn(model):
     """Batch prediction callable for a trained model or a bare function.
 
@@ -143,7 +138,6 @@ def _predict_fn(model):
     with that contract can be explained (handy for closed-form checks).
     """
     if isinstance(model, TrainedModel):
-        _require_trained(model)
         return lambda batch: predict_prices(model, batch)
     if callable(model):
         return model
@@ -177,7 +171,6 @@ def jacobian_batch(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     respect to normalized input i, accumulated right to left through both
     hidden layers and the output scaler.
     """
-    _require_trained(model)
     x_raw = np.asarray(x_raw, dtype=np.float64)
     single = x_raw.ndim == 1
     if single:

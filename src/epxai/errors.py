@@ -12,6 +12,10 @@ config layer reports as a configuration error.
 
 import math
 
+# The reference series of the figures, written in the group column of
+# tables/lines.csv and the instance-stack CSVs; no group label may take them.
+REFERENCE_SERIES = ("price_minus_baseline", "forecast_minus_baseline")
+
 
 class EpxaiError(Exception):
     """Base of every family; raised itself for failures that exit 1."""
@@ -38,7 +42,7 @@ class DivergedLoss(EpxaiError):
 
 
 class ModelError(EpxaiError):
-    """A model that is missing, unreadable, untrained or not the configured one."""
+    """A model that is missing, unreadable, incomplete or not the configured one."""
 
     exit_code = 5
 
@@ -102,12 +106,15 @@ def check_str(value, name: str) -> str:
 
 def check_label(value, name: str) -> str:
     """A group label: a non-empty string that fits one unquoted CSV field and
-    one double-quoted XML attribute, so no comma, double quote or line break."""
+    one double-quoted XML attribute, so no comma, double quote or line break,
+    and is not one of the :data:`REFERENCE_SERIES`."""
     value = check_str(value, name)
     if any(c in value for c in ',"\r\n'):
         raise ValueError(
             f"'{name}' must not contain a comma, a double quote or a line break, got {value!r}"
         )
+    if value in REFERENCE_SERIES:
+        raise ValueError(f"'{name}' must not be a reference series name, got {value!r}")
     return value
 
 

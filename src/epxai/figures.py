@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable
+from .errors import REFERENCE_SERIES
 from .sshap import SshapLines, SshapTensor
 
 __all__ = [
@@ -30,6 +31,8 @@ _CATEGORICAL = (
 )
 
 _GOLDEN = 0.6180339887498949
+
+_PRICE_SERIES, _FORECAST_SERIES = REFERENCE_SERIES
 
 
 @dataclass
@@ -295,7 +298,7 @@ def _render_lines(lines: SshapLines, svg, csv, title: str, unit: str) -> None:
     csv.write("group,grid_price,value\n")
     # the dashed reference, where additivity puts the summed curve, lies under
     # the group lines
-    series = [("price_minus_baseline", reference, "#888", 'stroke-dasharray="5,4"')]
+    series = [(_PRICE_SERIES, reference, "#888", 'stroke-dasharray="5,4"')]
     series += [
         (group, values, _color(k), 'stroke-width="1.5"')
         for k, (group, values) in enumerate(zip(lines.labels, lines.values))
@@ -431,10 +434,10 @@ def _render_stack(stack: InstanceStack, svg, csv, title: str, unit: str) -> None
     for h in range(24):
         svg.write(
             f'<circle cx="{_f(axes.x(float(h)))}" cy="{_f(axes.y(float(net[h])))}" '
-            f'r="2.2" fill="#222" data-series="forecast_minus_baseline" '
+            f'r="2.2" fill="#222" data-series="{_FORECAST_SERIES}" '
             f'data-output-hour="{h}" data-value="{_val(net[h])}"/>\n'
         )
-        csv.write(f"forecast_minus_baseline,{h},{_val(net[h])}\n")
+        csv.write(f"{_FORECAST_SERIES},{h},{_val(net[h])}\n")
     entries = [(group, _color(g)) for g, group in enumerate(stack.groups)]
     entries.append(("forecast - baseline", "#222"))
     _legend(svg, entries, 820.0 - 218, 56.0)

@@ -3,7 +3,7 @@
 The network is plain numpy end to end and runs in the dtype of the weights it
 is given; :meth:`TrainedModel.astype` makes every copy in another dtype. One
 block loop, :func:`forward_blocks`, serves every inference batch: prediction,
-:func:`forward`, validation during training and the Monte Carlo walks.
+validation during training and the Monte Carlo walks.
 :func:`forward_trace` keeps the pre-activations, and serves only the training
 step and the analytic input gradients. Everything is reproducible bit for
 bit under a fixed seed. Inputs and targets are normalized with the scalers
@@ -37,8 +37,7 @@ __all__ = [
     "MODEL_SCHEMA_VERSION",
     "TrainedModel",
     "n_train_instances",
-    "init_model",
-    "forward",
+    "init_weights",
     "forward_trace",
     "forward_blocks",
     "train",
@@ -66,23 +65,14 @@ _BLOCK_ROWS = 512
 
 @dataclass
 class TrainedModel:
-    """Network weights plus the scalers they were trained with.
-
-    ``input_scaler``/``output_scaler`` are None until :func:`train` runs;
-    :func:`forward` works in normalized units either way, while
-    :func:`predict_prices` requires the scalers.
-    """
+    """Network weights plus the scalers they were trained with."""
 
     spec: ModelSpec
     weights: list  # three (fan_in, fan_out) float64 matrices
     biases: list  # three (fan_out,) float64 vectors
-    input_scaler: ScalerParams | None = None
-    output_scaler: ScalerParams | None = None
+    input_scaler: ScalerParams
+    output_scaler: ScalerParams
     history: list = field(default_factory=list)
-
-    @property
-    def is_trained(self) -> bool:
-        return self.input_scaler is not None and self.output_scaler is not None
 
     def astype(self, dtype) -> TrainedModel:
         """The same model with every weight and bias cast to ``dtype``."""
@@ -139,8 +129,8 @@ def _activation_grad(name: str, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def init_model(spec: ModelSpec) -> TrainedModel:
-    """Fresh network with scheme-appropriate random weights and zero biases."""
+def init_weights(spec: ModelSpec) -> tuple[list, list]:
+    """Scheme-appropriate random weights drawn from ``spec.seed``, and zero biases."""
     rng = np.random.default_rng(spec.seed)
     weights: list[np.ndarray] = []
     biases: list[np.ndarray] = []
@@ -158,19 +148,7 @@ def init_model(spec: ModelSpec) -> TrainedModel:
             w = rng.normal(0.0, math.sqrt(1.0 / fan_in), shape)
         weights.append(w)
         biases.append(np.zeros(fan_out))
-    return TrainedModel(spec=spec, weights=weights, biases=biases)
-
-
-def _as_batch(x: np.ndarray, n_inputs: int) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    if single:
-        x = x[None, :]
-    if x.ndim != 2 or x.shape[1] != n_inputs:
-        raise ValueError(f"expected {n_inputs} input features, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("model input contains non-finite values")
-    return x, single
+    return weights, biases
 
 
 def forward_trace(model: TrainedModel, x_norm: np.ndarray, masks=None):
@@ -196,13 +174,6 @@ def forward_trace(model: TrainedModel, x_norm: np.ndarray, masks=None):
     return z1, a1, z2, a2, y
 
 
-def forward(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
-    """Normalized inputs to normalized outputs, no dropout."""
-    batch, single = _as_batch(x_norm, model.spec.n_inputs)
-    y = forward_blocks(model, batch)
-    return y[0] if single else y
-
-
 def predict_prices(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     """Raw feature rows to 24 hourly prices in raw units.
 
@@ -211,16 +182,18 @@ def predict_prices(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     independent of its block. A price that overflows the float64 range, in
     the network or in undoing the output scaling, raises :class:`EpxaiError`.
     """
-    if not model.is_trained:
-        raise ModelError("model has no fitted scalers; train it first")
-    batch, single = _as_batch(x_raw, model.spec.n_inputs)
+    batch = np.atleast_2d(np.asarray(x_raw, dtype=np.float64))
+    if batch.ndim != 2 or batch.shape[1] != model.spec.n_inputs:
+        raise ValueError(f"expected {model.spec.n_inputs} input features, got shape {batch.shape}")
+    if not np.all(np.isfinite(batch)):
+        raise DataError("model input contains non-finite values")
     # an overflow ends as a non-finite price, refused below as one
     with np.errstate(over="ignore", invalid="ignore"):
         y = forward_blocks(model, transform(model.input_scaler, batch))
         prices = inverse_transform(model.output_scaler, y)
     if not np.isfinite(prices).all():
         raise EpxaiError("model produced non-finite outputs")
-    return prices[0] if single else prices
+    return prices[0] if np.ndim(x_raw) == 1 else prices
 
 
 def forward_blocks(model: TrainedModel, x_norm: np.ndarray) -> np.ndarray:
@@ -282,15 +255,16 @@ def n_train_instances(n: int, validation_fraction: float) -> int:
 
 
 def train(
-    model: TrainedModel,
+    spec: ModelSpec,
     features: FeatureMatrix,
     hp: TrainingHyperparams | None = None,
 ) -> TrainedModel:
-    """Fit the network on a feature matrix; returns a new trained model.
+    """Fit a network of ``spec`` on a feature matrix; returns the trained model.
 
-    Scalers are fit on the chronological training slice only, the trailing
-    ``validation_fraction`` of days is held out for early stopping, and the
-    weights that achieved the best validation MAE are restored at the end.
+    Scalers are fit on the chronological training slice only, the weights
+    start from :func:`init_weights`, the trailing ``validation_fraction`` of
+    days is held out for early stopping, and the weights that achieved the
+    best validation MAE are restored at the end.
     With ``validation_fraction`` 0 the model simply runs all epochs.
     Minibatch steps and Adam run in float32; each epoch's validation MAE is
     computed in float64 on the float32 weights, and the returned weights are
@@ -299,7 +273,6 @@ def train(
     :class:`DataError` when the split leaves fewer than 2 training days.
     """
     hp = hp or TrainingHyperparams()
-    spec = model.spec
     if features.n_features != spec.n_inputs:
         raise ValueError(
             f"model expects {spec.n_inputs} features, matrix has {features.n_features}"
@@ -319,7 +292,7 @@ def train(
     x_val, y_val = x_all[n_train:], y_all[n_train:]
 
     rng = np.random.default_rng(hp.seed)
-    work = model.astype(np.float32)
+    work = TrainedModel(spec, *init_weights(spec), input_scaler, output_scaler).astype(np.float32)
     params = work.weights + work.biases
     m_state = [np.zeros_like(p) for p in params]
     v_state = [np.zeros_like(p) for p in params]
@@ -381,14 +354,10 @@ def train(
 
     # without a validation slice the last epoch's weights are kept
     final = best if n_val else work.astype(np.float64)
-    return replace(
-        final, input_scaler=input_scaler, output_scaler=output_scaler, history=history
-    )
+    return replace(final, history=history)
 
 
-def _scaler_to_dict(params: ScalerParams | None):
-    if params is None:
-        return None
+def _scaler_to_dict(params: ScalerParams):
     return {
         "kind": params.kind,
         "location": params.location.tolist(),
@@ -396,13 +365,14 @@ def _scaler_to_dict(params: ScalerParams | None):
     }
 
 
-def _scaler_from_dict(payload) -> ScalerParams | None:
-    if payload is None:
-        return None
+def _scaler_from_dict(payload: dict, name: str) -> ScalerParams:
+    entry = payload.get(f"{name}_scaler")
+    if entry is None:
+        raise ModelError(f"model carries no fitted {name}_scaler")
     return ScalerParams(
-        kind=payload["kind"],
-        location=np.asarray(payload["location"], dtype=np.float64),
-        scale=np.asarray(payload["scale"], dtype=np.float64),
+        kind=entry["kind"],
+        location=np.asarray(entry["location"], dtype=np.float64),
+        scale=np.asarray(entry["scale"], dtype=np.float64),
     )
 
 
@@ -447,8 +417,8 @@ def save_model(model: TrainedModel) -> str:
 def load_model(text: str) -> TrainedModel:
     """Inverse of :func:`save_model`.
 
-    Raises :class:`ModelError` for a foreign schema version and for anything
-    that does not decode into a consistent network.
+    Raises :class:`ModelError` for a foreign schema version, a missing
+    scaler and anything that does not decode into a consistent network.
     """
     try:
         payload = json.loads(text)
@@ -478,8 +448,8 @@ def load_model(text: str) -> TrainedModel:
             spec=spec,
             weights=weights,
             biases=biases,
-            input_scaler=_scaler_from_dict(payload.get("input_scaler")),
-            output_scaler=_scaler_from_dict(payload.get("output_scaler")),
+            input_scaler=_scaler_from_dict(payload, "input"),
+            output_scaler=_scaler_from_dict(payload, "output"),
             history=payload.get("history", []),
         )
     except (KeyError, TypeError, ValueError) as exc:
@@ -494,8 +464,6 @@ def load_model(text: str) -> TrainedModel:
             raise ModelError(f"bias shape {b.shape} does not match {fan_out}")
     for name, scaler, n in (("input", model.input_scaler, spec.n_inputs),
                             ("output", model.output_scaler, spec.layer_sizes[-1])):
-        if scaler is None:
-            continue
         if scaler.n_columns != n:
             raise ModelError(
                 f"{name} scaler holds {scaler.n_columns} columns, the network has {n} {name}s"

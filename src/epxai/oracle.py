@@ -25,7 +25,7 @@ from .attribution import (
 )
 from .data import ScalerParams, inverse_transform, transform
 from .markets import ACTIVATIONS, SCALER_KINDS, FeatureId, ModelSpec, Partition
-from .mlp import TrainedModel, forward, init_model, predict_prices
+from .mlp import TrainedModel, forward_blocks, init_weights, predict_prices
 from .sshap import SshapTensor, aggregate, slope_check, sshap_line
 
 __all__ = [
@@ -73,18 +73,13 @@ def _random_model(
         output_scaler_kind=out_kind,
         seed=int(rng.integers(0, 2**31)),
     )
-    model = init_model(spec)
-    model.input_scaler = ScalerParams(
-        kind=in_kind,
-        location=rng.normal(size=n_features),
-        scale=rng.uniform(0.5, 2.0, size=n_features),
+    # arguments evaluate left to right, so the input scaler draws first
+    return TrainedModel(
+        spec, *init_weights(spec),
+        ScalerParams(in_kind, rng.normal(size=n_features),
+                     rng.uniform(0.5, 2.0, size=n_features)),
+        ScalerParams(out_kind, rng.normal(scale=5.0, size=24), rng.uniform(2.0, 10.0, size=24)),
     )
-    model.output_scaler = ScalerParams(
-        kind=out_kind,
-        location=rng.normal(scale=5.0, size=24),
-        scale=rng.uniform(2.0, 10.0, size=24),
-    )
-    return model
 
 
 def _chunk_partition(n_features: int, rng):
@@ -293,7 +288,7 @@ def run_jacobian_fd(seed: int = 0) -> BatteryResult:
     analytic = jacobian_batch(model, x_raw)
 
     def prices(xn):
-        return inverse_transform(model.output_scaler, forward(model, xn))
+        return inverse_transform(model.output_scaler, forward_blocks(model, xn))
 
     fd = np.empty_like(analytic)
     for j in range(120):

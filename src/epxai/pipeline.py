@@ -592,9 +592,7 @@ def cmd_train(args) -> int:
 
     from .analytics import performance_metrics
     from .data import build_feature_matrix, parse_market_csv
-    from .mlp import (
-        count_parameters, init_model, n_train_instances, predict_prices, save_model, train,
-    )
+    from .mlp import count_parameters, n_train_instances, predict_prices, save_model, train
 
     stage = _Stage(args, "train", parse_market_csv)
     config, series = stage.config, stage.series
@@ -602,7 +600,7 @@ def cmd_train(args) -> int:
     # overflow on a diverging run ends as a non-finite loss, which train
     # reports itself; keep the CLI's stderr to the single error line
     with np.errstate(over="ignore", invalid="ignore"):
-        trained = train(init_model(config.model_spec), features, config.training)
+        trained = train(config.model_spec, features, config.training)
 
     predictions = predict_prices(trained, features.values)
     n = features.n_instances
@@ -680,7 +678,7 @@ def cmd_explain(args) -> int:
     from .data import build_feature_matrix, parse_market_csv
     from .figures import instance_stack
     from .mlp import load_model, predict_prices
-    from .sshap import aggregate, slope_check, sshap_line
+    from .sshap import aggregate, expected_slope, slope_check, sshap_line
 
     stage = _Stage(args, "explain", parse_market_csv)
     config = stage.config
@@ -700,8 +698,6 @@ def cmd_explain(args) -> int:
             f"model file {model_path} was trained with different settings than "
             f"the config describes (architecture, scalers, or seed differ)"
         )
-    if not trained.is_trained:
-        raise ModelError(f"model file {model_path} carries no fitted scalers")
 
     features = build_feature_matrix(stage.series, config.market)
     indices = _instance_subset(features, config)
@@ -730,6 +726,7 @@ def cmd_explain(args) -> int:
     if smoothing["band"] is not None:
         band_abs = tuple(float(v) for v in np.percentile(prices, smoothing["band"]))
     check = slope_check(lines, band=band_abs)
+    expected = expected_slope(sshap_default, prices, band=band_abs)
     shap_grid = heatmap(shap_tensor, "mean_abs")
     complexity = complexity_metrics(grad_tensor, shap_grid, threshold=0.5)
 
@@ -777,6 +774,7 @@ def cmd_explain(args) -> int:
             },
             "slope_check": {
                 **asdict(check),
+                "expected_slope": expected,
                 "bandwidth": lines.bandwidth,
                 "band_percentiles": smoothing["band"],
                 "band_prices": list(band_abs) if band_abs else None,
@@ -867,7 +865,8 @@ def cmd_report(args) -> int:
             "## Additivity check",
             "",
             f"Summed group curves plus the smoothed baseline against the realised "
-            f"price: slope {s['slope']:.4f}, intercept {s['intercept']:.2f}, max deviation "
+            f"price: slope {s['slope']:.4f} (expected cov(p, y)/var(y) "
+            f"{s['expected_slope']:.4f}), intercept {s['intercept']:.2f}, max deviation "
             f"{s['max_deviation']:.4g} over {s['n_points']} grid points"
             + (f" inside the {band[0]:g}-{band[1]:g} percentile band" if band else "") + ".",
             "",

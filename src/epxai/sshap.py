@@ -11,8 +11,8 @@ Partitions, with hour-range splitting of a group (e.g. early-morning vs
 rest-of-day load) and merging of groups, live in the numpy-free
 :mod:`epxai.markets`. On top of the grouped values this module provides
 kernel-smoothed curves of group value against the realised price, and a
-consistency check that the summed curves follow the identity line implied
-by additivity.
+consistency check of the summed curves with the slope that additivity
+implies.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ __all__ = [
     "aggregate",
     "sshap_line",
     "slope_check",
+    "expected_slope",
 ]
 
 
@@ -186,12 +187,12 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
     therefore ``grid - lines.baseline`` up to smoothing, and the sum plus
     the baseline lies on the identity: slope one, intercept zero. Against
     the realised price y, as ``explain`` smooths them, the slope to expect
-    for predictions p is cov(p, y) / var(y). Returns the least-squares
-    slope/intercept over the grid points inside ``band`` (a (low, high)
-    price window; None keeps the whole grid) and the maximum absolute
-    deviation from the identity. Fewer than two distinct grid prices there,
-    as on the grid of prices that never change, leave no line to fit and
-    raise :class:`EpxaiError`.
+    is :func:`expected_slope`. Returns the least-squares slope/intercept
+    over the grid points inside ``band`` (a (low, high) price window; None
+    keeps the whole grid) and the maximum absolute deviation from the
+    identity. Fewer than two distinct grid prices there, as on the grid of
+    prices that never change, leave no line to fit and raise
+    :class:`EpxaiError`.
     """
     grid = lines.grid
     lo, hi = (-np.inf, np.inf) if band is None else band
@@ -210,3 +211,18 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
         max_deviation=deviation,
         n_points=g.size,
     )
+
+
+def expected_slope(sshap: SshapTensor, actual_prices: np.ndarray, band=None) -> float:
+    """cov(p, y) / var(y), the slope :func:`slope_check` should find against
+    realised prices y, over the (instance, hour) observations with y inside
+    ``band`` (None keeps all); p, the baseline plus the summed group values,
+    is the prediction by additivity. Raises :class:`EpxaiError` unless y varies."""
+    y = np.asarray(actual_prices, dtype=np.float64).ravel()
+    p = (sshap.values.sum(axis=2) + sshap.baseline).ravel()
+    lo, hi = (-np.inf, np.inf) if band is None else band
+    inside = (y >= lo) & (y <= hi)
+    if np.unique(y[inside]).size < 2:
+        raise EpxaiError("fewer than 2 distinct realised prices in the band")
+    y_centred = y[inside] - y[inside].mean()
+    return float(y_centred @ p[inside] / (y_centred @ y_centred))

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from epxai.data import FeatureMatrix, build_feature_matrix, parse_market_csv
+from epxai.data import FeatureMatrix, ScalerParams, build_feature_matrix, parse_market_csv
 from epxai.markets import FeatureId, MarketConfig, SuperVariable
+from epxai.mlp import TrainedModel, init_weights
 
 
 def _synthetic_market_csv(n_days=240, seed=11, start="2013-01-01"):
@@ -84,9 +85,26 @@ def _build_matrix(n_instances=60, n_groups=2, seed=0, noise=0.02):
     )
 
 
+def _fresh_model(spec, input_scaler=None, output_scaler=None):
+    """An untrained network: the initial weights of ``spec`` and the given
+    scalers, by default identity scalers of the spec's kinds."""
+    n_in, n_out = spec.layer_sizes[0], spec.layer_sizes[-1]
+    return TrainedModel(
+        spec,
+        *init_weights(spec),
+        input_scaler or ScalerParams(spec.input_scaler_kind, np.zeros(n_in), np.ones(n_in)),
+        output_scaler or ScalerParams(spec.output_scaler_kind, np.zeros(n_out), np.ones(n_out)),
+    )
+
+
 @pytest.fixture
 def build_matrix():
     return _build_matrix
+
+
+@pytest.fixture
+def fresh_model():
+    return _fresh_model
 
 
 @pytest.fixture

@@ -24,8 +24,7 @@ from epxai.markets import FeatureId, ModelSpec, TrainingHyperparams, benchmark_s
 from epxai.mlp import (
     SELU_LAMBDA,
     TrainedModel,
-    forward,
-    init_model,
+    forward_blocks,
     predict_prices,
     train,
 )
@@ -61,7 +60,7 @@ def small_trained(build_matrix, n_groups=2, activation="softplus",
         seed=seed,
     )
     hp = TrainingHyperparams(batch_size=16, max_epochs=8, seed=seed)
-    return train(init_model(spec), features, hp), features
+    return train(spec, features, hp), features
 
 
 class TestExactShapley:
@@ -166,7 +165,7 @@ class TestMonteCarloShapley:
         # rows, which predict_prices evaluates in 19 blocks.
         features = build_matrix(n_instances=40, n_groups=6, seed=4)
         model = train(
-            init_model(replace(benchmark_spec("NP"), seed=1)),
+            replace(benchmark_spec("NP"), seed=1),
             features,
             TrainingHyperparams(batch_size=16, max_epochs=2, seed=1),
         )
@@ -183,7 +182,7 @@ class TestMonteCarloShapley:
         # covers selu with arcsinh scalers, NP softplus.
         features = build_matrix(n_instances=40, n_groups=n_groups, seed=4)
         model = train(
-            init_model(replace(benchmark_spec(market), seed=1)),
+            replace(benchmark_spec(market), seed=1),
             features,
             TrainingHyperparams(batch_size=16, max_epochs=2, seed=1),
         )
@@ -228,7 +227,7 @@ class TestMonteCarloShapley:
             with pytest.raises(EpxaiError, match="model produced non-finite outputs"):
                 shap_mc(model, x, background, n_pairs=2)
 
-    def test_converges_to_exact(self, build_matrix):
+    def test_converges_to_exact(self, fresh_model):
         rng = np.random.default_rng(12)
         spec = ModelSpec(
             layer_sizes=(6, 10, 8, 24),
@@ -240,10 +239,7 @@ class TestMonteCarloShapley:
             output_scaler_kind="std",
             seed=12,
         )
-        model = init_model(spec)
-        loc = np.zeros(6)
-        model.input_scaler = ScalerParams("std", loc, np.ones(6))
-        model.output_scaler = ScalerParams("std", np.zeros(24), np.ones(24))
+        model = fresh_model(spec)
         background = BackgroundSet(rng.normal(0.0, 1.0, (25, 6)))
         x = rng.normal(0.0, 1.0, 6)
         exact = shap_exact(model, x, background)
@@ -330,7 +326,7 @@ class TestWalkEstimates:
 
 
 class TestJacobian:
-    def test_linear_selu_network_closed_form(self):
+    def test_linear_selu_network_closed_form(self, fresh_model):
         # Positive weights and inputs keep selu in its linear region, so the
         # network is exactly scale * lambda^2 * W1 W2 W3.
         spec = ModelSpec(
@@ -343,11 +339,9 @@ class TestJacobian:
             output_scaler_kind="std",
             seed=6,
         )
-        model = init_model(spec)
-        model.weights = [np.abs(w) + 0.05 for w in model.weights]
-        model.input_scaler = ScalerParams("std", np.zeros(5), np.ones(5))
         out_scale = np.linspace(1.0, 3.0, 24)
-        model.output_scaler = ScalerParams("std", np.zeros(24), out_scale)
+        model = fresh_model(spec, output_scaler=ScalerParams("std", np.zeros(24), out_scale))
+        model.weights = [np.abs(w) + 0.05 for w in model.weights]
         x = np.abs(np.random.default_rng(0).normal(1.0, 0.2, 5)) + 0.5
         w1, w2, w3 = model.weights
         expected = (SELU_LAMBDA**2 * (w1 @ w2 @ w3)).T * out_scale[:, None]
@@ -366,7 +360,7 @@ class TestJacobian:
         h = 1e-5
 
         def price_at(xn_row):
-            return inverse_transform(model.output_scaler, forward(model, xn_row))
+            return inverse_transform(model.output_scaler, forward_blocks(model, xn_row[None, :])[0])
 
         fd = np.empty_like(analytic)
         for i in range(len(xn)):

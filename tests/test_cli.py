@@ -391,6 +391,12 @@ class TestValidate:
             (lambda c: (c["market"].update(include_day_of_week=True),
                         c["market"]["super_variables"][1].update(label="Day of week")),
              "duplicate group label 'Day of week'"),
+            # the figure CSVs write these in the group column for their
+            # reference series
+            (lambda c: c["market"]["super_variables"][1].update(label="price_minus_baseline"),
+             "'market.super_variables[1].label' must not be a reference series name"),
+            (lambda c: c["partition"]["merges"][0].update(label="forecast_minus_baseline"),
+             "'partition.merges[0].label' must not be a reference series name"),
         ],
     )
     def test_bad_settings_exit_2(self, workspace, tmp_path, mutate, fragment):
@@ -790,21 +796,25 @@ class TestFailureExitCodes:
         assert code == 5
         assert "train first" in err
 
-    def test_untrained_model_file_exits_5(self, completed, tmp_path):
-        from epxai.mlp import init_model
-
+    @pytest.mark.parametrize("drop", [
+        lambda payload: payload.update(input_scaler=None),
+        lambda payload: payload.pop("input_scaler"),
+    ], ids=["null", "missing"])
+    def test_model_file_without_scaler_exits_5(self, completed, tmp_path, drop):
         config_path = tmp_path / "cfg.json"
         config_path.write_text(
             json.dumps(base_config(completed["dataset"], tmp_path / "out"))
         )
-        spec = load_config(config_path).model_spec
-        model_path = tmp_path / "untrained.json"
-        model_path.write_text(save_model(init_model(spec)))
+        payload = json.loads((completed["run"] / "model.json").read_text())
+        drop(payload)
+        model_path = tmp_path / "model.json"
+        model_path.write_text(json.dumps(payload))
         code, _, err = run_cli(
             "explain", "--config", str(config_path), "--model", str(model_path)
         )
         assert code == 5
-        assert "scaler" in err
+        assert err == f"error: 5: model file {model_path}: model carries no fitted input_scaler\n"
+        assert not (tmp_path / "out").exists()
 
     def test_architecture_mismatch_exits_5(self, completed, tmp_path):
         config = base_config(completed["dataset"], tmp_path / "out")
@@ -1470,6 +1480,22 @@ class TestImportGraph:
         settings = set(epxai.markets.__all__)
         for module in (epxai.data, epxai.mlp, epxai.sshap):
             assert not settings & set(module.__all__), module.__name__
+
+    def test_public_names_resolve_from_their_modules(self):
+        # epxai serves its names lazily, so a stale entry of its table would
+        # fail only on first access
+        import importlib
+
+        import epxai
+
+        for name in epxai.__all__:
+            assert getattr(epxai, name) is not None, name
+        for name, module_name in epxai._EXPORTS.items():
+            assert name in importlib.import_module(f"epxai.{module_name}").__all__, name
+        library_use = README.read_text(encoding="utf-8").split("\n## Library use\n")[1]
+        block = library_use.split("from epxai import (")[1].split(")")[0]
+        listed = {name.strip() for name in block.split(",")} - {""}
+        assert listed and listed <= set(epxai.__all__), listed - set(epxai.__all__)
 
 
 class TestOracleCommand:

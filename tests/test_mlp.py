@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from epxai.data import ScalerParams, transform
+from epxai.data import transform
 from epxai.errors import DataError, DivergedLoss, EpxaiError, ModelError
 from epxai.markets import ModelSpec, TrainingHyperparams, benchmark_spec
 from epxai.mlp import (
@@ -21,9 +21,9 @@ from epxai.mlp import (
     _batch_gradients,
     _sigmoid,
     count_parameters,
-    forward,
+    forward_blocks,
     forward_trace,
-    init_model,
+    init_weights,
     load_model,
     predict_prices,
     save_model,
@@ -168,38 +168,36 @@ class TestActivations:
 class TestInit:
     def test_glorot_uniform_bound(self):
         # First benchmark layer for the 120-input market: sqrt(6/353)
-        spec = benchmark_spec("FR")
-        model = init_model(spec)
+        weights, biases = init_weights(benchmark_spec("FR"))
         bound = math.sqrt(6.0 / (120 + 233))
         np.testing.assert_allclose(bound, 0.130373, atol=1e-6)
-        w1 = model.weights[0]
+        w1 = weights[0]
         assert np.max(np.abs(w1)) <= bound
         assert np.max(np.abs(w1)) > 0.95 * bound  # 27960 draws fill the range
-        assert all(not b.any() for b in model.biases)
+        assert all(not b.any() for b in biases)
 
     def test_he_normal_std(self):
-        model = init_model(benchmark_spec("BE"))
-        w1 = model.weights[0]
+        w1 = init_weights(benchmark_spec("BE"))[0][0]
         np.testing.assert_allclose(
             w1.std(), math.sqrt(2.0 / 121), rtol=0.05
         )
 
     def test_lecun_uniform_bound(self):
-        model = init_model(benchmark_spec("NP"))
+        w1 = init_weights(benchmark_spec("NP"))[0][0]
         bound = math.sqrt(3.0 / 144)
-        assert np.max(np.abs(model.weights[0])) <= bound
+        assert np.max(np.abs(w1)) <= bound
 
     def test_seed_determinism(self):
-        a = init_model(small_spec(seed=9))
-        b = init_model(small_spec(seed=9))
-        c = init_model(small_spec(seed=10))
-        for wa, wb in zip(a.weights, b.weights):
+        a = init_weights(small_spec(seed=9))[0]
+        b = init_weights(small_spec(seed=9))[0]
+        c = init_weights(small_spec(seed=10))[0]
+        for wa, wb in zip(a, b):
             np.testing.assert_array_equal(wa, wb)
-        assert any((wa != wc).any() for wa, wc in zip(a.weights, c.weights))
+        assert any((wa != wc).any() for wa, wc in zip(a, c))
 
-    def test_parameter_count_frozen(self):
+    def test_parameter_count_frozen(self, fresh_model):
         # 120*233+233 + 233*206+206 + 206*24+24 = 81365
-        assert count_parameters(init_model(benchmark_spec("FR"))) == 81365
+        assert count_parameters(fresh_model(benchmark_spec("FR"))) == 81365
 
 
 class TestBenchmarkSpecs:
@@ -231,7 +229,7 @@ class TestBenchmarkSpecs:
 
 
 class TestForward:
-    def test_selu_positive_domain_is_linear(self):
+    def test_selu_positive_domain_is_linear(self, fresh_model):
         # With positive weights and inputs, selu reduces to lambda * identity,
         # so the whole network is a linear map computable independently.
         spec = ModelSpec(
@@ -244,30 +242,30 @@ class TestForward:
             output_scaler_kind="std",
             seed=0,
         )
-        model = init_model(spec)
+        model = fresh_model(spec)
         rng = np.random.default_rng(1)
         model.weights = [np.abs(w) + 0.1 for w in model.weights]
         x = np.abs(rng.normal(1.0, 0.3, (6, 3))) + 0.5
         w1, w2, w3 = model.weights
         expected = SELU_LAMBDA**2 * (x @ w1) @ w2 @ w3
-        np.testing.assert_allclose(forward(model, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(forward_blocks(model, x), expected, rtol=1e-12)
 
-    def test_single_row_matches_batch(self):
-        model = init_model(small_spec())
+    def test_single_row_matches_batch(self, fresh_model):
+        model = fresh_model(small_spec())
         x = np.random.default_rng(2).normal(0.0, 1.0, (5, 48))
-        batch = forward(model, x)
+        batch = predict_prices(model, x)
         for i in range(5):
-            np.testing.assert_allclose(forward(model, x[i]), batch[i], rtol=1e-12)
+            np.testing.assert_allclose(predict_prices(model, x[i]), batch[i], rtol=1e-12)
 
-    def test_non_finite_input_rejected(self):
-        model = init_model(small_spec())
+    def test_non_finite_input_rejected(self, fresh_model):
+        model = fresh_model(small_spec())
         x = np.zeros(48)
         x[7] = np.nan
         with pytest.raises(DataError, match="model input contains non-finite"):
-            forward(model, x)
+            predict_prices(model, x)
 
-    def test_masks_drop_out_activations(self):
-        model = init_model(small_spec())
+    def test_masks_drop_out_activations(self, fresh_model):
+        model = fresh_model(small_spec())
         rng = np.random.default_rng(4)
         x = rng.normal(0.0, 1.0, (6, 48))
         masks = [(rng.random((6, h)) >= 0.3) / 0.7 for h in (24, 16)]
@@ -282,7 +280,7 @@ class TestForward:
     def test_predict_prices_blocks_are_independent(self, build_matrix):
         features = build_matrix(n_instances=30, seed=5)
         hp = TrainingHyperparams(batch_size=8, max_epochs=2, seed=2)
-        model = train(init_model(small_spec()), features, hp)
+        model = train(small_spec(), features, hp)
         n = 3 * _BLOCK_ROWS + 7
         x = np.random.default_rng(6).normal(40.0, 8.0, (n, 48))
         whole = predict_prices(model, x)
@@ -294,35 +292,29 @@ class TestForward:
         np.testing.assert_array_equal(whole, by_block)
         np.testing.assert_array_equal(predict_prices(model, x), whole)
 
-    def test_untrained_predict_rejected(self):
-        with pytest.raises(ModelError, match="no fitted scalers"):
-            predict_prices(init_model(small_spec()), np.zeros(48))
-
-    def test_overflowing_prices_raise_without_warning(self):
+    def test_overflowing_prices_raise_without_warning(self, fresh_model):
         # the arcsinh output scaler is undone with sinh, which overflows on
         # outputs far past any training range; the error is the one signal,
         # as pyproject.toml turns a numpy RuntimeWarning into a failure
-        model = init_model(replace(small_spec(), output_scaler_kind="arcsinh"))
-        model.input_scaler = ScalerParams("std", np.zeros(48), np.ones(48))
-        model.output_scaler = ScalerParams("arcsinh", np.zeros(24), np.ones(24))
+        model = fresh_model(replace(small_spec(), output_scaler_kind="arcsinh"))
         model.weights[2] = model.weights[2] * 1e5
         x = np.random.default_rng(8).normal(0.0, 1.0, (5, 48))
         with pytest.raises(EpxaiError, match="model produced non-finite outputs"):
             predict_prices(model, x)
 
-    def test_forward_blocks_have_the_bits_of_one_pass(self):
-        # forward runs in blocks of rows; over three full blocks and a short
-        # one it must equal a single pass over the whole batch
-        model = init_model(small_spec())
+    def test_forward_blocks_have_the_bits_of_one_pass(self, fresh_model):
+        # forward_blocks runs in blocks of rows; over three full blocks and a
+        # short one it must equal a single pass over the whole batch
+        model = fresh_model(small_spec())
         x = np.random.default_rng(7).normal(0.0, 1.0, (3 * _BLOCK_ROWS + 7, 48))
-        np.testing.assert_array_equal(forward(model, x), forward_trace(model, x)[-1])
+        np.testing.assert_array_equal(forward_blocks(model, x), forward_trace(model, x)[-1])
 
 
 class TestAstype:
     def test_casts_every_array_and_keeps_the_rest(self, build_matrix):
         features = build_matrix(n_instances=30, seed=5)
         hp = TrainingHyperparams(batch_size=8, max_epochs=2, seed=2)
-        model = train(init_model(small_spec()), features, hp)
+        model = train(small_spec(), features, hp)
         model32 = model.astype(np.float32)
         for p in model32.weights + model32.biases:
             assert p.dtype == np.float32
@@ -338,7 +330,7 @@ class TestAstype:
 
 
 class TestGradients:
-    def test_weight_gradients_match_finite_differences(self):
+    def test_weight_gradients_match_finite_differences(self, fresh_model):
         rng = np.random.default_rng(8)
         spec = small_spec(n_in=5, l1=0.01)
         spec = ModelSpec(
@@ -351,7 +343,7 @@ class TestGradients:
             output_scaler_kind="std",
             seed=4,
         )
-        model = init_model(spec)
+        model = fresh_model(spec)
         xb = rng.normal(0.0, 1.0, (4, 5))
         yb = rng.normal(0.0, 1.0, (4, 24))
         _, dws, dbs = _batch_gradients(model, xb, yb, None)
@@ -384,11 +376,11 @@ class TestGradients:
                 dbs[li][0], (up - down) / (2 * h), rtol=2e-4, atol=1e-10
             )
 
-    def test_first_adam_step_is_signed_learning_rate(self, build_matrix):
+    def test_first_adam_step_is_signed_learning_rate(self, build_matrix, fresh_model):
         # After one batch, m-hat/sqrt(v-hat) collapses to g/|g|.
         features = build_matrix(n_instances=8, n_groups=2, seed=12)
         spec = small_spec(n_in=48)
-        model = init_model(spec)
+        model = fresh_model(spec)
         hp = TrainingHyperparams(
             learning_rate=1e-3,
             batch_size=8,
@@ -396,7 +388,7 @@ class TestGradients:
             validation_fraction=0.0,
             seed=5,
         )
-        fitted = train(model, features, hp)
+        fitted = train(spec, features, hp)
         xb = transform(fitted.input_scaler, features.values)
         yb = transform(fitted.output_scaler, features.targets)
         _, dws, _ = _batch_gradients(model, xb, yb, None)
@@ -415,10 +407,9 @@ class TestTraining:
             learning_rate=5e-3, batch_size=16, max_epochs=60,
             validation_fraction=0.15, seed=1,
         )
-        fitted = train(init_model(small_spec()), features, hp)
+        fitted = train(small_spec(), features, hp)
         losses = [h["train_loss"] for h in fitted.history]
         assert losses[-1] < 0.5 * losses[0]
-        assert fitted.is_trained
 
     def test_early_stop_restores_best_weights(self, build_matrix):
         features = build_matrix(n_instances=100, seed=6, noise=2.0)
@@ -426,12 +417,12 @@ class TestTraining:
             batch_size=16, max_epochs=200, early_stop_patience=5,
             validation_fraction=0.2, seed=2,
         )
-        fitted = train(init_model(small_spec(seed=8)), features, hp)
+        fitted = train(small_spec(seed=8), features, hp)
         vals = [h["val_mae"] for h in fitted.history]
         n_val = int(round(0.2 * features.n_instances))
         x_val = transform(fitted.input_scaler, features.values[-n_val:])
         y_val = transform(fitted.output_scaler, features.targets[-n_val:])
-        recomputed = float(np.mean(np.abs(forward(fitted, x_val) - y_val)))
+        recomputed = float(np.mean(np.abs(forward_blocks(fitted, x_val) - y_val)))
         # the saved weights hold exactly the values validation read
         assert recomputed == min(vals)
         if len(vals) < hp.max_epochs:  # stopped early: patience exhausted
@@ -441,13 +432,13 @@ class TestTraining:
         features = build_matrix(n_instances=40, seed=9)
         hp = TrainingHyperparams(batch_size=8, max_epochs=5, seed=7)
         spec = small_spec(dropout=0.3)
-        a = train(init_model(spec), features, hp)
-        b = train(init_model(spec), features, hp)
+        a = train(spec, features, hp)
+        b = train(spec, features, hp)
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
         assert a.history == b.history
         assert save_model(a) == save_model(b)
-        c = train(init_model(spec), features, TrainingHyperparams(
+        c = train(spec, features, TrainingHyperparams(
             batch_size=8, max_epochs=5, seed=8))
         assert any((wa != wc).any() for wa, wc in zip(a.weights, c.weights))
 
@@ -460,7 +451,7 @@ class TestTraining:
         hp = TrainingHyperparams(
             batch_size=8, max_epochs=3, validation_fraction=validation_fraction, seed=7
         )
-        fitted = train(init_model(small_spec(dropout=0.3)), features, hp)
+        fitted = train(small_spec(dropout=0.3), features, hp)
         for p in fitted.weights + fitted.biases:
             assert p.dtype == np.float64
             np.testing.assert_array_equal(p.astype(np.float32).astype(np.float64), p)
@@ -480,7 +471,7 @@ class TestTraining:
             seed=5,
         )
         hp = TrainingHyperparams(batch_size=16, max_epochs=30, seed=3)
-        fitted = train(init_model(spec), features, hp)
+        fitted = train(spec, features, hp)
         losses = [h["train_loss"] for h in fitted.history]
         assert all(math.isfinite(v) for v in losses)
         assert losses[-1] < 0.7 * losses[0]
@@ -489,7 +480,7 @@ class TestTraining:
     def test_dropout_training_still_learns(self, build_matrix):
         features = build_matrix(n_instances=120, seed=4)
         hp = TrainingHyperparams(batch_size=16, max_epochs=30, seed=3)
-        fitted = train(init_model(small_spec(dropout=0.25)), features, hp)
+        fitted = train(small_spec(dropout=0.25), features, hp)
         losses = [h["train_loss"] for h in fitted.history]
         assert losses[-1] < losses[0]
 
@@ -501,18 +492,18 @@ class TestTraining:
             validation_fraction=0.0, seed=1,
         )
         with pytest.raises(DivergedLoss, match="training loss became"):
-            train(init_model(small_spec()), features, hp)
+            train(small_spec(), features, hp)
 
     def test_too_few_instances(self, build_matrix):
         features = build_matrix(n_instances=2, seed=1)
         hp = TrainingHyperparams(validation_fraction=0.5)
         with pytest.raises(DataError, match="leave 1 for training"):
-            train(init_model(small_spec()), features, hp)
+            train(small_spec(), features, hp)
 
     def test_predictions_in_raw_units(self, build_matrix):
         features = build_matrix(n_instances=120, seed=3)
         hp = TrainingHyperparams(batch_size=16, max_epochs=60, seed=1)
-        fitted = train(init_model(small_spec()), features, hp)
+        fitted = train(small_spec(), features, hp)
         pred = predict_prices(fitted, features.values)
         assert pred.shape == (120, 24)
         # Raw targets sit around 20; normalized outputs do not.
@@ -523,7 +514,7 @@ class TestPersistence:
     def make_trained(self, build_matrix):
         features = build_matrix(n_instances=30, seed=5)
         hp = TrainingHyperparams(batch_size=8, max_epochs=3, seed=2)
-        return train(init_model(small_spec(dropout=0.1)), features, hp), features
+        return train(small_spec(dropout=0.1), features, hp), features
 
     def test_roundtrip_bit_exact(self, build_matrix):
         model, features = self.make_trained(build_matrix)
@@ -562,8 +553,8 @@ class TestPersistence:
         with pytest.raises(ModelError, match="layer holds"):
             load_model(text.replace('"rows": 48', '"rows": 47'))
 
-    def test_init_weights_roundtrip_bit_exact(self):
-        model = init_model(small_spec())
+    def test_init_weights_roundtrip_bit_exact(self, fresh_model):
+        model = fresh_model(small_spec())
         model.weights[0][0, 0] = -0.0
         model.weights[1][1, 2] = 5e-324  # subnormal
         model.biases[2][3] = -2.5e-310
@@ -574,8 +565,8 @@ class TestPersistence:
             np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
         assert save_model(again) == text
 
-    def test_layers_are_base64_little_endian_float64(self):
-        model = init_model(small_spec())
+    def test_layers_are_base64_little_endian_float64(self, fresh_model):
+        model = fresh_model(small_spec())
         layer = json.loads(save_model(model))["layers"][1]
         raw = base64.b64decode(layer["weights_row_major"])
         np.testing.assert_array_equal(
@@ -590,8 +581,8 @@ class TestPersistence:
         ],
         ids=["junk-character", "partial-float"],
     )
-    def test_bad_weight_bytes_are_corrupt(self, mutate):
-        payload = json.loads(save_model(init_model(small_spec())))
+    def test_bad_weight_bytes_are_corrupt(self, mutate, fresh_model):
+        payload = json.loads(save_model(fresh_model(small_spec())))
         layer = payload["layers"][0]
         layer["weights_row_major"] = mutate(layer["weights_row_major"])
         with pytest.raises(ModelError, match="bad model payload"):
@@ -607,26 +598,24 @@ class TestPersistence:
             lambda p: p["output_scaler"]["location"].__setitem__(0, math.nan),
             lambda p: p["input_scaler"]["scale"].__setitem__(0, math.inf),
             lambda p: p["output_scaler"].update(kind="median"),
+            lambda p: p.update(input_scaler=None),
+            lambda p: p.pop("output_scaler"),
         ],
         ids=[
             "input-scaler-short", "output-scaler-short", "zero-scale",
             "negative-scale", "nan-location", "infinite-scale", "other-kind",
+            "input-scaler-null", "output-scaler-missing",
         ],
     )
-    def test_scalers_that_do_not_fit_are_corrupt(self, mutate):
-        model = replace(
-            init_model(small_spec()),
-            input_scaler=ScalerParams("std", np.zeros(48), np.ones(48)),
-            output_scaler=ScalerParams("std", np.zeros(24), np.ones(24)),
-        )
-        payload = json.loads(save_model(model))
+    def test_scalers_that_do_not_fit_are_corrupt(self, mutate, fresh_model):
+        payload = json.loads(save_model(fresh_model(small_spec())))
         load_model(json.dumps(payload))
         mutate(payload)
         with pytest.raises(ModelError, match="scaler"):
             load_model(json.dumps(payload))
 
-    def test_schema_1_file_is_refused(self):
-        model = init_model(small_spec())
+    def test_schema_1_file_is_refused(self, fresh_model):
+        model = fresh_model(small_spec())
         payload = json.loads(save_model(model))
         payload["schema_version"] = 1
         for layer, w, b in zip(payload["layers"], model.weights, model.biases):

@@ -19,6 +19,7 @@ from epxai.sshap import (
     SshapLines,
     SshapTensor,
     aggregate,
+    expected_slope,
     slope_check,
     sshap_line,
 )
@@ -378,3 +379,31 @@ class TestSlopeCheck:
         result = slope_check(lines)
         assert abs(result.slope - 1.0) <= 1e-9
         assert result.max_deviation <= 1e-9
+
+
+class TestExpectedSlope:
+    def test_linear_predictions_give_their_slope(self):
+        # predictions 0.7 y + 12 split over two groups and an hourly baseline
+        rng = np.random.default_rng(3)
+        prices = rng.normal(40.0, 9.0, (6, 24))
+        baseline = 30.0 + 0.5 * np.arange(24)
+        share = rng.uniform(0.0, 1.0, (6, 24))
+        rest = 0.7 * prices + 12.0 - baseline
+        values = np.stack([share * rest, (1.0 - share) * rest], axis=2)
+        sshap = make_sshap(values, baseline=baseline, labels=("A", "B"))
+        np.testing.assert_allclose(expected_slope(sshap, prices), 0.7, rtol=1e-12)
+
+    def test_band_keeps_the_observations_inside(self):
+        # a slope of 0.5 inside [30, 50] and of 2 outside it
+        prices = np.linspace(0.0, 95.0, 96).reshape(4, 24)
+        predictions = np.where((prices >= 30.0) & (prices <= 50.0), 0.5 * prices, 2.0 * prices)
+        sshap = make_sshap(predictions[:, :, None])
+        np.testing.assert_allclose(expected_slope(sshap, prices, band=(30.0, 50.0)), 0.5)
+        assert expected_slope(sshap, prices) > 1.0
+
+    def test_prices_that_do_not_vary_raise(self):
+        sshap = make_sshap(np.ones((2, 24, 1)))
+        with pytest.raises(EpxaiError, match="fewer than 2 distinct realised prices"):
+            expected_slope(sshap, np.full((2, 24), 40.0))
+        with pytest.raises(EpxaiError, match="fewer than 2 distinct realised prices"):
+            expected_slope(sshap, np.arange(48.0).reshape(2, 24), band=(10.2, 10.8))
