@@ -3,10 +3,15 @@
 Every figure is written element by element into the text stream it is
 handed, with its companion CSV row by row into a second stream: fixed
 coordinate formatting, no randomness (beeswarm jitter comes from a
-golden-ratio sequence), no external assets. Each plotted datum carries a
-``data-value`` attribute with the exact shortest round-trip float text, and
-the companion CSV holds the same numbers, so the CSV is the machine-readable
-source of truth and the SVG can always be checked against it byte for byte.
+golden-ratio sequence), no external assets.
+
+The companion CSV is the machine-readable source of truth: each data row
+holds one plotted number with its keys (block, hour, group, feature,
+instance, price). The SVG repeats no key. Its plotted marks carry only
+geometry, fill and a ``data-value`` attribute, and they follow the CSV's
+data rows in order: mark *i* carries row *i*'s value column as the same
+exact shortest round-trip float text, so the two can be checked against
+each other byte for byte.
 """
 
 from __future__ import annotations
@@ -171,12 +176,12 @@ def _render_heatmap(grid: HeatmapGrid, svg, csv, title: str, unit: str) -> None:
 
     write_svg, write_csv = svg.write, csv.write
     _svg_open(svg, width, height, title)
-    write_svg(f'<g data-scale-min="{_val(vmin)}" data-scale-max="{_val(vmax)}">\n')
+    write_svg("<g>\n")
     write_csv("block,output_hour,input_hour,value,scale_min,scale_max\n")
     scale_text = f"{_val(vmin)},{_val(vmax)}"
+    size = f'width="{_f(cell)}" height="{_f(cell)}"'
     for b, (label, block) in enumerate(zip(grid.blocks, grid.values.tolist())):
         x0 = left + b * (block_w + gap)
-        label_text = _esc(label)
         write_svg(_text(x0, top - 8, label, 10, "#222"))
         xs = [_f(x0 + in_h * cell) for in_h in range(24)]
         for out_h, (row, row_fills) in enumerate(zip(block, fills[b])):
@@ -184,10 +189,8 @@ def _render_heatmap(grid: HeatmapGrid, svg, csv, title: str, unit: str) -> None:
             for in_h, (v, fill) in enumerate(zip(row, row_fills)):
                 v_text = repr(v)
                 write_svg(
-                    f'<rect x="{xs[in_h]}" y="{y_text}" '
-                    f'width="{_f(cell)}" height="{_f(cell)}" fill="{fill}" '
-                    f'data-block="{label_text}" data-output-hour="{out_h}" '
-                    f'data-input-hour="{in_h}" data-value="{v_text}"/>\n'
+                    f'<rect x="{xs[in_h]}" y="{y_text}" {size} fill="{fill}" '
+                    f'data-value="{v_text}"/>\n'
                 )
                 write_csv(f"{label},{out_h},{in_h},{v_text},{scale_text}\n")
         for h in (0, 6, 12, 18, 23):
@@ -309,8 +312,7 @@ def _render_lines(lines: SshapLines, svg, csv, title: str, unit: str) -> None:
             csv.write(f"{group},{_val(x)},{_val(y)}\n")
             svg.write(
                 f'<circle cx="{_f(axes.x(x))}" cy="{_f(axes.y(y))}" r="1.4" '
-                f'fill="{color}" data-group="{_esc(group)}" '
-                f'data-price="{_val(x)}" data-value="{_val(y)}"/>\n'
+                f'fill="{color}" data-value="{_val(y)}"/>\n'
             )
     entries = [(group, color) for group, _, color, _ in series[1:]]
     entries.append(("price - baseline", "#888"))
@@ -334,8 +336,7 @@ def _render_importance(table: ImportanceTable, svg, csv, title: str, unit: str) 
         for h, v in zip(hours, ys):
             svg.write(
                 f'<circle cx="{_f(axes.x(h))}" cy="{_f(axes.y(v))}" r="1.8" '
-                f'fill="{color}" data-group="{_esc(group)}" data-output-hour="{h}" '
-                f'data-value="{_val(v)}"/>\n'
+                f'fill="{color}" data-value="{_val(v)}"/>\n'
             )
             csv.write(f"{group},{h},{_val(v)}\n")
     _legend(svg, entries, 720.0 - 200, 56.0)
@@ -367,24 +368,24 @@ def _render_beeswarm(table: BeeswarmTable, svg, csv, title: str, unit: str) -> N
         span = fhi - flo or 1.0
         fills = _ramp((fv - flo) / span, diverging=True)
         feature = str(row.feature)
-        for i, (instance_id, values) in enumerate(
-            zip(table.instance_ids, row.shap_values.tolist())
+        # one numpy pass per row; the jitter index runs on across rows, and
+        # each coordinate is the float a per-point loop would compute
+        values = row.shap_values
+        index = np.arange(point, point + values.size).reshape(values.shape)
+        point += values.size
+        cys = (cy + ((index * _GOLDEN) % 1.0 - 0.5) * row_h * 0.7).tolist()
+        for instance_id, fv_i, fill, xs, ys, vs in zip(
+            table.instance_ids, fv.tolist(), fills, axes.x(values).tolist(), cys,
+            values.tolist(),
         ):
-            fv_text = _val(fv[i])
-            attrs = (
-                f'r="1.6" fill="{fills[i]}" fill-opacity="0.75" '
-                f'data-feature="{_esc(feature)}" data-instance="{_esc(instance_id)}"'
-            )
-            for h, v in enumerate(values):
-                jitter = ((point * _GOLDEN) % 1.0 - 0.5) * row_h * 0.7
-                point += 1
+            keys, fv_text = f"{feature},{instance_id},", repr(fv_i)
+            for h, (x, y, v) in enumerate(zip(xs, ys, vs)):
                 v_text = repr(v)
                 write_svg(
-                    f'<circle cx="{_f(axes.x(v))}" cy="{_f(cy + jitter)}" {attrs} '
-                    f'data-output-hour="{h}" '
-                    f'data-feature-value="{fv_text}" data-value="{v_text}"/>\n'
+                    f'<circle cx="{x:.2f}" cy="{y:.2f}" r="1.6" fill="{fill}" '
+                    f'fill-opacity="0.75" data-value="{v_text}"/>\n'
                 )
-                write_csv(f"{feature},{instance_id},{h},{fv_text},{v_text}\n")
+                write_csv(f"{keys}{h},{fv_text},{v_text}\n")
     axes.x_ticks(svg)
     write_svg(_text(
         left + plot_w / 2, top + plot_h + 34,
@@ -407,35 +408,30 @@ def _render_stack(stack: InstanceStack, svg, csv, title: str, unit: str) -> None
     zero_y = axes.y(0.0)
     svg.write(_line(axes.left, zero_y, axes.left + axes.width, zero_y, "#bbb"))
     bar_w = axes.width / 24.0 * 0.72
-    for h in range(24):
-        cx = axes.x(float(h))
-        up = 0.0
-        down = 0.0
-        for g, group in enumerate(stack.groups):
-            v = float(stack.contributions[h, g])
-            if v >= 0.0:
-                y_top, y_bot = axes.y(up + v), axes.y(up)
-                up += v
-            else:
-                y_top, y_bot = axes.y(down), axes.y(down + v)
-                down += v
-            svg.write(
-                f'<rect x="{_f(cx - bar_w / 2)}" y="{_f(y_top)}" '
-                f'width="{_f(bar_w)}" height="{_f(max(y_bot - y_top, 0.0))}" '
-                f'fill="{_color(g)}" fill-opacity="0.85" '
-                f'data-series="{_esc(group)}" data-output-hour="{h}" '
-                f'data-value="{_val(v)}"/>\n'
-            )
+    xs = [_f(axes.x(float(h)) - bar_w / 2) for h in range(24)]
+    # bars are drawn group by group, as the CSV lists them, each stacked on
+    # the running positive or negative total of its hour
+    up, down = [0.0] * 24, [0.0] * 24
     csv.write("series,output_hour,value\n")
     for g, group in enumerate(stack.groups):
-        for h in range(24):
-            csv.write(f"{group},{h},{_val(stack.contributions[h, g])}\n")
+        for h, v in enumerate(stack.contributions[:, g].tolist()):
+            if v >= 0.0:
+                y_top, y_bot = axes.y(up[h] + v), axes.y(up[h])
+                up[h] += v
+            else:
+                y_top, y_bot = axes.y(down[h]), axes.y(down[h] + v)
+                down[h] += v
+            svg.write(
+                f'<rect x="{xs[h]}" y="{_f(y_top)}" width="{_f(bar_w)}" '
+                f'height="{_f(y_bot - y_top)}" fill="{_color(g)}" fill-opacity="0.85" '
+                f'data-value="{v!r}"/>\n'
+            )
+            csv.write(f"{group},{h},{v!r}\n")
     svg.write(_polyline(axes.points(range(24), net), "#222"))
     for h in range(24):
         svg.write(
             f'<circle cx="{_f(axes.x(float(h)))}" cy="{_f(axes.y(float(net[h])))}" '
-            f'r="2.2" fill="#222" data-series="{_FORECAST_SERIES}" '
-            f'data-output-hour="{h}" data-value="{_val(net[h])}"/>\n'
+            f'r="2.2" fill="#222" data-value="{_val(net[h])}"/>\n'
         )
         csv.write(f"{_FORECAST_SERIES},{h},{_val(net[h])}\n")
     entries = [(group, _color(g)) for g, group in enumerate(stack.groups)]

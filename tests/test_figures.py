@@ -19,6 +19,7 @@ from epxai.markets import FeatureId, Partition
 from epxai.sshap import SshapLines, SshapTensor
 
 _DATA_VALUE = re.compile(r'data-value="([^"]+)"')
+_DATA_ATTR = re.compile(r'\sdata-([\w-]+)=')
 
 
 def _data_values(svg):
@@ -169,8 +170,12 @@ class TestHeatmapFigure:
     def test_one_rect_per_cell(self):
         grid = _heatmap(np.random.default_rng(11), n_blocks=2)
         svg = _render(grid).svg
-        cells = re.findall(r'<rect[^>]*data-input-hour="', svg)
+        # the white background comes first and the 24 legend steps last
+        cells = re.findall(r'<rect [^>]*/>', svg)[1:-24]
         assert len(cells) == 2 * 24 * 24
+        assert all("data-value=" in cell for cell in cells)
+        corners = {re.search(r'x="([^"]+)" y="([^"]+)"', cell).groups() for cell in cells}
+        assert len(corners) == len(cells)
 
 
 class TestLineFigure:
@@ -193,7 +198,10 @@ class TestLineFigure:
         _, rows = _csv_rows(fig.csv)
         reference = [float(r[2]) for r in rows if r[0] == "price_minus_baseline"]
         assert reference == list(lines.grid - lines.baseline)
-        assert fig.svg.count('data-group="price_minus_baseline"') == 40
+        # the reference series is drawn first, in grey under the group lines
+        circles = re.findall(r'<circle [^>]*/>', fig.svg)
+        assert [c for c in circles if 'fill="#888"' in c] == circles[:40]
+        assert _data_values("".join(circles[:40])) == reference
         assert ">price - baseline</text>" in fig.svg
 
     def test_csv_carries_group_price_value(self):
@@ -262,6 +270,23 @@ class TestBeeswarmFigure:
                 assert float(cells[3]) == row.feature_values[i]
                 assert float(cells[4]) == row.shap_values[i, h]
 
+    def test_coordinates_match_per_point_layout(self):
+        # the renderer lays out whole rows with numpy; this is the per-point
+        # arithmetic it must reproduce, jitter index included, text for text
+        table = _beeswarm(np.random.default_rng(31), n_rows=20, n_instances=40)
+        vmax = max(float(np.max(np.abs(row.shap_values))) for row in table.rows)
+        x0, x1 = -vmax, vmax
+        expected, point = [], 0
+        for r, row in enumerate(table.rows):
+            cy = 48.0 + 30.0 * (r + 0.5)
+            for v in row.shap_values.ravel().tolist():
+                jitter = ((point * 0.6180339887498949) % 1.0 - 0.5) * 30.0 * 0.7
+                point += 1
+                cx = 230.0 + (v - x0) / (x1 - x0) * 430.0
+                expected.append((f"{cx:.2f}", f"{cy + jitter:.2f}"))
+        svg = _render(table).svg
+        assert re.findall(r'<circle cx="([^"]+)" cy="([^"]+)"', svg) == expected
+
 
 class TestStackFigure:
     def test_builder_by_day(self):
@@ -297,11 +322,12 @@ class TestStackFigure:
     def test_bar_heights_are_nonnegative(self):
         tensor, forecast = _stack(np.random.default_rng(24))
         svg = _render(instance_stack(tensor, "2020-02-03", forecast)).svg
-        heights = [
-            float(m)
-            for m in re.findall(r'<rect[^>]*height="([0-9.]+)"[^>]*data-series', svg)
-        ]
-        assert heights and all(h >= 0.0 for h in heights)
+        # background and frame first; last, a legend swatch per group and
+        # one for the forecast line
+        bars = re.findall(r'<rect [^>]*/>', svg)[2:-3]
+        assert len(bars) == 24 * 2
+        heights = [float(re.search(r' height="([^"]+)"', bar).group(1)) for bar in bars]
+        assert all(h >= 0.0 for h in heights)
 
 
 class TestSvgHygiene:
@@ -387,30 +413,40 @@ def _pinned_artifacts():
 # every figure in every run directory, so it must be deliberate.
 _PINNED = {
     "beeswarm-escaped": (
-        "dcee37c44ca731f9d471ab52f95a8debad57024f847adcca909141c3a89313c1",
+        "d2016d225bd6a2f77c13ddc0a4429b25b18252960cb910d32646cec0f38072c4",
         "9858a84921e4d630ae38b3bfb6750536c072fb49bc5af7df493eec19148f0d1f",
     ),
     "heatmap-magnitude": (
-        "f9ce6232184ecb539d7cf420228e10b43b6f88e8fd42bcbf38ea3c177b7da8e7",
+        "48c89322a6548a40f468dba491aca7407c4e2b56f59e00ff93cff7354de5f2b9",
         "2ada41c8f351e5d5a7f8bd8711a97a4008ceb26089c62ee014b5850a1fd888c5",
     ),
     "heatmap-signed": (
-        "cf9301e4fcbee00304f049f350cea27133524d71b6bfc1ba0de16d49bb0341a1",
+        "99785854301aea6eee2f8ae869f7615df03b92a127ce484c25c174c9977bcb58",
         "537a6ba79af0d5bc9b062f641520942d8c9003d5622d64b37d8813a2c3434a23",
     ),
     "importance": (
-        "dbb36c73e4c2c7267423db78e6c27981fdbdb12c36a953a73fa68c2c72347150",
+        "326261916003bb47d65f8345b2148920c13c8c45263da4f18497ca3baaacf062",
         "87a81f3b60bb5fcc329f90f8cb554cab79bd5af773c6b5fe23c30a733b302ac6",
     ),
     "lines-baseline-curve": (
-        "0d5183078ea506a1dfee6638468ef8371c56fb49b27a130989d27dfdc5bcdbd7",
+        "95ca4a3a219af7ba8069a208bdf6d809ae05a83ec30868e78805cd82145b6913",
         "8b0069657ad5961dc1f80ebd7b49b63f4410bc1eb965b84c723c404473c5855e",
     ),
     "stack-negative": (
-        "68502fdbbec257fbfbdff05a93a0b8a6e6b960dc54db936e5849d990a76adfb7",
+        "2309d2f3501104346cec60f6bde02ab74c901e2c9dbe0121151046f26a96eabd",
         "07332006bf93deb4a09df9f8bd9411fc1d79e4b7708f21c6bfad7607d14c3fe1",
     ),
 }
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_marks_follow_csv_rows(case):
+    """Mark i carries CSV row i's value, and the SVG repeats none of the keys."""
+    fig = _render(*_pinned_artifacts()[case])
+    header, rows = _csv_rows(fig.csv)
+    column = header.index("shap_value" if "shap_value" in header else "value")
+    assert _DATA_VALUE.findall(fig.svg) == [r[column] for r in rows]
+    assert set(_DATA_ATTR.findall(fig.svg)) == {"value"}
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED))
