@@ -61,7 +61,6 @@ _EXPORTS = {
     "explain_dataset": "attribution",
     "attribution_to_csv": "attribution",
     # sshap
-    "SshapTensor": "sshap",
     "SshapLines": "sshap",
     "SlopeCheck": "sshap",
     "aggregate": "sshap",

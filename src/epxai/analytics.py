@@ -19,9 +19,8 @@ import numpy as np
 
 from .errors import DataError, EpxaiError
 
-if TYPE_CHECKING:  # annotations only; train runs analytics without these layers
+if TYPE_CHECKING:  # annotations only; train runs analytics without this layer
     from .attribution import AttributionTensor
-    from .sshap import SshapTensor
 
 __all__ = [
     "HeatmapGrid",
@@ -44,7 +43,6 @@ HEATMAP_AGGREGATIONS = ("mean_abs", "mean")
 class HeatmapGrid:
     """Per-group 24x24 maps; ``values[b, output_hour, input_hour]``."""
 
-    kind: str  # tensor kind the grid was built from
     aggregation: str
     blocks: tuple  # group labels, one per block
     values: np.ndarray  # (n_blocks, 24, 24)
@@ -102,9 +100,10 @@ class ComplexityReport:
 def _hourly_blocks(tensor: AttributionTensor):
     """Ordered (label, column index array) for groups holding hours 0-23."""
     by_group: dict = {}
-    for j, fid in enumerate(tensor.feature_ids):
-        if fid.hour is not None:
-            by_group.setdefault(fid.group, {})[fid.hour] = j
+    for j, fid in enumerate(tensor.columns):
+        hour = getattr(fid, "hour", None)  # the group labels of grouped values have none
+        if hour is not None:
+            by_group.setdefault(fid.group, {})[hour] = j
     blocks = []
     for label, hours in by_group.items():
         if sorted(hours) == list(range(24)):
@@ -133,19 +132,18 @@ def heatmap(tensor: AttributionTensor, aggregation: str = "mean_abs") -> Heatmap
 
     values = np.stack([source[:, cols] for _, cols in blocks])
     return HeatmapGrid(
-        kind=tensor.kind,
         aggregation=aggregation,
         blocks=tuple(label for label, _ in blocks),
         values=values,
     )
 
 
-def hourly_importance(sshap: SshapTensor) -> ImportanceTable:
+def hourly_importance(sshap: AttributionTensor) -> ImportanceTable:
     """Mean absolute grouped value per output hour, across instances."""
     if sshap.n_instances == 0:
         raise EpxaiError("no instances to average")
     return ImportanceTable(
-        groups=sshap.partition.labels,
+        groups=sshap.columns,
         values=np.abs(sshap.values).mean(axis=0),
     )
 
@@ -162,7 +160,7 @@ def beeswarm_table(
     if tensor.n_instances == 0:
         raise EpxaiError("no instances to rank")
     feature_values = np.asarray(feature_values, dtype=np.float64)
-    if feature_values.shape != (tensor.n_instances, len(tensor.feature_ids)):
+    if feature_values.shape != (tensor.n_instances, len(tensor.columns)):
         raise EpxaiError(f"feature_values shape {feature_values.shape} does not match tensor")
     if top_k < 1:
         raise ValueError("top_k must be >= 1")
@@ -170,7 +168,7 @@ def beeswarm_table(
     order = np.lexsort((np.arange(len(scores)), -scores))[:top_k]
     rows = [
         BeeswarmRow(
-            feature=tensor.feature_ids[j],
+            feature=tensor.columns[j],
             score=float(scores[j]),
             feature_values=feature_values[:, j].copy(),
             shap_values=tensor.values[:, :, j].copy(),
@@ -245,8 +243,8 @@ def complexity_metrics(
     cells inside each heatmap block. Important variables per hour: heatmap
     cells above ``threshold``, divided by 24.
     """
-    if grad_tensor.kind != "gradient":
-        raise ValueError(f"need a gradient tensor, got {grad_tensor.kind!r}")
+    if grad_tensor.baseline is not None:
+        raise ValueError("need a gradient tensor, got Shapley values with a baseline")
     if grad_tensor.n_instances < 2:
         raise DataError("non-linearity needs at least 2 instances")
     non_linearity = float(_population_std_exact_zero(grad_tensor.values).mean())

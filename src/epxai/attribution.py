@@ -93,26 +93,25 @@ class ShapExplanation:
 
 @dataclass
 class AttributionTensor:
-    """Stacked per-instance attributions: (n_instances, 24, n_features).
+    """Stacked per-instance attributions: (n_instances, 24, n_columns).
 
-    ``kind`` is "shap" (baseline present, one vector shared by every
-    instance) or "gradient" (baseline None).
+    ``columns`` labels the last axis: feature ids for per-feature Shapley
+    values and gradients, group labels for grouped (SSHAP) values. Shapley
+    values carry their ``baseline``, one vector shared by every instance;
+    gradients have none.
     """
 
-    kind: str
     instance_ids: list
-    feature_ids: tuple
+    columns: tuple
     values: np.ndarray
     baseline: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in ("shap", "gradient"):
-            raise ValueError(f"unknown tensor kind {self.kind!r}")
-        n_inst, n_hours, n_feat = self.values.shape
+        n_inst, n_hours, n_cols = self.values.shape
         if n_inst != len(self.instance_ids) or n_hours != 24:
-            raise ValueError("values must be (n_instances, 24, n_features)")
-        if n_feat != len(self.feature_ids):
-            raise ValueError("feature axis does not match feature_ids")
+            raise ValueError("values must be (n_instances, 24, n_columns)")
+        if n_cols != len(self.columns):
+            raise ValueError("last axis does not match columns")
 
     @property
     def n_instances(self) -> int:
@@ -405,23 +404,21 @@ def explain_dataset(
     grad_values = jacobian_batch(model, rows)
 
     shap_tensor = AttributionTensor(
-        kind="shap",
         instance_ids=ids,
-        feature_ids=features.columns,
+        columns=features.columns,
         values=shap_values,
         baseline=baseline,
     )
     grad_tensor = AttributionTensor(
-        kind="gradient",
         instance_ids=ids,
-        feature_ids=features.columns,
+        columns=features.columns,
         values=grad_values,
     )
     return shap_tensor, grad_tensor
 
 
-def tensor_csv(header: str, instance_ids, values: np.ndarray, prefixes, out) -> None:
-    """Write the CSV of an (n_instances, 24, n_columns) tensor into text stream ``out``.
+def tensor_csv(tensor: AttributionTensor, header: str, prefixes, out) -> None:
+    """Write the CSV of a tensor into text stream ``out``.
 
     Row ``(k, h, j)`` reads ``instance_ids[k],h,`` then ``prefixes[j]`` then
     the value in shortest round-trip form, so equal tensors always serialize
@@ -430,7 +427,7 @@ def tensor_csv(header: str, instance_ids, values: np.ndarray, prefixes, out) -> 
     size of the file.
     """
     out.write(header + "\n")
-    for instance_id, block in zip(instance_ids, values):
+    for instance_id, block in zip(tensor.instance_ids, tensor.values):
         out.write("".join([
             f"{instance_id},{h},{prefix}{value!r}\n"
             for h, row in enumerate(block.tolist())
@@ -442,7 +439,7 @@ def attribution_to_csv(tensor: AttributionTensor, out) -> None:
     """Write a tensor's flat CSV into text stream ``out``: instance, output
     hour, feature, value."""
     prefixes = [
-        f"{fid.group},{'' if fid.hour is None else fid.hour}," for fid in tensor.feature_ids
+        f"{fid.group},{'' if fid.hour is None else fid.hour}," for fid in tensor.columns
     ]
     header = "instance_id,output_hour,group,input_hour,value"
-    tensor_csv(header, tensor.instance_ids, tensor.values, prefixes, out)
+    tensor_csv(tensor, header, prefixes, out)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import BeeswarmTable, HeatmapGrid, ImportanceTable
+from .attribution import AttributionTensor
 from .errors import REFERENCE_SERIES
-from .sshap import SshapLines, SshapTensor
+from .sshap import SshapLines
 
 __all__ = [
     "InstanceStack",
@@ -50,7 +51,7 @@ class InstanceStack:
     forecast: np.ndarray  # (24,)
 
 
-def instance_stack(sshap: SshapTensor, day: str, forecast: np.ndarray) -> InstanceStack:
+def instance_stack(sshap: AttributionTensor, day: str, forecast: np.ndarray) -> InstanceStack:
     """Slice the instance of delivery day ``day`` out of a grouped tensor for rendering."""
     try:
         idx = sshap.instance_ids.index(day)
@@ -60,7 +61,7 @@ def instance_stack(sshap: SshapTensor, day: str, forecast: np.ndarray) -> Instan
     if forecast.shape != (24,):
         raise ValueError("forecast must be 24 hourly prices")
     return InstanceStack(
-        groups=sshap.partition.labels,
+        groups=sshap.columns,
         contributions=sshap.values[idx].copy(),
         baseline=sshap.baseline.copy(),
         forecast=forecast.copy(),
@@ -164,7 +165,7 @@ def _render_heatmap(grid: HeatmapGrid, svg, csv, title: str, unit: str) -> None:
     width = left + grid.n_blocks * (block_w + gap) - gap + legend_w + 24
     height = top + block_w + 56.0
 
-    signed = grid.aggregation == "mean" or grid.kind == "gradient"
+    signed = grid.aggregation == "mean"
     if signed:
         vmax = float(np.max(np.abs(grid.values))) or 1.0
         vmin = -vmax

@@ -26,7 +26,7 @@ from .attribution import (
 from .data import ScalerParams, inverse_transform, transform
 from .markets import ACTIVATIONS, SCALER_KINDS, FeatureId, ModelSpec, Partition
 from .mlp import TrainedModel, forward_blocks, init_weights, predict_prices
-from .sshap import SshapTensor, aggregate, slope_check, sshap_line
+from .sshap import aggregate, slope_check, sshap_line
 
 __all__ = [
     "BatteryResult",
@@ -137,9 +137,8 @@ def run_efficiency(seed: int = 0) -> BatteryResult:
         )
         fids, partition = _chunk_partition(n_f, rng)
         tensor = AttributionTensor(
-            kind="shap",
             instance_ids=["0"],
-            feature_ids=fids,
+            columns=fids,
             values=result.values[None],
             baseline=result.baseline,
         )
@@ -336,15 +335,13 @@ def run_linear_complexity(seed: int = 0) -> BatteryResult:
     x = rng.normal(size=(n_instances, n_f))
     grads = jacobian_batch(model, x)
     grad_tensor = AttributionTensor(
-        kind="gradient",
         instance_ids=[str(i) for i in range(n_instances)],
-        feature_ids=fids,
+        columns=fids,
         values=grads,
     )
     shap_tensor = AttributionTensor(
-        kind="shap",
         instance_ids=[str(i) for i in range(n_instances)],
-        feature_ids=fids,
+        columns=fids,
         values=rng.normal(scale=0.4, size=(n_instances, 24, n_f)),
         baseline=np.zeros(24),
     )
@@ -389,12 +386,11 @@ def run_slope_identity() -> BatteryResult:
     step = bandwidth / 2.0
     prices = np.arange(0.0, 300.0, step).reshape(5, 24)  # 120 observations
     grid = np.arange(60.0, 240.0 + 1e-9, step)
-    partition = Partition(groups=(("G", tuple(FeatureId("G", h) for h in range(24))),))
     checks = []
     for baseline in (np.full(24, 37.0), 34.0 + 0.5 * np.arange(24)):
-        tensor = SshapTensor(
+        tensor = AttributionTensor(
             instance_ids=[str(i) for i in range(5)],
-            partition=partition,
+            columns=("G",),
             values=(prices - baseline)[:, :, None],
             baseline=baseline,
         )

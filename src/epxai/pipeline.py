@@ -101,7 +101,7 @@ def _dates(value, name: str) -> list:
     value = value or []
     if not isinstance(value, list):
         raise ValueError(f"'{name}' must be a list of YYYY-MM-DD strings")
-    for date in value:
+    for k, date in enumerate(value):
         # fromisoformat accepts more forms from Python 3.11 on (20130301,
         # 2013-W09-5); the round trip keeps YYYY-MM-DD the only one on every
         # version, which is also the form the delivery days are matched in
@@ -111,6 +111,8 @@ def _dates(value, name: str) -> list:
             ok = False
         if not ok:
             raise ValueError(f"bad instance date {date!r}: expected a YYYY-MM-DD string")
+        if date in value[:k]:
+            raise ValueError(f"'{name}' lists {date} more than once")
     return list(value)
 
 
@@ -665,9 +667,9 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
 def _sshap_csv(tensor, out) -> None:
     from .attribution import tensor_csv
 
-    prefixes = [f"{label}," for label in tensor.partition.labels]
+    prefixes = [f"{label}," for label in tensor.columns]
     header = "instance_id,output_hour,group,value"
-    tensor_csv(header, tensor.instance_ids, tensor.values, prefixes, out)
+    tensor_csv(tensor, header, prefixes, out)
 
 
 def cmd_explain(args) -> int:

@@ -26,7 +26,6 @@ from .errors import EpxaiError
 from .markets import Partition
 
 __all__ = [
-    "SshapTensor",
     "SshapLines",
     "SlopeCheck",
     "aggregate",
@@ -34,25 +33,6 @@ __all__ = [
     "slope_check",
     "expected_slope",
 ]
-
-
-@dataclass
-class SshapTensor:
-    """Grouped Shapley values: (n_instances, 24, n_groups) plus baseline."""
-
-    instance_ids: list
-    partition: Partition
-    values: np.ndarray
-    baseline: np.ndarray
-
-    def __post_init__(self):
-        n, h, g = self.values.shape
-        if n != len(self.instance_ids) or h != 24 or g != self.partition.n_groups:
-            raise ValueError("values must be (n_instances, 24, n_groups)")
-
-    @property
-    def n_instances(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -82,16 +62,18 @@ class SlopeCheck:
     n_points: int
 
 
-def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:
+def aggregate(tensor: AttributionTensor, partition: Partition) -> AttributionTensor:
     """Sum per-feature Shapley values into per-group values.
 
-    The partition must cover the tensor's features exactly; within a group,
-    features are summed in tensor column order so results do not depend on
-    how the partition was written down.
+    Returns a tensor over the partition's labels with the same instances and
+    baseline. The partition must cover the tensor's features exactly; within
+    a group, features are summed in tensor column order so results do not
+    depend on how the partition was written down. Gradients, which carry no
+    baseline, do not add up to a prediction and are refused.
     """
-    if tensor.kind != "shap":
-        raise ValueError(f"can only aggregate shap tensors, got {tensor.kind!r}")
-    tensor_features = set(tensor.feature_ids)
+    if tensor.baseline is None:
+        raise ValueError("can only aggregate Shapley values: the tensor has no baseline")
+    tensor_features = set(tensor.columns)
     partition_features = partition.all_features()
     if tensor_features != partition_features:
         missing = tensor_features - partition_features
@@ -100,21 +82,21 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> SshapTensor:
             f"partition misses {len(missing)} tensor features, "
             f"adds {len(extra)} unknown ones"
         )
-    column_of = {fid: j for j, fid in enumerate(tensor.feature_ids)}
-    values = np.empty((tensor.values.shape[0], 24, partition.n_groups))
+    column_of = {fid: j for j, fid in enumerate(tensor.columns)}
+    values = np.empty((tensor.n_instances, 24, partition.n_groups))
     for g, (_, members) in enumerate(partition.groups):
         cols = sorted(column_of[fid] for fid in members)
         values[:, :, g] = tensor.values[:, :, cols].sum(axis=2)
-    return SshapTensor(
+    return AttributionTensor(
         instance_ids=list(tensor.instance_ids),
-        partition=partition,
+        columns=partition.labels,
         values=values,
         baseline=tensor.baseline.copy(),
     )
 
 
 def sshap_line(
-    sshap: SshapTensor,
+    sshap: AttributionTensor,
     actual_prices: np.ndarray,
     bandwidth: float | None = None,
     grid: np.ndarray | None = None,
@@ -165,12 +147,12 @@ def sshap_line(
     # the close ones keep full precision; the shift cancels in the weighted mean.
     weights = np.exp(-(half_sq - nearest[:, None]))
     columns = np.column_stack([
-        sshap.values.reshape(x.size, sshap.partition.n_groups),
+        sshap.values.reshape(x.size, -1),
         np.tile(sshap.baseline, sshap.n_instances),
     ])
     smoothed = (weights @ columns) / weights.sum(axis=1)[:, None]
     return SshapLines(
-        labels=sshap.partition.labels,
+        labels=sshap.columns,
         grid=grid,
         values=smoothed[:, :-1].T,
         bandwidth=float(bandwidth),
@@ -213,7 +195,7 @@ def slope_check(lines: SshapLines, band=None) -> SlopeCheck:
     )
 
 
-def expected_slope(sshap: SshapTensor, actual_prices: np.ndarray, band=None) -> float:
+def expected_slope(sshap: AttributionTensor, actual_prices: np.ndarray, band=None) -> float:
     """cov(p, y) / var(y), the slope :func:`slope_check` should find against
     realised prices y, over the (instance, hour) observations with y inside
     ``band`` (None keeps all); p, the baseline plus the summed group values,

@@ -12,23 +12,20 @@ from epxai.analytics import (
 )
 from epxai.attribution import AttributionTensor
 from epxai.errors import DataError, EpxaiError
-from epxai.markets import FeatureId, Partition
-from epxai.sshap import SshapTensor
+from epxai.markets import FeatureId
 
 
-def hourly_tensor(n_instances=3, groups=("A", "B"), kind="shap",
-                  with_dow=True, seed=0):
+def hourly_tensor(n_instances=3, groups=("A", "B"), with_dow=True, seed=0):
     columns = tuple(FeatureId(g, h) for g in groups for h in range(24))
     if with_dow:
         columns += (FeatureId("Day of week", None),)
     rng = np.random.default_rng(seed)
     values = rng.integers(-6, 7, size=(n_instances, 24, len(columns))).astype(float)
     return AttributionTensor(
-        kind=kind,
         instance_ids=[f"2013-02-{10 + i:02d}" for i in range(n_instances)],
-        feature_ids=columns,
+        columns=columns,
         values=values,
-        baseline=np.zeros(24) if kind == "shap" else None,
+        baseline=np.zeros(24),
     )
 
 
@@ -52,14 +49,21 @@ class TestHeatmap:
     def test_empty_tensor(self):
         tensor = hourly_tensor(n_instances=3)
         empty = AttributionTensor(
-            kind="shap",
             instance_ids=[],
-            feature_ids=tensor.feature_ids,
-            values=np.empty((0, 24, len(tensor.feature_ids))),
+            columns=tensor.columns,
+            values=np.empty((0, 24, len(tensor.columns))),
             baseline=np.zeros(24),
         )
         with pytest.raises(EpxaiError, match="over zero instances"):
             heatmap(empty, "mean_abs")
+
+    def test_grouped_values_have_no_hourly_blocks(self):
+        grouped = AttributionTensor(
+            instance_ids=["a"], columns=("A", "B"), values=np.zeros((1, 24, 2)),
+            baseline=np.zeros(24),
+        )
+        with pytest.raises(EpxaiError, match="no full hourly groups"):
+            heatmap(grouped)
 
     def test_bad_aggregation(self):
         with pytest.raises(ValueError):
@@ -71,12 +75,9 @@ class TestHourlyImportance:
         values = np.stack(
             [np.full((24, 2), 3.0), np.full((24, 2), -5.0)]
         )  # (2, 24, 2)
-        groups = tuple(
-            (g, tuple(FeatureId(g, h) for h in range(24))) for g in ("A", "B")
-        )
-        sshap = SshapTensor(
+        sshap = AttributionTensor(
             instance_ids=["a", "b"],
-            partition=Partition(groups=groups),
+            columns=("A", "B"),
             values=values,
             baseline=np.zeros(24),
         )
@@ -85,10 +86,9 @@ class TestHourlyImportance:
         np.testing.assert_array_equal(table.values, np.full((24, 2), 4.0))
 
     def test_empty(self):
-        groups = (("A", tuple(FeatureId("A", h) for h in range(24))),)
-        sshap = SshapTensor(
+        sshap = AttributionTensor(
             instance_ids=[],
-            partition=Partition(groups=groups),
+            columns=("A",),
             values=np.empty((0, 24, 1)),
             baseline=np.zeros(24),
         )
@@ -99,15 +99,15 @@ class TestHourlyImportance:
 class TestBeeswarm:
     def test_ranking_and_points(self):
         tensor = hourly_tensor(n_instances=4, seed=2)
-        n_feat = len(tensor.feature_ids)
+        n_feat = len(tensor.columns)
         tensor.values[:, :, 30] = 50.0  # clear winner
         tensor.values[:, :, 5] = -40.0  # runner-up by magnitude
         feature_values = np.arange(4 * n_feat, dtype=float).reshape(4, n_feat)
         table = beeswarm_table(tensor, feature_values, top_k=3)
         assert len(table.rows) == 3
-        assert table.rows[0].feature == tensor.feature_ids[30]
+        assert table.rows[0].feature == tensor.columns[30]
         assert table.rows[0].score == 50.0
-        assert table.rows[1].feature == tensor.feature_ids[5]
+        assert table.rows[1].feature == tensor.columns[5]
         np.testing.assert_array_equal(
             table.rows[0].feature_values, feature_values[:, 30]
         )
@@ -119,14 +119,14 @@ class TestBeeswarm:
         tensor = hourly_tensor(n_instances=2, seed=3)
         tensor.values[:, :, :] = 1.0  # all scores equal
         table = beeswarm_table(
-            tensor, np.zeros((2, len(tensor.feature_ids))), top_k=4
+            tensor, np.zeros((2, len(tensor.columns))), top_k=4
         )
-        assert [r.feature for r in table.rows] == list(tensor.feature_ids[:4])
+        assert [r.feature for r in table.rows] == list(tensor.columns[:4])
 
     def test_shape_mismatch(self):
         tensor = hourly_tensor(n_instances=2)
         with pytest.raises(EpxaiError, match="does not match tensor"):
-            beeswarm_table(tensor, np.zeros((3, len(tensor.feature_ids))))
+            beeswarm_table(tensor, np.zeros((3, len(tensor.columns))))
 
 
 class TestPerformanceMetrics:
@@ -172,9 +172,8 @@ class TestComplexityMetrics:
         n, _, f = values.shape
         columns = tuple(FeatureId("A", h) for h in range(24))[:f]
         return AttributionTensor(
-            kind="gradient",
             instance_ids=[str(i) for i in range(n)],
-            feature_ids=columns,
+            columns=columns,
             values=values,
         )
 
@@ -182,7 +181,6 @@ class TestComplexityMetrics:
         from epxai.analytics import HeatmapGrid
 
         return HeatmapGrid(
-            kind="shap",
             aggregation="mean_abs",
             blocks=("A",),
             values=block[None, :, :],
@@ -231,5 +229,15 @@ class TestComplexityMetrics:
 
     def test_requires_gradient_kind(self):
         tensor = hourly_tensor(n_instances=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="need a gradient tensor"):
             complexity_metrics(tensor, self.shap_grid(np.zeros((24, 24))))
+
+    def test_refuses_a_tensor_with_a_baseline(self):
+        # a baseline is what marks Shapley values; the same numbers without
+        # one are gradients and pass
+        grid = self.shap_grid(np.zeros((24, 24)))
+        tensor = self.grad_tensor(np.zeros((2, 24, 24)))
+        assert complexity_metrics(tensor, grid).non_linearity == 0.0
+        tensor.baseline = np.zeros(24)
+        with pytest.raises(ValueError, match="got Shapley values with a baseline"):
+            complexity_metrics(tensor, grid)

@@ -391,8 +391,7 @@ class TestExplainDataset:
         )
         assert shap_t.values.shape == (6, 24, features.n_features)
         assert grad_t.values.shape == (6, 24, features.n_features)
-        assert shap_t.kind == "shap" and grad_t.kind == "gradient"
-        assert grad_t.baseline is None
+        assert shap_t.baseline is not None and grad_t.baseline is None
         assert shap_t.instance_ids == [str(d) for d in features.instances[:6]]
 
         predictions = predict_prices(model, features.values[idx])
@@ -452,9 +451,8 @@ class TestBackgroundSampling:
 class TestCsvExport:
     def test_golden_small_tensor(self):
         tensor = AttributionTensor(
-            kind="shap",
             instance_ids=["2013-01-08"],
-            feature_ids=(FeatureId("Price D-1", 0), FeatureId("Day of week", None)),
+            columns=(FeatureId("Price D-1", 0), FeatureId("Day of week", None)),
             values=np.arange(48.0).reshape(1, 24, 2) / 16.0,
             baseline=np.zeros(24),
         )

@@ -380,6 +380,9 @@ class TestValidate:
             (lambda c: c["model"].update(l1=10**400), "model.l1"),  # beyond the float range
             # Python 3.11's fromisoformat reads the basic form; delivery days are YYYY-MM-DD
             (lambda c: c.update(instance_dates=["20130401"]), "20130401"),
+            # a repeated day would render the same instance figure twice
+            (lambda c: c.update(instance_dates=["2013-04-01", "2013-04-01"]),
+             "'instance_dates' lists 2013-04-01 more than once"),
             # partitions resolve with the config: splits and merges apply in order
             (lambda c: c["partition"]["splits"].append({"group": "Price D-1", "hour": 6}),
              "partition.splits[1]: no group labelled 'Price D-1'"),

@@ -16,9 +16,8 @@ import numpy as np
 from epxai.attribution import AttributionTensor, attribution_to_csv
 from epxai.data import HourlySeries
 from epxai.marketcsv import hours_csv
-from epxai.markets import FeatureId, Partition
+from epxai.markets import FeatureId
 from epxai.pipeline import _sshap_csv, _write_atomic
-from epxai.sshap import SshapTensor
 
 # Signed zero, the smallest subnormal and a value repr writes in exponent form.
 SPECIAL = np.array([-0.0, 5e-324, 1e16, 0.1, -2.5, 1e-7, 123456.789])
@@ -60,7 +59,7 @@ def _attribution_csv_reference(tensor):
     lines = ["instance_id,output_hour,group,input_hour,value"]
     for k, instance_id in enumerate(tensor.instance_ids):
         for h in range(24):
-            for j, fid in enumerate(tensor.feature_ids):
+            for j, fid in enumerate(tensor.columns):
                 hour = "" if fid.hour is None else str(fid.hour)
                 value = float(tensor.values[k, h, j])
                 lines.append(f"{instance_id},{h},{fid.group},{hour},{value!r}")
@@ -71,7 +70,7 @@ def _sshap_csv_reference(tensor):
     lines = ["instance_id,output_hour,group,value"]
     for i, instance_id in enumerate(tensor.instance_ids):
         for h in range(24):
-            for g, label in enumerate(tensor.partition.labels):
+            for g, label in enumerate(tensor.columns):
                 value = float(tensor.values[i, h, g])
                 lines.append(f"{instance_id},{h},{label},{value!r}")
     return "\n".join(lines) + "\n"
@@ -104,9 +103,8 @@ def test_hours_csv_matches_reference():
 
 def test_attribution_to_csv_matches_reference():
     tensor = AttributionTensor(
-        kind="shap",
         instance_ids=INSTANCES,
-        feature_ids=FEATURES,
+        columns=FEATURES,
         values=_values((len(INSTANCES), 24, len(FEATURES)), seed=2),
         baseline=np.zeros(24),
     )
@@ -118,22 +116,16 @@ def test_attribution_to_csv_matches_reference():
 
 def test_attribution_to_csv_with_no_instances():
     tensor = AttributionTensor(
-        kind="gradient", instance_ids=[], feature_ids=FEATURES,
+        instance_ids=[], columns=FEATURES,
         values=np.zeros((0, 24, len(FEATURES))),
     )
     assert _written(attribution_to_csv, tensor) == _attribution_csv_reference(tensor)
 
 
 def test_sshap_csv_matches_reference():
-    partition = Partition(
-        groups=(
-            ("Price D-1", FEATURES[:24]),
-            ("Load & <rest>", FEATURES[24:]),
-        )
-    )
-    tensor = SshapTensor(
+    tensor = AttributionTensor(
         instance_ids=INSTANCES,
-        partition=partition,
+        columns=("Price D-1", "Load & <rest>"),
         values=_values((len(INSTANCES), 24, 2), seed=3),
         baseline=np.zeros(24),
     )
@@ -152,9 +144,8 @@ def test_tensor_csv_streams_in_bounded_memory(tmp_path):
     # the whole text.
     features = tuple(FeatureId(f"Group {j // 24}", j % 24) for j in range(144))
     tensor = AttributionTensor(
-        kind="shap",
         instance_ids=[f"2013-01-{1 + k % 28:02d}" for k in range(64)],
-        feature_ids=features,
+        columns=features,
         values=_values((64, 24, len(features)), seed=4),
         baseline=np.zeros(24),
     )

@@ -13,10 +13,12 @@ from epxai.analytics import (
     BeeswarmTable,
     HeatmapGrid,
     ImportanceTable,
+    heatmap,
 )
+from epxai.attribution import AttributionTensor
 from epxai.figures import InstanceStack, _ramp, instance_stack, render_figure
-from epxai.markets import FeatureId, Partition
-from epxai.sshap import SshapLines, SshapTensor
+from epxai.markets import FeatureId
+from epxai.sshap import SshapLines
 
 _DATA_VALUE = re.compile(r'data-value="([^"]+)"')
 _DATA_ATTR = re.compile(r'\sdata-([\w-]+)=')
@@ -44,7 +46,6 @@ def _heatmap(rng, n_blocks=2, signed=True):
     if not signed:
         values = np.abs(values)
     return HeatmapGrid(
-        kind="shap",
         aggregation="mean" if signed else "mean_abs",
         blocks=tuple(f"Group {b}" for b in range(n_blocks)),
         values=values,
@@ -82,18 +83,11 @@ def _beeswarm(rng, n_rows=3, n_instances=4, group="Price D-1"):
 
 
 def _stack(rng):
-    labels = ("Price D-1", "Load Forecast D")
-    fid = lambda g, h: FeatureId(group=g, hour=h)
-    partition = Partition(
-        groups=tuple(
-            (g, tuple(fid(g, h) for h in range(24))) for g in labels
-        )
-    )
     contributions = rng.normal(size=(3, 24, 2))
     baseline = rng.normal(size=24)
-    tensor = SshapTensor(
+    tensor = AttributionTensor(
         instance_ids=["2020-02-01", "2020-02-02", "2020-02-03"],
-        partition=partition,
+        columns=("Price D-1", "Load Forecast D"),
         values=contributions,
         baseline=baseline,
     )
@@ -166,6 +160,22 @@ class TestHeatmapFigure:
         _, rows = _csv_rows(_render(grid).csv)
         assert float(rows[0][4]) == 0.0
         assert float(rows[0][5]) == float(grid.values.max())
+
+    def test_gradient_magnitudes_use_the_sequential_ramp(self):
+        # a map of magnitudes is unsigned, whatever tensor it was taken from
+        gradients = AttributionTensor(
+            instance_ids=["a", "b", "c"],
+            columns=tuple(FeatureId("A", h) for h in range(24)),
+            values=np.random.default_rng(12).normal(size=(3, 24, 24)),
+        )
+        grid = heatmap(gradients, "mean_abs")
+        fig = _render(grid)
+        _, rows = _csv_rows(fig.csv)
+        assert float(rows[0][4]) == 0.0
+        cells = re.findall(r'<rect [^>]*/>', fig.svg)[1:-24]
+        fills = [re.search(r'fill="([^"]+)"', cell).group(1) for cell in cells]
+        expected = _ramp(grid.values[0] / grid.values.max(), False)
+        assert fills == [fill for row in expected for fill in row]
 
     def test_one_rect_per_cell(self):
         grid = _heatmap(np.random.default_rng(11), n_blocks=2)
@@ -292,7 +302,7 @@ class TestStackFigure:
     def test_builder_by_day(self):
         tensor, forecast = _stack(np.random.default_rng(21))
         stack = instance_stack(tensor, "2020-02-02", forecast)
-        assert stack.groups == tensor.partition.labels
+        assert stack.groups == tensor.columns
         np.testing.assert_array_equal(stack.contributions, tensor.values[1])
         np.testing.assert_array_equal(stack.baseline, tensor.baseline)
 

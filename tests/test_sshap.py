@@ -17,7 +17,6 @@ from epxai.markets import (
 )
 from epxai.sshap import (
     SshapLines,
-    SshapTensor,
     aggregate,
     expected_slope,
     slope_check,
@@ -45,9 +44,8 @@ def integer_tensor(n_instances=4, seed=0):
     rng = np.random.default_rng(seed)
     values = rng.integers(-8, 9, size=(n_instances, 24, len(columns))).astype(float)
     tensor = AttributionTensor(
-        kind="shap",
         instance_ids=[f"2013-01-{8 + i:02d}" for i in range(n_instances)],
-        feature_ids=columns,
+        columns=columns,
         values=values,
         baseline=rng.integers(-5, 6, size=24).astype(float),
     )
@@ -55,14 +53,10 @@ def integer_tensor(n_instances=4, seed=0):
 
 
 def make_sshap(values, baseline=None, labels=("G",)):
-    """SshapTensor with given (n, 24, n_groups) values and singleton groups."""
-    n = values.shape[0]
-    groups = tuple(
-        (label, tuple(FeatureId(label, h) for h in range(24))) for label in labels
-    )
-    return SshapTensor(
-        instance_ids=[str(i) for i in range(n)],
-        partition=Partition(groups=groups),
+    """Grouped tensor with given (n, 24, n_groups) values over ``labels``."""
+    return AttributionTensor(
+        instance_ids=[str(i) for i in range(values.shape[0])],
+        columns=labels,
         values=values,
         baseline=np.zeros(24) if baseline is None else baseline,
     )
@@ -89,7 +83,8 @@ class TestAggregate:
         )
         np.testing.assert_array_equal(grouped.values[:, :, 2], tensor.values[:, :, 48])
         np.testing.assert_array_equal(grouped.baseline, tensor.baseline)
-        assert grouped.partition.labels == ("A", "B", "Day of week")
+        assert grouped.columns == ("A", "B", "Day of week")
+        assert grouped.instance_ids == tensor.instance_ids
 
     def test_rebracketing_preserves_totals(self):
         # Integer values make both sum orders exact, so equality is bitwise.
@@ -114,12 +109,11 @@ class TestAggregate:
     def test_gradient_tensor_rejected(self):
         tensor, config = integer_tensor()
         grad = AttributionTensor(
-            kind="gradient",
             instance_ids=tensor.instance_ids,
-            feature_ids=tensor.feature_ids,
+            columns=tensor.columns,
             values=tensor.values,
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has no baseline"):
             aggregate(grad, default_partition(config))
 
 
@@ -149,7 +143,7 @@ class TestPartitionOps:
         partition = split_group(default_partition(config), "B", 12)
         grouped = aggregate(tensor, partition)
         np.testing.assert_array_equal(
-            grouped.values[:, :, grouped.partition.labels.index("B H0-H11")],
+            grouped.values[:, :, grouped.columns.index("B H0-H11")],
             tensor.values[:, :, 24:36].sum(axis=2),
         )
 
