@@ -117,6 +117,12 @@ class AttributionTensor:
     def n_instances(self) -> int:
         return self.values.shape[0]
 
+    def shapley_baseline(self) -> np.ndarray:
+        """The baseline of Shapley values; a tensor without one raises ValueError."""
+        if self.baseline is None:
+            raise ValueError("need Shapley values: the tensor has no baseline")
+        return self.baseline
+
 
 def sample_background(
     features: FeatureMatrix, size: int = 100, seed: int = 0
@@ -417,29 +423,24 @@ def explain_dataset(
     return shap_tensor, grad_tensor
 
 
-def tensor_csv(tensor: AttributionTensor, header: str, prefixes, out) -> None:
-    """Write the CSV of a tensor into text stream ``out``.
+def attribution_to_csv(tensor: AttributionTensor, out) -> None:
+    """Write a tensor's flat CSV into text stream ``out``.
 
-    Row ``(k, h, j)`` reads ``instance_ids[k],h,`` then ``prefixes[j]`` then
-    the value in shortest round-trip form, so equal tensors always serialize
-    to byte-identical text. The text is formatted and written one instance
-    at a time, so the memory it takes is one instance's rows, whatever the
-    size of the file.
+    Row ``(k, h, j)`` reads ``instance_ids[k],h,``, column j's key and the
+    value in shortest round-trip form, so equal tensors serialize to equal
+    bytes. A group label is its own key; a feature id's key is
+    ``group,input_hour``, the hour blank for day-of-week. One instance is
+    formatted and written at a time, so memory holds one instance's rows.
     """
-    out.write(header + "\n")
+    grouped = all(isinstance(col, str) for col in tensor.columns)
+    keys = [
+        col if grouped else f"{col.group},{'' if col.hour is None else col.hour}"
+        for col in tensor.columns
+    ]
+    out.write(f"instance_id,output_hour,group,{'' if grouped else 'input_hour,'}value\n")
     for instance_id, block in zip(tensor.instance_ids, tensor.values):
         out.write("".join([
-            f"{instance_id},{h},{prefix}{value!r}\n"
+            f"{instance_id},{h},{key},{value!r}\n"
             for h, row in enumerate(block.tolist())
-            for prefix, value in zip(prefixes, row)
+            for key, value in zip(keys, row)
         ]))
-
-
-def attribution_to_csv(tensor: AttributionTensor, out) -> None:
-    """Write a tensor's flat CSV into text stream ``out``: instance, output
-    hour, feature, value."""
-    prefixes = [
-        f"{fid.group},{'' if fid.hour is None else fid.hour}," for fid in tensor.columns
-    ]
-    header = "instance_id,output_hour,group,input_hour,value"
-    tensor_csv(tensor, header, prefixes, out)

@@ -63,7 +63,7 @@ def instance_stack(sshap: AttributionTensor, day: str, forecast: np.ndarray) -> 
     return InstanceStack(
         groups=sshap.columns,
         contributions=sshap.values[idx].copy(),
-        baseline=sshap.baseline.copy(),
+        baseline=sshap.shapley_baseline().copy(),
         forecast=forecast.copy(),
     )
 

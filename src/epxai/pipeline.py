@@ -664,14 +664,6 @@ def _instance_subset(features, config: RunConfig) -> np.ndarray:
     return indices
 
 
-def _sshap_csv(tensor, out) -> None:
-    from .attribution import tensor_csv
-
-    prefixes = [f"{label}," for label in tensor.columns]
-    header = "instance_id,output_hour,group,value"
-    tensor_csv(tensor, header, prefixes, out)
-
-
 def cmd_explain(args) -> int:
     import numpy as np
 
@@ -735,7 +727,7 @@ def cmd_explain(args) -> int:
     stage.write("tables/shap.csv", partial(attribution_to_csv, shap_tensor))
     stage.write("tables/gradient.csv", partial(attribution_to_csv, grad_tensor))
     for name, tensor in grouped.items():
-        stage.write(f"tables/sshap_{name}.csv", partial(_sshap_csv, tensor))
+        stage.write(f"tables/sshap_{name}.csv", partial(attribution_to_csv, tensor))
 
     unit = f"{config.market.currency}/MWh"
     stage.figure("heatmap_shap", shap_grid, "mean |contribution|", unit)

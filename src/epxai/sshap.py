@@ -71,8 +71,7 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> AttributionTen
     depend on how the partition was written down. Gradients, which carry no
     baseline, do not add up to a prediction and are refused.
     """
-    if tensor.baseline is None:
-        raise ValueError("can only aggregate Shapley values: the tensor has no baseline")
+    baseline = tensor.shapley_baseline()
     tensor_features = set(tensor.columns)
     partition_features = partition.all_features()
     if tensor_features != partition_features:
@@ -91,8 +90,18 @@ def aggregate(tensor: AttributionTensor, partition: Partition) -> AttributionTen
         instance_ids=list(tensor.instance_ids),
         columns=partition.labels,
         values=values,
-        baseline=tensor.baseline.copy(),
+        baseline=baseline.copy(),
     )
+
+
+def _observations(sshap: AttributionTensor, actual_prices):
+    """Pooled (instance, hour) observations: prices, group values, baselines."""
+    baseline = sshap.shapley_baseline()
+    prices = np.asarray(actual_prices, dtype=np.float64)
+    if prices.shape != (sshap.n_instances, 24):
+        raise ValueError(f"actual_prices must be ({sshap.n_instances}, 24), got {prices.shape}")
+    values = sshap.values.reshape(prices.size, len(sshap.columns))
+    return prices.ravel(), values, np.tile(baseline, sshap.n_instances)
 
 
 def sshap_line(
@@ -113,13 +122,9 @@ def sshap_line(
     percentile of the prices with ``grid_size`` points. Every grid point
     gets a value, however far it lies from the observations; a bandwidth so
     small that the squared distances overflow raises :class:`EpxaiError`.
+    An explicit grid must be 1-D and finite.
     """
-    prices = np.asarray(actual_prices, dtype=np.float64)
-    if prices.shape != (sshap.n_instances, 24):
-        raise ValueError(
-            f"actual_prices must be ({sshap.n_instances}, 24), got {prices.shape}"
-        )
-    x = prices.ravel()
+    x, values, baselines = _observations(sshap, actual_prices)
     if x.size == 0:
         raise EpxaiError("no observations to smooth")
     if bandwidth is None:
@@ -128,13 +133,15 @@ def sshap_line(
         spread = min(sd, (q3 - q1) / 1.34) if q3 > q1 else sd
         # prices that never change give the same curve at any bandwidth
         bandwidth = 0.9 * spread * x.size ** -0.2 or 1.0
-    elif bandwidth <= 0.0:
+    elif not bandwidth > 0.0:
         raise ValueError("bandwidth must be positive")
     if grid is None:
         lo, hi = np.percentile(x, [1.0, 99.0])
         grid = np.linspace(lo, hi, grid_size)
     else:
         grid = np.asarray(grid, dtype=np.float64)
+        if grid.ndim != 1 or not np.isfinite(grid).all():
+            raise ValueError("grid must be a 1-D array of finite prices")
 
     with np.errstate(over="ignore"):
         half_sq = 0.5 * ((grid[:, None] - x[None, :]) / bandwidth) ** 2
@@ -146,10 +153,7 @@ def sshap_line(
     # Shift by the per-point minimum so the nearest observation weighs 1 and
     # the close ones keep full precision; the shift cancels in the weighted mean.
     weights = np.exp(-(half_sq - nearest[:, None]))
-    columns = np.column_stack([
-        sshap.values.reshape(x.size, -1),
-        np.tile(sshap.baseline, sshap.n_instances),
-    ])
+    columns = np.column_stack([values, baselines])
     smoothed = (weights @ columns) / weights.sum(axis=1)[:, None]
     return SshapLines(
         labels=sshap.columns,
@@ -200,8 +204,8 @@ def expected_slope(sshap: AttributionTensor, actual_prices: np.ndarray, band=Non
     realised prices y, over the (instance, hour) observations with y inside
     ``band`` (None keeps all); p, the baseline plus the summed group values,
     is the prediction by additivity. Raises :class:`EpxaiError` unless y varies."""
-    y = np.asarray(actual_prices, dtype=np.float64).ravel()
-    p = (sshap.values.sum(axis=2) + sshap.baseline).ravel()
+    y, values, baselines = _observations(sshap, actual_prices)
+    p = values.sum(axis=1) + baselines
     lo, hi = (-np.inf, np.inf) if band is None else band
     inside = (y >= lo) & (y <= hi)
     if np.unique(y[inside]).size < 2:

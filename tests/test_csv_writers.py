@@ -17,7 +17,7 @@ from epxai.attribution import AttributionTensor, attribution_to_csv
 from epxai.data import HourlySeries
 from epxai.marketcsv import hours_csv
 from epxai.markets import FeatureId
-from epxai.pipeline import _sshap_csv, _write_atomic
+from epxai.pipeline import _write_atomic
 
 # Signed zero, the smallest subnormal and a value repr writes in exponent form.
 SPECIAL = np.array([-0.0, 5e-324, 1e16, 0.1, -2.5, 1e-7, 123456.789])
@@ -129,10 +129,19 @@ def test_sshap_csv_matches_reference():
         values=_values((len(INSTANCES), 24, 2), seed=3),
         baseline=np.zeros(24),
     )
-    text = _written(_sshap_csv, tensor)
+    text = _written(attribution_to_csv, tensor)
     assert text == _sshap_csv_reference(tensor)
     assert "\n1969-12-31,0,Price D-1,-0.0\n" in text
     assert ",Load & <rest>,5e-324\n" in text
+
+
+def test_sshap_csv_with_no_instances():
+    tensor = AttributionTensor(
+        instance_ids=[], columns=("Price D-1", "Load"),
+        values=np.zeros((0, 24, 2)), baseline=np.zeros(24),
+    )
+    text = _written(attribution_to_csv, tensor)
+    assert text == _sshap_csv_reference(tensor) == "instance_id,output_hour,group,value\n"
 
 
 def test_tensor_csv_streams_in_bounded_memory(tmp_path):

@@ -315,6 +315,12 @@ class TestStackFigure:
         with pytest.raises(ValueError):
             instance_stack(tensor, "2020-02-01", forecast[:12])
 
+    def test_builder_rejects_a_tensor_without_baseline(self):
+        tensor, forecast = _stack(np.random.default_rng(22))
+        tensor.baseline = None
+        with pytest.raises(ValueError, match="has no baseline"):
+            instance_stack(tensor, "2020-02-02", forecast)
+
     def test_csv_holds_groups_plus_net_line(self):
         tensor, forecast = _stack(np.random.default_rng(23))
         stack = instance_stack(tensor, "2020-02-01", forecast)

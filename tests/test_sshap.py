@@ -1,5 +1,7 @@
 """Grouped attributions: partitions, aggregation, smoothed curves, slope check."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -261,6 +263,17 @@ class TestSshapLine:
             sshap_line(sshap, prices, bandwidth=0.0)
         with pytest.raises(ValueError):
             sshap_line(sshap, np.zeros((3, 24)))
+        prices = np.arange(48.0).reshape(2, 24)
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            sshap_line(sshap, prices, bandwidth=float("nan"))
+        for grid in ([10.0, np.nan, 30.0], [10.0, np.inf], [[10.0, 20.0], [30.0, 40.0]]):
+            with pytest.raises(ValueError, match="grid must be a 1-D array of finite prices"):
+                sshap_line(sshap, prices, grid=np.array(grid), bandwidth=5.0)
+
+    def test_gradient_tensor_rejected(self):
+        grad = replace(make_sshap(np.zeros((2, 24, 1))), baseline=None)
+        with pytest.raises(ValueError, match="has no baseline"):
+            sshap_line(grad, np.arange(48.0).reshape(2, 24))
 
     def test_lines_are_linear_in_group_values(self):
         # a merged group's line is the sum of its members' lines, and the
@@ -401,3 +414,15 @@ class TestExpectedSlope:
             expected_slope(sshap, np.full((2, 24), 40.0))
         with pytest.raises(EpxaiError, match="fewer than 2 distinct realised prices"):
             expected_slope(sshap, np.arange(48.0).reshape(2, 24), band=(10.2, 10.8))
+
+    @pytest.mark.parametrize("shape", [(3, 24), (48,), (24, 2)])
+    def test_prices_of_the_wrong_shape_raise(self, shape):
+        sshap = make_sshap(np.ones((2, 24, 1)))
+        prices = np.arange(float(np.prod(shape))).reshape(shape)
+        with pytest.raises(ValueError, match=r"actual_prices must be \(2, 24\)"):
+            expected_slope(sshap, prices)
+
+    def test_gradient_tensor_rejected(self):
+        grad = replace(make_sshap(np.ones((2, 24, 1))), baseline=None)
+        with pytest.raises(ValueError, match="has no baseline"):
+            expected_slope(grad, np.arange(48.0).reshape(2, 24))
