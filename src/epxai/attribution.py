@@ -438,9 +438,17 @@ def attribution_to_csv(tensor: AttributionTensor, out) -> None:
         for col in tensor.columns
     ]
     out.write(f"instance_id,output_hour,group,{'' if grouped else 'input_hour,'}value\n")
+    # one % template formats a whole instance block in one call, from the
+    # instance id and the values interleaved; %r is the shortest round-trip
+    # repr, and a key's % is doubled so that it stays literal
+    n_cells = tensor.values.shape[1] * len(keys)
+    template = "".join(
+        f"%s,{h},{key.replace('%', '%%')},%r\n"
+        for h in range(tensor.values.shape[1])
+        for key in keys
+    )
+    args = [None] * (2 * n_cells)
     for instance_id, block in zip(tensor.instance_ids, tensor.values):
-        out.write("".join([
-            f"{instance_id},{h},{key},{value!r}\n"
-            for h, row in enumerate(block.tolist())
-            for key, value in zip(keys, row)
-        ]))
+        args[::2] = [instance_id] * n_cells
+        args[1::2] = block.ravel().tolist()
+        out.write(template % tuple(args))

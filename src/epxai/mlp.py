@@ -51,7 +51,7 @@ __all__ = [
 SELU_LAMBDA = 1.0507009873554805
 SELU_ALPHA = 1.6732632423543772
 
-MODEL_SCHEMA_VERSION = 2
+MODEL_SCHEMA_VERSION = 3
 
 # Adam's moment decay rates and denominator guard, the defaults of the Adam paper.
 _ADAM_BETA1 = 0.9
@@ -376,27 +376,36 @@ def _scaler_from_dict(payload: dict, name: str) -> ScalerParams:
     )
 
 
-def _encode_floats(values: np.ndarray) -> str:
-    # little-endian float64 bytes as base64 text: exact for every float64,
-    # and far cheaper to write and read than a decimal repr per value
-    return base64.b64encode(np.ascontiguousarray(values, dtype="<f8").tobytes()).decode("ascii")
+def _encode_floats(values: np.ndarray, dtype: str) -> str:
+    # little-endian bytes of ``dtype`` as base64 text: exact for every value
+    # the dtype holds, and far cheaper to write and read than a decimal repr
+    return base64.b64encode(np.ascontiguousarray(values, dtype=dtype).tobytes()).decode("ascii")
 
 
-def _decode_floats(text: str) -> np.ndarray:
-    # a junk character or a byte count that is not a multiple of 8 raises
-    # ValueError, which load_model reports as a ModelError
+def _decode_floats(text: str, dtype: str) -> np.ndarray:
+    # a junk character or a byte count that is not a multiple of the item size
+    # raises ValueError, which load_model reports as a ModelError
     raw = base64.b64decode(text, validate=True)
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
+    return np.frombuffer(raw, dtype=dtype).astype(np.float64)
 
 
 def save_model(model: TrainedModel) -> str:
     """Serialize a model to versioned JSON text; exact float round-trip.
 
     Each layer's weights and bias are base64 text of their little-endian
-    float64 bytes; the spec, scalers and history are plain JSON.
+    bytes in ``weights_dtype``: ``"<f4"`` when every value equals its float32
+    rounding, as every value :func:`train` returns does, else ``"<f8"``. The
+    spec, scalers and history are plain JSON.
     """
+    # a value past the float32 range casts to inf, which differs from it
+    with np.errstate(over="ignore"):
+        exact = all(
+            np.array_equal(p, p.astype(np.float32)) for p in model.weights + model.biases
+        )
+    dtype = "<f4" if exact else "<f8"
     payload = {
         "schema_version": MODEL_SCHEMA_VERSION,
+        "weights_dtype": dtype,
         "spec": asdict(model.spec),
         "input_scaler": _scaler_to_dict(model.input_scaler),
         "output_scaler": _scaler_to_dict(model.output_scaler),
@@ -404,8 +413,8 @@ def save_model(model: TrainedModel) -> str:
             {
                 "rows": w.shape[0],
                 "cols": w.shape[1],
-                "weights_row_major": _encode_floats(w),
-                "bias": _encode_floats(b),
+                "weights_row_major": _encode_floats(w, dtype),
+                "bias": _encode_floats(b, dtype),
             }
             for w, b in zip(model.weights, model.biases)
         ],
@@ -417,8 +426,9 @@ def save_model(model: TrainedModel) -> str:
 def load_model(text: str) -> TrainedModel:
     """Inverse of :func:`save_model`.
 
-    Raises :class:`ModelError` for a foreign schema version, a missing
-    scaler and anything that does not decode into a consistent network.
+    Raises :class:`ModelError` for a foreign schema version or weights dtype,
+    a missing scaler, a non-finite weight or bias and anything that does not
+    decode into a consistent network.
     """
     try:
         payload = json.loads(text)
@@ -429,6 +439,9 @@ def load_model(text: str) -> TrainedModel:
     version = payload.get("schema_version")
     if version != MODEL_SCHEMA_VERSION:
         raise ModelError(f"schema_version {version!r}, supported {MODEL_SCHEMA_VERSION}")
+    dtype = payload.get("weights_dtype")
+    if dtype not in ("<f4", "<f8"):
+        raise ModelError(f"weights_dtype {dtype!r}, supported '<f4' and '<f8'")
     try:
         sp = payload["spec"]
         # every field is required: a missing seed must not fall back to its default
@@ -437,13 +450,16 @@ def load_model(text: str) -> TrainedModel:
             raise ModelError(f"spec keys {sorted(sp)} are not the ModelSpec fields {names}")
         spec = ModelSpec(**{**sp, "layer_sizes": tuple(sp["layer_sizes"])})
         weights, biases = [], []
-        for layer in payload["layers"]:
+        for i, layer in enumerate(payload["layers"], 1):
             rows, cols = int(layer["rows"]), int(layer["cols"])
-            flat = _decode_floats(layer["weights_row_major"])
+            flat = _decode_floats(layer["weights_row_major"], dtype)
             if flat.size != rows * cols:
                 raise ModelError(f"layer holds {flat.size} weights, expected {rows * cols}")
+            bias = _decode_floats(layer["bias"], dtype)
+            if not (np.isfinite(flat).all() and np.isfinite(bias).all()):
+                raise ModelError(f"layer {i} holds a non-finite weight or bias")
             weights.append(flat.reshape(rows, cols))
-            biases.append(_decode_floats(layer["bias"]))
+            biases.append(bias)
         model = TrainedModel(
             spec=spec,
             weights=weights,

@@ -680,13 +680,14 @@ def cmd_explain(args) -> int:
     smoothing = config.echo["lines"]
     model_path = Path(args.model) if getattr(args, "model", None) else stage.out / "model.json"
     text, model_sha256 = _read_input(model_path, ModelError, "model file", "; run train first")
+    # whatever its path, the model must be the model.json a stage recorded,
+    # and the hash decides before the file is decoded
+    _check_recorded(stage.manifest, "model.json", model_sha256, f"model file {model_path}")
     try:
         trained = load_model(text)
     except ModelError as exc:
         raise ModelError(f"model file {model_path}: {exc}") from exc
     del text  # the model's base64 text is not held through the walks
-    # whatever its path, the model must be the model.json a stage recorded
-    _check_recorded(stage.manifest, "model.json", model_sha256, f"model file {model_path}")
     if trained.spec != config.model_spec:
         raise ModelError(
             f"model file {model_path} was trained with different settings than "

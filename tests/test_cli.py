@@ -1055,6 +1055,41 @@ class TestFailureExitCodes:
         assert err.startswith("error: 5: ") and "schema_version 1" in err
         assert len(err.rstrip("\n").splitlines()) == 1
 
+    def test_explain_schema_2_model_exits_5(self, completed, tmp_path):
+        # schema 2 held the same base64 layers as float64 bytes, without a dtype
+        payload = json.loads((completed["run"] / "model.json").read_text())
+        payload["schema_version"] = 2
+        del payload["weights_dtype"]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        code, out, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(tmp_path / "run"),
+            "--model", str(model),
+        )
+        assert (code, out) == (5, "")
+        assert err.startswith("error: 5: ") and "schema_version 2, supported 3" in err
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_undecodable_foreign_model_in_trained_run_exits_6(self, completed, tmp_path):
+        # the recorded hash decides before the file is decoded: a model that
+        # would not decode is still, first of all, not this run's model
+        copy = tmp_path / "copy"
+        shutil.copytree(completed["run"], copy)
+        model = tmp_path / "old.json"
+        model.write_text(json.dumps({"schema_version": 1}))
+        before = _snapshot(copy)
+        code, out, err = run_cli(
+            "explain", "--config", str(completed["config"]), "--out", str(copy),
+            "--model", str(model),
+        )
+        assert (code, out) == (6, "")
+        assert err.startswith(
+            f"error: 6: model file {model} is not the model.json this run directory recorded"
+        )
+        assert len(err.rstrip("\n").splitlines()) == 1
+        assert _snapshot(copy) == before
+
     def test_refused_run_writes_nothing(self, completed, tmp_path):
         copy = tmp_path / "copy"
         shutil.copytree(completed["run"], copy)

@@ -144,6 +144,20 @@ def test_sshap_csv_with_no_instances():
     assert text == _sshap_csv_reference(tensor) == "instance_id,output_hour,group,value\n"
 
 
+def test_sshap_csv_with_percent_in_a_label():
+    # the writer formats each instance through one % template: a label's %
+    # must come out as written, not as a conversion
+    tensor = AttributionTensor(
+        instance_ids=INSTANCES,
+        columns=("Load %", "100%s share", "%r%%"),
+        values=_values((len(INSTANCES), 24, 3), seed=5),
+        baseline=np.zeros(24),
+    )
+    text = _written(attribution_to_csv, tensor)
+    assert text == _sshap_csv_reference(tensor)
+    assert ",100%s share," in text and ",%r%%," in text
+
+
 def test_tensor_csv_streams_in_bounded_memory(tmp_path):
     # Written one instance at a time, a (64, 24, 144) tensor (the NP shape)
     # makes an 8.4 MB CSV with a traced peak of 0.48 MB, 0.057 of the file,

@@ -565,6 +565,58 @@ class TestPersistence:
             np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
         assert save_model(again) == text
 
+    def test_trained_model_is_stored_as_float32(self, build_matrix):
+        model, _ = self.make_trained(build_matrix)
+        text = save_model(model)
+        payload = json.loads(text)
+        assert payload["weights_dtype"] == "<f4"
+        for layer, w, b in zip(payload["layers"], model.weights, model.biases):
+            raw = base64.b64decode(layer["weights_row_major"])
+            assert len(raw) == 4 * w.size
+            assert len(base64.b64decode(layer["bias"])) == 4 * b.size
+            np.testing.assert_array_equal(np.frombuffer(raw, dtype="<f4").reshape(w.shape), w)
+        again = load_model(text)
+        for a, b in zip(model.weights + model.biases, again.weights + again.biases):
+            assert a.dtype == b.dtype == np.float64
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+
+    def test_fresh_model_is_stored_as_float64(self, fresh_model):
+        assert json.loads(save_model(fresh_model(small_spec())))["weights_dtype"] == "<f8"
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda p: p.update(schema_version=2), "schema_version 2, supported 3"),
+            (lambda p: p.update(weights_dtype="<f2"), "weights_dtype '<f2'"),
+            (lambda p: p.update(weights_dtype=">f4"), "weights_dtype '>f4'"),
+            (lambda p: p.pop("weights_dtype"), "weights_dtype None"),
+        ],
+        ids=["schema-2", "half-float", "big-endian", "no-dtype"],
+    )
+    def test_foreign_schema_or_dtype_is_refused(self, mutate, message, build_matrix):
+        model, _ = self.make_trained(build_matrix)
+        payload = json.loads(save_model(model))
+        mutate(payload)
+        with pytest.raises(ModelError, match=message):
+            load_model(json.dumps(payload))
+
+    def test_partial_float32_is_corrupt(self, build_matrix):
+        model, _ = self.make_trained(build_matrix)
+        payload = json.loads(save_model(model))
+        layer = payload["layers"][1]
+        raw = base64.b64decode(layer["weights_row_major"])
+        layer["weights_row_major"] = base64.b64encode(raw[:-2]).decode()  # 4k + 2 bytes
+        with pytest.raises(ModelError, match="bad model payload"):
+            load_model(json.dumps(payload))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("part", ["weights", "biases"])
+    def test_non_finite_parameter_is_refused(self, part, value, fresh_model):
+        model = fresh_model(small_spec())
+        getattr(model, part)[1].flat[3] = value
+        with pytest.raises(ModelError, match="layer 2 holds a non-finite weight or bias"):
+            load_model(save_model(model))
+
     def test_layers_are_base64_little_endian_float64(self, fresh_model):
         model = fresh_model(small_spec())
         layer = json.loads(save_model(model))["layers"][1]
